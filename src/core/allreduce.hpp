@@ -1,12 +1,12 @@
 // SparseAllreduce — the public orchestration API (§III).
 //
 // Configuration is a *compiler*: configure()/compile() run the downward
-// configuration pass once and freeze every rank's routing state (unions,
-// positional maps, split boundaries, per-round piece sizes) into an
-// immutable CollectivePlan (core/plan.hpp). Value traffic is *replay*:
-// reduce() hands the plan to a ReduceExecutor (core/executor.hpp) that
-// re-runs the frozen schedule with fresh buffers — bit-identically to
-// driving the nodes directly, but touching no routing state. Usage patterns:
+// configuration pass once, with one KylixNode per rank (core/node.hpp)
+// writing its routing state (unions, positional maps, split boundaries,
+// per-round piece sizes) straight into an immutable CollectivePlan
+// (core/plan.hpp). Value traffic is *replay*: reduce() hands the plan to a
+// ReduceExecutor (core/executor.hpp) that re-runs the frozen schedule with
+// fresh buffers, touching no routing state. Usage patterns:
 //
 //   * configure() once, reduce() many times — graph algorithms whose in/out
 //     vertex sets are fixed across iterations (PageRank, §III). The first
@@ -16,9 +16,10 @@
 //   * reduce_strided() — push k interleaved payload vectors through one
 //     replay, amortizing routing across payloads.
 //   * reduce_with_config() — minibatch workloads whose sets change every
-//     step; configuration and reduction share combined messages, saving a
-//     full downward pass. This path stays node-driven (no plan is frozen:
-//     the routing would be thrown away next step anyway).
+//     step; configuration letters carry the values, so the configuration
+//     pass doubles as the scatter-reduce and the executor's up half finishes
+//     the reduction, saving a full downward pass. The plan it compiles is
+//     anonymous (fingerprint 0: never cached) but replayable by reduce().
 //
 // Modeled compute (tree merges, scatter-adds, gathers) is charged to the
 // engine per round when a ComputeModel is supplied, so timing reports
@@ -26,10 +27,8 @@
 #pragma once
 
 #include <algorithm>
-#include <cmath>
 #include <concepts>
 #include <memory>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -75,19 +74,19 @@ class SparseAllreduce {
   }
 
   /// Toggle streamed replay (chunked letters, eager per-chunk combining —
-  /// DESIGN §9). Applies to plan-based reduces; the combined node-driven
-  /// path ignores it. Bit-identical to letter-at-once on every engine.
+  /// DESIGN §9). Applies to reduce()/reduce_strided(); reduce_with_config()
+  /// ignores it. Bit-identical to letter-at-once on every engine.
   void set_streaming(bool on) { executor_.set_streaming(on); }
   [[nodiscard]] bool streaming() const { return executor_.streaming(); }
 
-  /// Telemetry of the last plan-based reduce (chunks, block flushes,
-  /// buffer envelopes, overlap ratio).
+  /// Telemetry of the last reduce (chunks, block flushes, buffer
+  /// envelopes, overlap ratio).
   [[nodiscard]] const StreamStats& stream_stats() const {
     return executor_.stream_stats();
   }
 
-  /// Attach a flight recorder to plan-based replays (optional, not owned):
-  /// replay markers plus per-round stream-flush/watermark events.
+  /// Attach a flight recorder to replays (optional, not owned): replay
+  /// markers plus per-round stream-flush/watermark events.
   void set_flight_recorder(obs::FlightRecorder* recorder) {
     executor_.set_flight_recorder(recorder);
   }
@@ -110,31 +109,9 @@ class SparseAllreduce {
     }
     const std::uint64_t fp =
         salt_fingerprint(fingerprint_key_sets(in_sets, out_sets));
-    mode_ = Mode::kNone;
-    build_nodes(std::move(in_sets), std::move(out_sets));
-    for (std::uint16_t layer = 1; layer <= topo_.num_layers(); ++layer) {
-      run_round(Phase::kConfig, layer, &Node::config_produce,
-                &Node::config_consume);
-    }
-    finish_configure();
-    auto plan = std::make_shared<CollectivePlan>(topo_, fp);
-    for (const Node& node : nodes_) {
-      if (node.configured()) {
-        node.freeze_into(plan->mutable_rank_plan(node.rank()));
-      }
-    }
-    freeze_union_kernels(*plan);
-    plan->set_chunk_bytes(
-        chunk_bytes_ != 0
-            ? chunk_bytes_
-            : (net_ != nullptr
-                   ? static_cast<std::uint64_t>(net_->min_efficient_packet())
-                   : 0));
-    plan_ = std::move(plan);
-    if (plan_->any_configured()) {
-      executor_.bind(engine_, plan_, compute_, net_);
-      mode_ = Mode::kPlan;
-    }
+    configure_pass(std::move(in_sets), std::move(out_sets), fp,
+                   /*values=*/nullptr);
+    bind_plan();
     return plan_;
   }
 
@@ -151,11 +128,10 @@ class SparseAllreduce {
                        plan->topology().degrees().end(),
                        topo_.degrees().begin(), topo_.degrees().end()),
         "adopted plan was compiled for a different topology");
-    mode_ = Mode::kNone;
     nodes_.clear();
+    combined_ = false;
     plan_ = std::move(plan);
     executor_.bind(engine_, plan_, compute_, net_);
-    mode_ = Mode::kPlan;
   }
 
   /// Cache-aware configure: fingerprint the sets, adopt on a hit, compile
@@ -172,8 +148,8 @@ class SparseAllreduce {
     return false;
   }
 
-  /// The plan the last configure()/compile() produced or adopted (null
-  /// before any, and untouched by reduce_with_config()).
+  /// The plan the last configure()/compile()/reduce_with_config() produced
+  /// or adopted (null before any).
   [[nodiscard]] const std::shared_ptr<const CollectivePlan>& plan() const {
     return plan_;
   }
@@ -181,67 +157,51 @@ class SparseAllreduce {
   /// Step 2: push contributions down and pull requested values back up.
   /// `out_values[r]` aligns with the key order of machine r's out set;
   /// the result[r] aligns with the key order of machine r's in set.
-  /// Reusable: call any number of times after one configure(). Plan-based
-  /// configurations replay the compiled schedule (no routing state is
-  /// touched); after reduce_with_config() the retained nodes re-reduce.
+  /// Reusable: call any number of times after one configure() or
+  /// reduce_with_config(); every call replays the compiled schedule (no
+  /// routing state is touched).
   [[nodiscard]] std::vector<std::vector<V>> reduce(
       std::vector<std::vector<V>> out_values) {
-    if (mode_ == Mode::kPlan) return executor_.reduce(std::move(out_values));
-    // Dead ranks never configure (degraded completion), so the precondition
-    // is that some alive node finished configuring.
-    KYLIX_CHECK_MSG(mode_ == Mode::kCombined &&
-                        std::any_of(nodes_.begin(), nodes_.end(),
-                                    [](const Node& n) {
-                                      return n.configured();
-                                    }),
-                    "reduce() before configure()");
-    load_values(std::move(out_values));
-    for (std::uint16_t layer = 1; layer <= topo_.num_layers(); ++layer) {
-      run_round(Phase::kReduceDown, layer, &Node::down_produce,
-                &Node::down_consume);
-    }
-    return run_up_pass();
+    KYLIX_CHECK_MSG(replayable(), "reduce() before configure()");
+    return executor_.reduce(std::move(out_values));
   }
 
   /// Multi-payload replay: reduce `stride` value vectors through one pass.
   /// `out_values[r]` interleaves the payloads key-major (the stride values
   /// of contributed key p occupy [p*stride, (p+1)*stride)); results use the
   /// same layout over requested keys. Bit-identical to `stride` independent
-  /// reduce() calls per component. Requires a plan-based configuration.
+  /// reduce() calls per component.
   [[nodiscard]] std::vector<std::vector<V>> reduce_strided(
       std::vector<std::vector<V>> out_values, std::uint32_t stride) {
-    KYLIX_CHECK_MSG(mode_ == Mode::kPlan,
-                    "reduce_strided() requires a compiled plan");
+    KYLIX_CHECK_MSG(replayable(), "reduce_strided() before configure()");
     return executor_.reduce_strided(std::move(out_values), stride);
   }
 
   /// Combined configuration + reduction (minibatch mode): config messages
-  /// carry values, so the separate downward value pass disappears.
+  /// carry values, so the separate downward value pass disappears. The
+  /// compiled plan stays bound: reduce() afterwards replays it.
   [[nodiscard]] std::vector<std::vector<V>> reduce_with_config(
       std::vector<KeySet> in_sets, std::vector<KeySet> out_sets,
       std::vector<std::vector<V>> out_values) {
-    // Combined mode is node-driven and throws its routing away per step;
-    // the shared-memory tier only pays off on replayed plans, so the
-    // hierarchical path deliberately does not exist here.
+    // Minibatch routing is thrown away per step; the shared-memory tier
+    // only pays off on replayed plans, so the hierarchical path
+    // deliberately does not exist here.
     KYLIX_CHECK_MSG(!topo_.hierarchical(),
                     "reduce_with_config() supports flat topologies only "
                     "(compile a hierarchical plan and replay it instead)");
-    mode_ = Mode::kCombined;
-    build_nodes(std::move(in_sets), std::move(out_sets));
-    load_values(std::move(out_values));
-    for (Node& node : nodes_) node.set_combined(true);
-    for (std::uint16_t layer = 1; layer <= topo_.num_layers(); ++layer) {
-      run_round(Phase::kConfig, layer, &Node::config_produce,
-                &Node::config_consume);
+    configure_pass(std::move(in_sets), std::move(out_sets),
+                   /*fingerprint=*/0, &out_values);
+    bind_plan();
+    if (!replayable()) {  // every rank died during configuration
+      return std::vector<std::vector<V>>(topo_.num_machines());
     }
-    for (Node& node : nodes_) node.set_combined(false);
-    finish_configure();
-    return run_up_pass();
+    return executor_.reduce_up();
   }
 
-  /// Machine r's node, for tests and volume introspection (Fig. 5 reads the
-  /// per-layer set sizes off these). Unavailable after adopting a
-  /// precompiled plan (no nodes exist on that path — read the plan instead).
+  /// Machine r's configuration node, for tests and volume introspection
+  /// (Fig. 5 reads the per-layer set sizes off these). Unavailable after
+  /// adopting a precompiled plan (no nodes exist on that path — read the
+  /// plan instead).
   [[nodiscard]] const KylixNode<V, Op>& node(rank_t rank) const {
     KYLIX_CHECK_MSG(rank < nodes_.size(),
                     "node() unavailable: configuration was adopted from a "
@@ -252,40 +212,23 @@ class SparseAllreduce {
   /// Mean out-set size over alive machines at node layers 0..l: the
   /// measured per-node elements P_i entering communication layer i is
   /// entry i-1, and the last entry is the fully reduced bottom. This is the
-  /// measured column of the run report's D_i / P_i comparison (src/obs).
-  /// Served from the nodes when they exist, from the adopted plan otherwise.
+  /// measured column of the run report's D_i / P_i comparison (src/obs),
+  /// read off the plan.
   [[nodiscard]] std::vector<double> measured_layer_elements() const {
-    if (nodes_.empty()) {
-      KYLIX_CHECK_MSG(plan_ != nullptr, "no configured state to measure");
-      std::vector<double> mean(topo_.num_layers() + 1, 0.0);
-      rank_t alive = 0;
-      for (rank_t r = 0; r < plan_->num_ranks(); ++r) {
-        const RankPlan& rp = plan_->rank_plan(r);
-        // Hierarchical members carry no per-layer sizes; only union-holding
-        // ranks (flat ranks, host leaders) enter the Prop 4.1 averages.
-        if (!rp.configured || engine_->is_dead(r) ||
-            rp.out_sizes.size() != mean.size()) {
-          continue;
-        }
-        ++alive;
-        for (std::uint16_t i = 0; i <= topo_.num_layers(); ++i) {
-          mean[i] += static_cast<double>(rp.out_sizes[i]);
-        }
-      }
-      if (alive > 0) {
-        for (double& v : mean) v /= static_cast<double>(alive);
-      }
-      return mean;
-    }
+    KYLIX_CHECK_MSG(plan_ != nullptr, "no configured state to measure");
     std::vector<double> mean(topo_.num_layers() + 1, 0.0);
     rank_t alive = 0;
-    for (const Node& node : nodes_) {
-      // Unconfigured nodes (dead ranks, hierarchical non-leaders) hold no
-      // per-layer unions to measure.
-      if (engine_->is_dead(node.rank()) || !node.configured()) continue;
+    for (rank_t r = 0; r < plan_->num_ranks(); ++r) {
+      const RankPlan& rp = plan_->rank_plan(r);
+      // Hierarchical members carry no per-layer sizes; only union-holding
+      // ranks (flat ranks, host leaders) enter the Prop 4.1 averages.
+      if (!rp.configured || engine_->is_dead(r) ||
+          rp.out_sizes.size() != mean.size()) {
+        continue;
+      }
       ++alive;
       for (std::uint16_t i = 0; i <= topo_.num_layers(); ++i) {
-        mean[i] += static_cast<double>(node.out_set(i).size());
+        mean[i] += static_cast<double>(rp.out_sizes[i]);
       }
     }
     if (alive > 0) {
@@ -329,12 +272,15 @@ class SparseAllreduce {
             rep.lost_from_start.push_back(d.logical);
           }
           // A group's inputs entered the reduction iff it completed its
-          // first reduce-down merge. Its chronologically first record
-          // tells: dead during config, at {down, 1}, or from the start
-          // means the contribution never left the group.
+          // first value-carrying merge. Its chronologically first record
+          // tells: dead from the start, at {down, 1}, or during config
+          // (only at {config, 1} in combined mode, where values ride the
+          // config letters) means the contribution never left the group.
+          const bool carries_values =
+              d.phase == Phase::kReduceDown ||
+              (d.phase == Phase::kConfig && combined_);
           if (engine_->was_dead_at_start(d.logical) ||
-              d.phase == Phase::kConfig ||
-              (d.phase == Phase::kReduceDown && d.layer <= 1)) {
+              (carries_values ? d.layer <= 1 : d.phase == Phase::kConfig)) {
             rep.inputs_lost.push_back(d.logical);
           }
         }
@@ -346,27 +292,16 @@ class SparseAllreduce {
       std::sort(rep.inputs_lost.begin(), rep.inputs_lost.end());
       prune_ranges(rep.degraded_ranges);
       // Requested indices that resolved to no surviving contributor, per
-      // alive requester and globally (sorted, deduplicated). Per-rank state
-      // comes from the nodes when they exist, from the adopted plan's
-      // frozen copies otherwise.
-      const bool from_plan = nodes_.empty() && plan_ != nullptr;
+      // alive requester and globally (sorted, deduplicated), off the plan.
       const rank_t m = topo_.num_machines();
-      const auto rank_configured = [&](rank_t r) {
-        return from_plan ? plan_->rank_plan(r).configured
-                         : (r < nodes_.size() && nodes_[r].configured());
-      };
-      const auto rank_missing =
-          [&](rank_t r) -> const std::vector<key_t>& {
-        return from_plan ? plan_->rank_plan(r).missing_bottom
-                         : nodes_[r].missing_bottom_keys();
-      };
-      const auto rank_in0 = [&](rank_t r) -> const KeySet& {
-        return from_plan ? plan_->rank_plan(r).in0 : nodes_[r].in_set(0);
+      const auto alive_configured = [&](rank_t r) {
+        return plan_ != nullptr && !engine_->is_dead(r) &&
+               plan_->rank_plan(r).configured;
       };
       rep.lost_keys_per_rank.resize(m);
       for (rank_t r = 0; r < m; ++r) {
-        if (engine_->is_dead(r) || !rank_configured(r)) continue;
-        for (const key_t key : rank_missing(r)) {
+        if (!alive_configured(r)) continue;
+        for (const key_t key : plan_->rank_plan(r).missing_bottom) {
           rep.lost_keys.push_back(key);
         }
       }
@@ -375,8 +310,8 @@ class SparseAllreduce {
           std::unique(rep.lost_keys.begin(), rep.lost_keys.end()),
           rep.lost_keys.end());
       for (rank_t r = 0; r < m; ++r) {
-        if (engine_->is_dead(r) || !rank_configured(r)) continue;
-        const KeySet& in0 = rank_in0(r);
+        if (!alive_configured(r)) continue;
+        const KeySet& in0 = plan_->rank_plan(r).in0;
         for (std::size_t p = 0; p < in0.size(); ++p) {
           const key_t key = in0[p];
           if (rep.covers(key) ||
@@ -406,10 +341,10 @@ class SparseAllreduce {
   [[nodiscard]] std::shared_ptr<const CollectivePlan> compile_hierarchical(
       std::vector<KeySet> in_sets, std::vector<KeySet> out_sets) {
     const rank_t m = topo_.num_machines();
-    KYLIX_CHECK(in_sets.size() == m && out_sets.size() == m);
+    check_per_machine("in_sets", in_sets.size());
+    check_per_machine("out_sets", out_sets.size());
     const std::uint64_t fp =
         salt_fingerprint(fingerprint_key_sets(in_sets, out_sets));
-    mode_ = Mode::kNone;
     const rank_t hosts = topo_.num_hosts();
     const std::uint32_t c = topo_.cores_per_machine();
 
@@ -473,25 +408,8 @@ class SparseAllreduce {
       }
     }
 
-    build_nodes(std::move(node_in), std::move(node_out));
-    for (std::uint16_t layer = 1; layer <= topo_.num_layers(); ++layer) {
-      run_round(Phase::kConfig, layer, &Node::config_produce,
-                &Node::config_consume);
-    }
-    finish_configure();
-    auto plan = std::make_shared<CollectivePlan>(topo_, fp);
-    for (const Node& node : nodes_) {
-      if (node.configured()) {
-        node.freeze_into(plan->mutable_rank_plan(node.rank()));
-      }
-    }
-    freeze_union_kernels(*plan);
-    plan->set_chunk_bytes(
-        chunk_bytes_ != 0
-            ? chunk_bytes_
-            : (net_ != nullptr
-                   ? static_cast<std::uint64_t>(net_->min_efficient_packet())
-                   : 0));
+    std::shared_ptr<CollectivePlan> plan = configure_pass(
+        std::move(node_in), std::move(node_out), fp, /*values=*/nullptr);
     for (rank_t h = 0; h < hosts; ++h) {
       const IntraHost& ih = intra[h];
       const std::vector<key_t>* host_missing =
@@ -521,42 +439,92 @@ class SparseAllreduce {
       }
     }
     plan->set_intra_hosts(std::move(intra));
-    plan_ = std::move(plan);
-    if (plan_->any_configured()) {
-      executor_.bind(engine_, plan_, compute_, net_);
-      mode_ = Mode::kPlan;
-    }
+    bind_plan();
     return plan_;
   }
 
-  void build_nodes(std::vector<KeySet> in_sets, std::vector<KeySet> out_sets) {
-    const rank_t m = topo_.num_machines();
-    KYLIX_CHECK(in_sets.size() == m && out_sets.size() == m);
-    // Nodes are rebuilt per configure/reduce_with_config call, but their
-    // working storage persists here, so repeated minibatch steps reuse
-    // warmed buffers instead of re-allocating every letter and union.
+  /// The one configuration pass behind compile(), compile_hierarchical()
+  /// and reduce_with_config(): rank r's node compiles straight into slot r
+  /// of a fresh plan over the config rounds, with `values` (combined mode;
+  /// null otherwise) riding the config letters. Ranks that never finish
+  /// (dead, hierarchical members) are left with empty slots. Stamps the
+  /// union kernels and the streaming chunk size.
+  std::shared_ptr<CollectivePlan> configure_pass(
+      std::vector<KeySet> in_sets, std::vector<KeySet> out_sets,
+      std::uint64_t fingerprint, std::vector<std::vector<V>>* values) {
+    auto plan = std::make_shared<CollectivePlan>(topo_, fingerprint);
+    // Current from the start, so the nodes' slots live as long as the nodes
+    // do (the old nodes go first, with the plan they wrote into) and a pass
+    // that throws leaves the allreduce unconfigured: the executor stays
+    // bound to the previous plan, so replayable() is false.
     nodes_.clear();
+    plan_ = plan;
+    combined_ = values != nullptr;
+    build_nodes(std::move(in_sets), std::move(out_sets), *plan);
+    if (values != nullptr) load_values(*values);
+    for (std::uint16_t layer = 1; layer <= topo_.num_layers(); ++layer) {
+      run_config_round(layer);
+    }
+    finish_configure();
+    for (rank_t r = 0; r < plan->num_ranks(); ++r) {
+      RankPlan& rp = plan->mutable_rank_plan(r);
+      if (!rp.configured) rp = RankPlan{};
+    }
+    freeze_union_kernels(*plan);
+    plan->set_chunk_bytes(
+        chunk_bytes_ != 0
+            ? chunk_bytes_
+            : (net_ != nullptr
+                   ? static_cast<std::uint64_t>(net_->min_efficient_packet())
+                   : 0));
+    return plan;
+  }
+
+  /// Bind the executor to the current plan, unless it covers no rank
+  /// (compiled under total failure: nothing to replay).
+  void bind_plan() {
+    if (plan_->any_configured()) {
+      executor_.bind(engine_, plan_, compute_, net_);
+    }
+  }
+
+  /// True iff the executor is bound to the current plan.
+  [[nodiscard]] bool replayable() const {
+    return plan_ != nullptr && executor_.plan() == plan_;
+  }
+
+  void check_per_machine(const char* what, std::size_t count) const {
+    KYLIX_CHECK_MSG(count == topo_.num_machines(),
+                    what << " has " << count << " entries, expected "
+                         << topo_.num_machines() << " (one per machine)");
+  }
+
+  void build_nodes(std::vector<KeySet> in_sets, std::vector<KeySet> out_sets,
+                   CollectivePlan& plan) {
+    const rank_t m = topo_.num_machines();
+    check_per_machine("in_sets", in_sets.size());
+    check_per_machine("out_sets", out_sets.size());
+    // Nodes are rebuilt per configuration pass, but their working storage
+    // persists here, so repeated minibatch steps reuse warmed buffers
+    // instead of re-allocating every letter and union.
     if (scratch_.size() < m) scratch_.resize(m);
     nodes_.reserve(m);
     for (rank_t r = 0; r < m; ++r) {
       nodes_.emplace_back(&topo_, r, std::move(in_sets[r]),
-                          std::move(out_sets[r]), &scratch_[r]);
+                          std::move(out_sets[r]), &plan.mutable_rank_plan(r),
+                          &scratch_[r]);
     }
   }
 
-  void load_values(std::vector<std::vector<V>> out_values) {
-    KYLIX_CHECK(out_values.size() == nodes_.size());
+  /// Combined mode: hand every rank's contribution to its node, which
+  /// reduces it into the executor's lane for that rank.
+  void load_values(std::vector<std::vector<V>>& out_values) {
+    check_per_machine("out_values", out_values.size());
+    std::vector<ReplayScratch<V>>& lanes = executor_.lanes(nodes_.size());
     for (rank_t r = 0; r < nodes_.size(); ++r) {
-      // Recovery-capable engines price group deaths by input mass Σ|v|.
-      if constexpr (std::is_arithmetic_v<V> &&
-                    requires(Engine& e) { e.note_input_mass(r, 0.0); }) {
-        double mass = 0.0;
-        for (const V& v : out_values[r]) {
-          mass += std::abs(static_cast<double>(v));
-        }
-        engine_->note_input_mass(r, mass);
-      }
-      nodes_[r].begin_reduce(std::move(out_values[r]));
+      ReduceExecutor<V, Op, Engine>::note_input_mass(engine_, r,
+                                                      out_values[r]);
+      nodes_[r].set_combined(lanes[r], out_values[r]);
     }
   }
 
@@ -576,43 +544,22 @@ class SparseAllreduce {
       // Hierarchical non-leaders never configure as nodes; their RankPlans
       // are filled from the intra tier in compile_hierarchical.
       if (topo_.hierarchical() && !topo_.is_leader(node.rank())) continue;
-      node.set_degraded(degraded);
-      node.finish_configure();
+      node.finish_configure(degraded);
     }
   }
 
-  std::vector<std::vector<V>> run_up_pass() {
-    const std::uint16_t l = topo_.num_layers();
-    for (Node& node : nodes_) {
-      if (engine_->is_dead(node.rank())) continue;
-      node.begin_up();
-      charge(Phase::kReduceDown, l, node);
-    }
-    for (std::uint16_t layer = l; layer >= 1; --layer) {
-      run_round(Phase::kReduceUp, layer, &Node::up_produce,
-                &Node::up_consume);
-    }
-    std::vector<std::vector<V>> results(nodes_.size());
-    for (rank_t r = 0; r < nodes_.size(); ++r) {
-      if (!engine_->is_dead(r)) results[r] = nodes_[r].take_result();
-    }
-    return results;
-  }
-
-  template <typename ProduceFn, typename ConsumeFn>
-  void run_round(Phase phase, std::uint16_t layer, ProduceFn produce,
-                 ConsumeFn consume) {
+  void run_config_round(std::uint16_t layer) {
     // Hierarchical topologies exchange between host leaders only: the other
     // cores of a host hold no per-layer routing state (their unions live at
     // the leader), so they neither produce, expect, nor consume letters.
     const bool gate = topo_.hierarchical();
     engine_->round(
-        phase, layer,
+        Phase::kConfig, layer,
         // Reference returns: produce hands out the node's reusable letter
         // shells; expected hands out the cached group (no copies per round).
         [&](rank_t r) -> std::vector<Letter<V>>& {
           if (gate && !topo_.is_leader(r)) return empty_letters_;
-          return (nodes_[r].*produce)(layer);
+          return nodes_[r].config_produce(layer);
         },
         [&](rank_t r) -> const std::vector<rank_t>& {
           if (gate && !topo_.is_leader(r)) return empty_ranks_;
@@ -620,8 +567,8 @@ class SparseAllreduce {
         },
         [&](rank_t r, std::vector<Letter<V>>&& inbox) {
           if (gate && !topo_.is_leader(r)) return;
-          (nodes_[r].*consume)(layer, std::move(inbox));
-          charge(phase, layer, nodes_[r]);
+          nodes_[r].config_consume(layer, std::move(inbox));
+          charge(layer, nodes_[r]);
         });
   }
 
@@ -639,7 +586,7 @@ class SparseAllreduce {
   /// inputs_lost, not by a range).
   [[nodiscard]] std::uint16_t record_node_layer(const DeathRecord& d) const {
     if (d.phase == Phase::kReduceUp) return d.layer;
-    if (d.phase == Phase::kConfig && mode_ != Mode::kCombined) return d.layer;
+    if (d.phase == Phase::kConfig && !combined_) return d.layer;
     return std::max<std::uint16_t>(d.layer, 2) - 1;
   }
 
@@ -675,7 +622,7 @@ class SparseAllreduce {
   /// density hint (set_layer_density_hints) overrides the fresh measurement.
   void freeze_union_kernels(CollectivePlan& plan) {
     const std::uint16_t l = topo_.num_layers();
-    if (l == 0 || nodes_.empty()) return;
+    if (l == 0) return;
     std::vector<double> mean;
     if (layer_hints_.size() == static_cast<std::size_t>(l) + 1) {
       mean = std::move(layer_hints_);
@@ -683,12 +630,9 @@ class SparseAllreduce {
       mean = measured_layer_elements();
     }
     layer_hints_.clear();
-    // Elements entering communication layer i — what one node unions there.
-    std::vector<double> layer_elements(l, 0.0);
-    for (std::uint16_t i = 1; i <= l; ++i) {
-      layer_elements[i - 1] = mean[i - 1];
-    }
-    plan.set_union_kernels(union_kernel_plan(topo_, layer_elements));
+    // Entry i-1 is what one node unions at communication layer i.
+    plan.set_union_kernels(
+        union_kernel_plan(topo_, std::span<const double>(mean).first(l)));
   }
 
   /// True iff `inner` ⊆ `outer` (hi == 0 with lo != 0 means "up to 2^64").
@@ -724,19 +668,17 @@ class SparseAllreduce {
     ranges.swap(kept);
   }
 
-  void charge(Phase phase, std::uint16_t layer, Node& node) {
+  /// Charge a config round's modeled merge/gather (and, in combined mode,
+  /// combine) work to the engine.
+  void charge(std::uint16_t layer, Node& node) {
     const NodeWork work = node.take_work();
-    if (compute_ == nullptr || layer == 0) return;
+    if (compute_ == nullptr) return;
     const double seconds =
         compute_->merge_time(work.merge_elements, work.merge_ways) +
         compute_->combine_time(work.combine_elements) +
         compute_->gather_time(work.gather_elements);
-    engine_->charge_compute(phase, layer, node.rank(), seconds);
+    engine_->charge_compute(Phase::kConfig, layer, node.rank(), seconds);
   }
-
-  /// How the allreduce was last configured: plan-based configurations
-  /// replay through the executor; combined mode re-reduces the nodes.
-  enum class Mode { kNone, kPlan, kCombined };
 
   Engine* engine_;
   Topology topo_;
@@ -744,7 +686,9 @@ class SparseAllreduce {
   const NetworkModel* net_ = nullptr;  ///< chunk-size compiler input
   std::uint64_t chunk_bytes_ = 0;      ///< tuning override (0 = compiled)
   std::vector<double> layer_hints_;    ///< one-shot measured-density carry
-  Mode mode_ = Mode::kNone;
+  /// The last configuration pass carried values (reduce_with_config):
+  /// config-phase deaths then follow the down rule (record_node_layer).
+  bool combined_ = false;
   std::vector<Node> nodes_;
   std::vector<Letter<V>> empty_letters_;  ///< hierarchical non-leader rounds
   std::vector<rank_t> empty_ranks_;

@@ -551,7 +551,7 @@ class AsyncExecutor {
   /// Return one rank's consumed buffers to their senders' pools.
   void return_spent(Lane& lane, ReplayScratch<V>& s) {
     for (auto& [src, buf] : s.spent) {
-      Ops::recycle(lane.scratch[src].value_pool, buf);
+      pool_recycle(lane.scratch[src].value_pool, buf);
     }
     s.spent.clear();
   }

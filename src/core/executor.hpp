@@ -3,12 +3,12 @@
 // The executor is the mutable half of the plan/executor split: it binds an
 // engine and per-rank value buffers to an immutable plan and replays the
 // frozen schedule. A replayed reduce touches no routing state — no nodes are
-// rebuilt, no sets are unioned, no splits recomputed — and performs the
-// exact same kernel calls in the exact same order as the node-driven path
-// (slice by out_split, scatter_combine by out_maps in ascending sender
-// digit, bottom gather by bottom_map, gather by in_maps, concatenate by
-// in_split), so results, traces, and modeled timing are bit-identical to
-// configure()+reduce() on every engine.
+// rebuilt, no sets are unioned, no splits recomputed — and is the only value
+// path there is: slice by out_split, scatter_combine by out_maps in
+// ascending sender digit, bottom gather by bottom_map, gather by in_maps,
+// concatenate by in_split. Combined configure+reduce scatter-reduces on its
+// configuration letters and then runs this class's up half (reduce_up), so
+// its up pass is the same code as every replay's.
 //
 // The per-rank kernels live in core/replay_node.hpp (ReplayOps), shared
 // with the async resumable path (core/async_executor.hpp): this class is
@@ -35,11 +35,10 @@
 // letter/stream buffer envelopes are accumulated into StreamStats; the
 // pipelining payoff is priced by TimingAccumulator::pipelined_reduce_time.
 //
-// Allocation discipline: per-rank ReplayScratch mirrors NodeScratch's buffer
-// economy (letter shells per layer, recycled value pools, ping-pong
-// merge/below buffers, pooled block-watermark scratch), so warm replays —
-// streamed or not — allocate nothing in the rounds and stay within the same
-// m+1 API-boundary budget as the node path (tests/core/alloc_test).
+// Allocation discipline: per-rank ReplayScratch pools its letter shells per
+// layer, value buffers, ping-pong merge/below buffers and block-watermark
+// scratch, so warm replays — streamed or not — allocate nothing in the
+// rounds and stay within an m+1 API-boundary budget (tests/core/alloc_test).
 #pragma once
 
 #include <algorithm>
@@ -59,6 +58,9 @@
 #include "sparse/ops.hpp"
 
 namespace kylix {
+
+template <typename V, typename Op, typename Engine>
+class SparseAllreduce;
 
 template <typename V, typename Op = OpSum, typename Engine = void>
 class ReduceExecutor {
@@ -142,58 +144,21 @@ class ReduceExecutor {
       std::vector<std::vector<V>> out_values, std::uint32_t stride) {
     KYLIX_CHECK(bound());
     KYLIX_CHECK(stride >= 1);
-    KYLIX_CHECK(out_values.size() == plan_->num_ranks());
-    // Freeze this reduce's chunk schedule: payload bytes -> key positions.
-    // One plan serves every value type and stride because the conversion
-    // happens here, not at compile time.
-    const std::uint64_t chunk_bytes = chunk_bytes_override_ != 0
-                                          ? chunk_bytes_override_
-                                          : plan_->chunk_bytes();
-    ctx_.plan = plan_.get();
-    ctx_.stride = stride;
-    ctx_.chunk_positions =
-        streaming_ && chunk_bytes != 0
-            ? std::max<std::size_t>(
-                  1, static_cast<std::size_t>(
-                         chunk_bytes / (sizeof(V) * std::uint64_t{stride})))
-            : 0;
-    stream_stats_ = StreamStats{};
-    stream_stats_.streamed = ctx_.chunk_positions != 0;
-    stream_stats_.chunk_bytes =
-        ctx_.chunk_positions == 0
-            ? 0
-            : std::uint64_t{ctx_.chunk_positions} * sizeof(V) * stride;
-    double replay_start_us = 0;
-    round_blocks_flushed_ = 0;
-    round_peak_stream_bytes_ = 0;
-    if (recorder_ != nullptr) {
-      replay_start_us = recorder_->now_us();
-      obs::FlightEvent e;
-      e.kind = obs::FlightEventKind::kReplayBegin;
-      e.value = ctx_.stride;
-      e.bytes = plan_->fingerprint();
-      recorder_->record(e);
-    }
-    const Topology& topo = plan_->topology();
-    const std::uint16_t l = topo.num_layers();
-    for (ReplayScratch<V>& s : state_) s.stream = StreamStats{};
+    KYLIX_CHECK_MSG(out_values.size() == plan_->num_ranks(),
+                    "out_values has " << out_values.size()
+                                      << " entries, expected "
+                                      << plan_->num_ranks()
+                                      << " (one per machine)");
+    begin_replay(stride, streaming_);
     for (rank_t r = 0; r < plan_->num_ranks(); ++r) {
-      // Recovery-capable engines price group deaths by input mass; noted
-      // for dead and unconfigured ranks too, exactly as the node path's
-      // load_values does — a dead-from-start group's mass IS the loss.
-      if constexpr (std::is_arithmetic_v<V> &&
-                    requires(Engine& e) { e.note_input_mass(r, 0.0); }) {
-        double mass = 0.0;
-        for (const V& v : out_values[r]) {
-          mass += std::abs(static_cast<double>(v));
-        }
-        engine_->note_input_mass(r, mass);
-      }
+      // Noted for dead and unconfigured ranks too: a dead-from-start
+      // group's mass IS the loss.
+      note_input_mass(engine_, r, out_values[r]);
       const RankPlan& rp = plan_->rank_plan(r);
       if (!rp.configured) {
         // A rank the plan does not cover died during compilation; it can
         // only replay if it is still dead (same FaultPlan semantics as the
-        // node path, where an unconfigured node never produces).
+        // configuration pass, where an unconfigured node never produces).
         KYLIX_CHECK_MSG(engine_->is_dead(r),
                         "alive rank not covered by the bound plan");
         continue;
@@ -209,11 +174,89 @@ class ReduceExecutor {
     // carry no layers), so the wire schedule between the intra stages is
     // exactly the flat schedule over host leaders.
     if (plan_->hierarchical()) intra_down();
-    for (std::uint16_t layer = 1; layer <= l; ++layer) {
+    for (std::uint16_t layer = 1; layer <= plan_->topology().num_layers();
+         ++layer) {
       run_round(Phase::kReduceDown, layer, /*down=*/true);
       collect_spent();
       record_stream_round(Phase::kReduceDown, layer);
     }
+    return finish_replay();
+  }
+
+ private:
+  using Ops = ReplayOps<V, Op>;
+
+  // The combined configure+reduce pass scatter-reduces on its configuration
+  // letters into lanes(), then finishes through reduce_up() below.
+  friend class SparseAllreduce<V, Op, Engine>;
+
+  /// Recovery-capable engines price group deaths by input mass Σ|v|.
+  static void note_input_mass(Engine* engine, rank_t r,
+                              const std::vector<V>& values) {
+    if constexpr (std::is_arithmetic_v<V> &&
+                  requires(Engine& e) { e.note_input_mass(r, 0.0); }) {
+      double mass = 0.0;
+      for (const V& v : values) mass += std::abs(static_cast<double>(v));
+      engine->note_input_mass(r, mass);
+    }
+  }
+
+  /// Freeze one replay's context: plan pointer, stride, and the chunk
+  /// schedule (payload bytes -> key positions; one plan serves every value
+  /// type and stride because the conversion happens here, not at compile
+  /// time). Resets the telemetry and opens the flight-recorder marker.
+  void begin_replay(std::uint32_t stride, bool streamed) {
+    const std::uint64_t chunk_bytes = chunk_bytes_override_ != 0
+                                          ? chunk_bytes_override_
+                                          : plan_->chunk_bytes();
+    ctx_.plan = plan_.get();
+    ctx_.stride = stride;
+    ctx_.chunk_positions =
+        streamed && chunk_bytes != 0
+            ? std::max<std::size_t>(
+                  1, static_cast<std::size_t>(
+                         chunk_bytes / (sizeof(V) * std::uint64_t{stride})))
+            : 0;
+    stream_stats_ = StreamStats{};
+    stream_stats_.streamed = ctx_.chunk_positions != 0;
+    stream_stats_.chunk_bytes =
+        ctx_.chunk_positions == 0
+            ? 0
+            : std::uint64_t{ctx_.chunk_positions} * sizeof(V) * stride;
+    round_blocks_flushed_ = 0;
+    round_peak_stream_bytes_ = 0;
+    if (recorder_ != nullptr) {
+      replay_start_us_ = recorder_->now_us();
+      obs::FlightEvent e;
+      e.kind = obs::FlightEventKind::kReplayBegin;
+      e.value = ctx_.stride;
+      e.bytes = plan_->fingerprint();
+      recorder_->record(e);
+    }
+    for (ReplayScratch<V>& s : state_) s.stream = StreamStats{};
+  }
+
+  /// Per-rank replay buffers for `ranks` ranks, before any plan is bound:
+  /// combined configure+reduce scatter-reduces into them while configuring.
+  [[nodiscard]] std::vector<ReplayScratch<V>>& lanes(rank_t ranks) {
+    if (state_.size() < ranks) state_.resize(ranks);
+    return state_;
+  }
+
+  /// The up half of a reduce whose scatter-reduce already ran on the
+  /// configuration letters, leaving every configured rank's fully reduced
+  /// bottom out-values in its lane's down buffer. Letter-at-once and stride
+  /// 1, exactly the wire schedule the combined pass has always had.
+  [[nodiscard]] std::vector<std::vector<V>> reduce_up() {
+    KYLIX_CHECK(bound());
+    begin_replay(1, /*streamed=*/false);
+    return finish_replay();
+  }
+
+  /// Bottom gather, the allgather retrace {up l..1}, the intra-node fan-out
+  /// of hierarchical plans, and the results; closes the telemetry.
+  [[nodiscard]] std::vector<std::vector<V>> finish_replay() {
+    const std::uint16_t l = plan_->topology().num_layers();
     for (rank_t r = 0; r < plan_->num_ranks(); ++r) {
       const RankPlan& rp = plan_->rank_plan(r);
       // Hierarchical members hold no per-layer state: only union-holding
@@ -243,15 +286,12 @@ class ReduceExecutor {
     if (recorder_ != nullptr) {
       obs::FlightEvent e;
       e.kind = obs::FlightEventKind::kReplayEnd;
-      e.value = (recorder_->now_us() - replay_start_us) * 1e-6;
+      e.value = (recorder_->now_us() - replay_start_us_) * 1e-6;
       e.bytes = plan_->fingerprint();
       recorder_->record(e);
     }
     return results;
   }
-
- private:
-  using Ops = ReplayOps<V, Op>;
 
   /// Engines that can run the hierarchical shared-memory stage expose
   /// intra_round/charge_intra (all engines in src/comm do); a foreign
@@ -379,13 +419,13 @@ class ReduceExecutor {
           if (engine_->is_dead(m)) continue;
           ReplayScratch<V>& s = state_[m];
           if (!leader_alive) {
-            Ops::refill(s.value_pool, s.vin);
+            pool_refill(s.value_pool, s.vin);
             s.vin.assign(plan_->rank_plan(m).in0.size() * ctx_.stride,
                          Op::template identity<V>());
             continue;
           }
           if (m == ih.leader) continue;  // last: everyone reads its vin
-          Ops::refill(s.value_pool, s.vin);
+          pool_refill(s.value_pool, s.vin);
           gather_strided_into(std::span<const V>(state_[ih.leader].vin),
                               std::span<const pos_t>(ih.in_maps[i]),
                               ctx_.stride, s.vin);
@@ -453,7 +493,7 @@ class ReduceExecutor {
     for (ReplayScratch<V>& s : state_) {
       for (auto& [src, buf] : s.spent) {
         KYLIX_DCHECK(src < state_.size());
-        Ops::recycle(state_[src].value_pool, buf);
+        pool_recycle(state_[src].value_pool, buf);
       }
       s.spent.clear();
     }
@@ -472,6 +512,7 @@ class ReduceExecutor {
   ReplayContext ctx_;
   StreamStats stream_stats_;
   obs::FlightRecorder* recorder_ = nullptr;
+  double replay_start_us_ = 0;  ///< recorder clock at kReplayBegin
   std::uint64_t round_blocks_flushed_ = 0;   ///< reduce-so-far flush total
   std::uint64_t round_peak_stream_bytes_ = 0;  ///< reduce-so-far watermark
   std::vector<ReplayScratch<V>> state_;

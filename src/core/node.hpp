@@ -1,59 +1,54 @@
-// Per-machine state machine for the nested sparse allreduce (§III-A/B).
+// Per-machine configuration compiler for the nested sparse allreduce
+// (§III-A).
 //
-// A KylixNode owns one machine's view of the butterfly: its in/out index
-// sets at every node layer, the positional maps produced while configuring,
-// and the value buffers of an in-flight reduction. It exposes one
-// produce/consume step per communication round, so any engine satisfying the
-// concept in comm/bsp.hpp can drive it.
+// A KylixNode owns one machine's view of the butterfly while configuring:
+// its in/out index sets at every node layer. It exposes one produce/consume
+// step per configuration round, so any engine satisfying the concept in
+// comm/bsp.hpp can drive it, and writes the routing state it derives —
+// group, split boundaries, the f/g positional maps, received-piece sizes,
+// the bottom map and the upward watermark — straight into its RankPlan slot
+// of the CollectivePlan being compiled (core/plan.hpp). Value traffic is
+// never the node's job: every reduce is a plan replay (core/executor.hpp).
 //
 //   configuration (down): partition in/out sets into the d_i hashed key
 //     subranges of the current range, send piece q to the group member whose
 //     digit is q, union arriving pieces (tree merge) and record maps.
-//   reduce down: split the value buffer along the same boundaries, send, and
-//     combine arriving buffers into the union layout via the out-maps.
-//   reduce up: gather each neighbor's requested values via the in-maps, send
-//     them back, and concatenate arriving pieces in subrange order.
 //
-// Allocation discipline: all transient storage (letter shells, piece
-// vectors, merge workspaces, the merged/below value buffers) lives in a
-// NodeScratch that survives across rounds and — when supplied by the caller,
-// as SparseAllreduce does — across node rebuilds. Consumed packet buffers
-// are recycled through per-node pools and handed back to produced letters,
-// so steady-state reduce() iterations perform no heap allocations in the
-// node hot paths (asserted by tests/core/alloc_test).
+// Combined mode (minibatch, §III): configuration letters also carry values,
+// and config_consume scatter-combines them into one down buffer — the
+// executor's own per-rank buffer (ReplayScratch), so the configuration pass
+// doubles as the scatter-reduce and the executor's up half finishes the
+// reduction in place.
+//
+// Allocation discipline: all transient key storage (letter shells, piece
+// vectors, merge workspaces) lives in a caller-owned NodeScratch that
+// survives across rounds and node rebuilds, so repeated configure passes
+// reuse warmed buffers. Consumed packet buffers are recycled through pools
+// (keys in NodeScratch, values in the ReplayScratch) and handed back to
+// produced letters.
 //
 // Fault tolerance hook: a missing letter (dead unreplicated sender) is
-// treated as an empty piece in configuration and an identity-valued piece in
-// reduction, so the protocol always terminates; correctness under failures
-// is the replication layer's job.
+// treated as an empty piece, so the protocol always terminates; correctness
+// under failures is the replication layer's job.
 #pragma once
 
-#include <limits>
-#include <memory>
+#include <algorithm>
 #include <utility>
 #include <vector>
 
 #include "comm/packet.hpp"
 #include "core/plan.hpp"
+#include "core/replay_node.hpp"
 #include "core/topology.hpp"
 #include "sparse/merge.hpp"
 #include "sparse/ops.hpp"
 
 namespace kylix {
 
-/// Modeled local work performed since the last take_work() call; the
-/// orchestrator converts it to seconds via ComputeModel.
-struct NodeWork {
-  double merge_elements = 0;
-  std::uint32_t merge_ways = 1;
-  double combine_elements = 0;
-  double gather_elements = 0;
-};
-
-/// Reusable working storage for a KylixNode. Stable across rounds and
-/// reduce() iterations; pass the same scratch to successive nodes of the
-/// same rank (as SparseAllreduce does) so repeated reduce_with_config()
-/// calls reuse warmed buffers too. All buffers only ever grow.
+/// Reusable working storage for a KylixNode. Stable across rounds; pass the
+/// same scratch to successive nodes of the same rank (as SparseAllreduce
+/// does) so repeated configure passes reuse warmed buffers too. All buffers
+/// only ever grow.
 template <typename V>
 struct NodeScratch {
   MergeScratch merge;
@@ -62,10 +57,8 @@ struct NodeScratch {
   std::vector<std::span<const key_t>> key_spans;
   std::vector<std::vector<key_t>> in_pieces;
   std::vector<std::vector<key_t>> out_pieces;
-  std::vector<std::vector<V>> value_pieces;
-  std::vector<V> values;  ///< ping-pong partner for the merged/below buffers
+  std::vector<std::vector<V>> value_pieces;  ///< combined mode
   std::vector<std::vector<Letter<V>>> letters;  ///< per comm layer shells
-  std::vector<std::vector<V>> value_pool;  ///< recycled packet value buffers
   std::vector<std::vector<key_t>> key_pool;  ///< recycled packet key buffers
 };
 
@@ -73,26 +66,24 @@ template <typename V, typename Op = OpSum>
 class KylixNode {
  public:
   /// `topology` must outlive the node. `in0`/`out0` are this machine's
-  /// requested and contributed index sets (§III properties 1-2). `scratch`
-  /// (optional, not owned, must outlive the node) lets the caller keep
-  /// warmed buffers alive across node rebuilds; without it the node owns a
-  /// private scratch.
+  /// requested and contributed index sets (§III properties 1-2). `slot` is
+  /// this machine's entry of the plan being compiled and `scratch` its
+  /// warmed working storage; neither is owned, both must outlive the node.
   KylixNode(const Topology* topology, rank_t rank, KeySet in0, KeySet out0,
-            NodeScratch<V>* scratch = nullptr)
-      : topo_(topology), rank_(rank), scratch_(scratch) {
+            RankPlan* slot, NodeScratch<V>* scratch)
+      : topo_(topology), rank_(rank), slot_(slot), scratch_(scratch) {
     KYLIX_CHECK(rank < topo_->num_machines());
-    if (scratch_ == nullptr) {
-      owned_scratch_ = std::make_unique<NodeScratch<V>>();
-      scratch_ = owned_scratch_.get();
-    }
+    KYLIX_CHECK(slot_ != nullptr && scratch_ != nullptr);
     const std::uint16_t l = topo_->num_layers();
+    // The requested set lives in the plan (result alignment, loss report);
+    // in_sets_[0] stays empty and in_set(0) reads it from there.
+    slot_->in0 = std::move(in0);
     in_sets_.resize(l + 1);
     out_sets_.resize(l + 1);
-    in_sets_[0] = std::move(in0);
     out_sets_[0] = std::move(out0);
-    layers_.resize(l);
+    slot_->layers.resize(l);
     for (std::uint16_t i = 1; i <= l; ++i) {
-      layers_[i - 1].group = topo_->group(i, rank_);
+      slot_->layers[i - 1].group = topo_->group(i, rank_);
     }
     if (scratch_->letters.size() < l) scratch_->letters.resize(l);
   }
@@ -100,37 +91,35 @@ class KylixNode {
   [[nodiscard]] rank_t rank() const { return rank_; }
 
   /// Group members (including self) at `layer` — the expected senders of
-  /// every round at that layer. Cached at construction (satellite of the
-  /// hot-path work: topo_->group() used to be recomputed every round).
+  /// every round at that layer. Computed once at construction.
   [[nodiscard]] const std::vector<rank_t>& expected(
       std::uint16_t layer) const {
-    return layers_[layer - 1].group;
+    return slot_->layers[layer - 1].group;
   }
 
-  /// When true, configuration letters also carry values (the combined
-  /// configure+reduce mode for minibatch workloads, §III). Set before the
-  /// first config round; begin_reduce() must already have run.
-  void set_combined(bool combined) { combined_ = combined; }
-
-  /// Degraded-completion mode (chaos engine): requested indices that no
-  /// surviving machine contributed resolve to the reduction identity
-  /// instead of failing finish_configure(). Set before finish_configure().
-  void set_degraded(bool degraded) { degraded_ = degraded; }
-
-  /// Bottom in-keys that resolved to no contributor (sorted; nonempty only
-  /// in degraded mode). These positions of the final result hold identity.
-  [[nodiscard]] const std::vector<key_t>& missing_bottom_keys() const {
-    return missing_bottom_;
+  /// Combined configure+reduce: configuration letters carry this machine's
+  /// contribution (aligned with out_set(0)), loaded into `lane` — the
+  /// rank's replay buffers (not owned; used until the last config round),
+  /// whose down buffer holds the fully reduced bottom out-values after the
+  /// last round, ready for the executor's up half. Call before the first
+  /// round.
+  void set_combined(ReplayScratch<V>& lane, std::vector<V>& out_values) {
+    KYLIX_CHECK_MSG(out_values.size() == out_sets_[0].size(),
+                    "machine " << rank_ << " contributes "
+                               << out_values.size() << " values, expected "
+                               << out_sets_[0].size()
+                               << " (one per key of its out set)");
+    lane_ = &lane;
+    ReplayOps<V, Op>::load_input(lane, out_values);
   }
 
   // ---- configuration, downward ----
 
   [[nodiscard]] std::vector<Letter<V>>& config_produce(std::uint16_t layer) {
-    LayerCfg& cfg = layers_[layer - 1];
-    const std::vector<rank_t>& group = cfg.group;
-    const auto d = static_cast<std::uint32_t>(group.size());
+    PlanLayer& cfg = slot_->layers[layer - 1];
+    const auto d = static_cast<std::uint32_t>(cfg.group.size());
     const KeyRange range = topo_->key_range(layer - 1, rank_);
-    const KeySet& in_prev = in_sets_[layer - 1];
+    const KeySet& in_prev = in_set(layer - 1);
     const KeySet& out_prev = out_sets_[layer - 1];
     cfg.in_split = in_prev.split_points(range, d);
     cfg.out_split = out_prev.split_points(range, d);
@@ -140,18 +129,19 @@ class KylixNode {
     for (std::uint32_t q = 0; q < d; ++q) {
       Letter<V>& letter = letters[q];
       letter.src = rank_;
-      letter.dst = group[q];
-      refill_keys(letter.packet.in_keys);
-      refill_keys(letter.packet.out_keys);
+      letter.dst = cfg.group[q];
+      pool_refill(scratch_->key_pool, letter.packet.in_keys);
+      pool_refill(scratch_->key_pool, letter.packet.out_keys);
       in_prev.extract_into(cfg.in_split[q], cfg.in_split[q + 1],
                            letter.packet.in_keys);
       out_prev.extract_into(cfg.out_split[q], cfg.out_split[q + 1],
                             letter.packet.out_keys);
-      if (combined_) {
-        refill_values(letter.packet.values);
+      if (lane_ != nullptr) {
+        pool_refill(lane_->value_pool, letter.packet.values);
         letter.packet.values.assign(
-            v_.begin() + static_cast<std::ptrdiff_t>(cfg.out_split[q]),
-            v_.begin() + static_cast<std::ptrdiff_t>(cfg.out_split[q + 1]));
+            lane_->v.begin() + static_cast<std::ptrdiff_t>(cfg.out_split[q]),
+            lane_->v.begin() +
+                static_cast<std::ptrdiff_t>(cfg.out_split[q + 1]));
       } else {
         letter.packet.values.clear();
       }
@@ -164,7 +154,7 @@ class KylixNode {
   }
 
   void config_consume(std::uint16_t layer, std::vector<Letter<V>>&& inbox) {
-    LayerCfg& cfg = layers_[layer - 1];
+    PlanLayer& cfg = slot_->layers[layer - 1];
     const std::uint32_t d = topo_->degree(layer);
     auto& in_pieces = scratch_->in_pieces;
     auto& out_pieces = scratch_->out_pieces;
@@ -202,42 +192,50 @@ class KylixNode {
     for (std::uint32_t q = 0; q < d; ++q) {
       cfg.recv_out_sizes[q] = out_pieces[q].size();
     }
-    // Swap (not move) so the union scratch keeps right-sized map buffers
-    // for the next configure pass.
+    // The f/g maps go to the plan slot, their only copy.
     std::swap(cfg.in_maps, in_union.maps);
     std::swap(cfg.out_maps, out_union.maps);
+    cfg.out_union_size = out_union.keys.size();
+    cfg.in_prev_size = in_set(layer - 1).size();
 
-    if (combined_) {
-      std::vector<V>& merged = scratch_->values;
+    if (lane_ != nullptr) {
+      std::vector<V>& merged = lane_->merged;
       merged.assign(out_union.keys.size(), Op::template identity<V>());
       for (std::uint32_t q = 0; q < d; ++q) {
-        if (value_pieces[q].empty()) continue;
-        scatter_combine<V, Op>(std::span<V>(merged),
-                               std::span<const V>(value_pieces[q]),
-                               cfg.out_maps[q]);
-        work_.combine_elements += static_cast<double>(value_pieces[q].size());
+        if (!value_pieces[q].empty()) {
+          scatter_combine<V, Op>(std::span<V>(merged),
+                                 std::span<const V>(value_pieces[q]),
+                                 cfg.out_maps[q]);
+          work_.combine_elements +=
+              static_cast<double>(value_pieces[q].size());
+        }
+        pool_recycle(lane_->value_pool, value_pieces[q]);
       }
-      std::swap(v_, merged);
+      std::swap(lane_->v, merged);
     }
 
     in_sets_[layer] = KeySet::from_sorted_keys(std::move(in_union.keys));
     out_sets_[layer] = KeySet::from_sorted_keys(std::move(out_union.keys));
     for (std::uint32_t q = 0; q < d; ++q) {
-      recycle(scratch_->key_pool, in_pieces[q]);
-      recycle(scratch_->key_pool, out_pieces[q]);
-      recycle(scratch_->value_pool, value_pieces[q]);
+      pool_recycle(scratch_->key_pool, in_pieces[q]);
+      pool_recycle(scratch_->key_pool, out_pieces[q]);
     }
   }
 
   /// After the last config layer: locate every bottom in-key inside the
-  /// bottom out-keys. Throws check_error if some requested index was never
-  /// contributed by any machine (the ∪in ⊆ ∪out precondition of §III).
-  void finish_configure() {
+  /// bottom out-keys and complete the plan slot. Throws check_error if some
+  /// requested index was never contributed by any machine (the ∪in ⊆ ∪out
+  /// precondition of §III) — unless `degraded` (chaos engine, a whole
+  /// replica group lost): such indices then resolve to the reduction
+  /// identity.
+  void finish_configure(bool degraded) {
     const std::uint16_t l = topo_->num_layers();
-    const KeySet& in_bottom = in_sets_[l];
+    const KeySet& in_bottom = in_set(l);
     const KeySet& out_bottom = out_sets_[l];
-    bottom_map_.resize(in_bottom.size());
-    missing_bottom_.clear();
+    PosMap& bottom_map = slot_->bottom_map;
+    std::vector<key_t>& missing = slot_->missing_bottom;
+    bottom_map.resize(in_bottom.size());
+    missing.clear();
     // Both sets are sorted, so locating every in-key is one monotone sweep
     // (O(|in|+|out|)) rather than a binary search per key.
     std::size_t pos = 0;
@@ -245,148 +243,36 @@ class KylixNode {
       const key_t key = in_bottom[p];
       while (pos < out_bottom.size() && out_bottom[pos] < key) ++pos;
       if (pos < out_bottom.size() && out_bottom[pos] == key) {
-        bottom_map_[p] = static_cast<pos_t>(pos);
+        bottom_map[p] = static_cast<pos_t>(pos);
         continue;
       }
-      KYLIX_CHECK_MSG(degraded_,
+      KYLIX_CHECK_MSG(degraded,
                       "requested index " << unhash_index(key)
                                          << " was contributed by no machine");
       // Degraded completion: the contributor's replica group is gone; this
       // position of the result resolves to the reduction identity.
-      bottom_map_[p] = kMissingPos;
-      missing_bottom_.push_back(key);
+      bottom_map[p] = kMissingPos;
+      missing.push_back(key);
     }
-    // Largest buffer the upward pass will hold. One buffer exits the node
-    // per iteration through take_result(); reserving this much on the
-    // replacement buffer at begin_up() keeps every up_consume assign within
-    // capacity (alloc_test asserts the up rounds allocation-free).
-    up_capacity_ = 0;
+    slot_->out0_size = out_sets_[0].size();
+    slot_->in_sizes.resize(l + 1);
+    slot_->out_sizes.resize(l + 1);
+    // Largest buffer the upward pass will hold: reserving this much at the
+    // executor's begin_up keeps every up_consume assign within capacity
+    // (alloc_test asserts the up rounds allocation-free).
+    slot_->up_capacity = 0;
     for (std::uint16_t i = 0; i <= l; ++i) {
-      up_capacity_ = std::max(up_capacity_, in_sets_[i].size());
+      slot_->in_sizes[i] = in_set(i).size();
+      slot_->out_sizes[i] = out_sets_[i].size();
+      slot_->up_capacity = std::max(slot_->up_capacity, in_set(i).size());
     }
-    configured_ = true;
+    slot_->configured = true;
   }
-
-  [[nodiscard]] bool configured() const { return configured_; }
-
-  // ---- reduction, downward ----
-
-  /// Load this machine's contribution, aligned with out_set(0) (key order).
-  /// Copies into the warm internal buffer and recycles the caller's buffer:
-  /// one buffer leaves the node per iteration through take_result(), so the
-  /// one arriving here keeps the pool balanced — and the internal ping-pong
-  /// buffers never see a foreign (exactly-sized) capacity that would force
-  /// steady-state regrowth.
-  void begin_reduce(std::vector<V> out_values) {
-    KYLIX_CHECK(out_values.size() == out_sets_[0].size());
-    refill_values(v_);
-    v_.assign(out_values.begin(), out_values.end());
-    recycle(scratch_->value_pool, out_values);
-  }
-
-  [[nodiscard]] std::vector<Letter<V>>& down_produce(std::uint16_t layer) {
-    const LayerCfg& cfg = layers_[layer - 1];
-    std::vector<Letter<V>>& letters = scratch_->letters[layer - 1];
-    letters.resize(cfg.group.size());
-    for (std::uint32_t q = 0; q < cfg.group.size(); ++q) {
-      Letter<V>& letter = letters[q];
-      letter.src = rank_;
-      letter.dst = cfg.group[q];
-      letter.packet.in_keys.clear();
-      letter.packet.out_keys.clear();
-      refill_values(letter.packet.values);
-      letter.packet.values.assign(
-          v_.begin() + static_cast<std::ptrdiff_t>(cfg.out_split[q]),
-          v_.begin() + static_cast<std::ptrdiff_t>(cfg.out_split[q + 1]));
-      work_.gather_elements +=
-          static_cast<double>(letter.packet.values.size());
-    }
-    return letters;
-  }
-
-  void down_consume(std::uint16_t layer, std::vector<Letter<V>>&& inbox) {
-    const LayerCfg& cfg = layers_[layer - 1];
-    std::vector<V>& merged = scratch_->values;
-    merged.assign(out_sets_[layer].size(), Op::template identity<V>());
-    for (Letter<V>& letter : inbox) {
-      const std::uint32_t q = topo_->digit(layer, letter.src);
-      KYLIX_CHECK_MSG(letter.packet.values.size() == cfg.recv_out_sizes[q],
-                      "reduce payload does not match configured piece size");
-      scatter_combine<V, Op>(std::span<V>(merged),
-                             std::span<const V>(letter.packet.values),
-                             cfg.out_maps[q]);
-      work_.combine_elements +=
-          static_cast<double>(letter.packet.values.size());
-      recycle(scratch_->value_pool, letter.packet.values);
-    }
-    std::swap(v_, merged);
-  }
-
-  // ---- reduction, upward ----
-
-  /// Transition from fully-reduced out-values to in-values at the bottom.
-  void begin_up() {
-    KYLIX_CHECK(configured_);
-    KYLIX_CHECK(v_.size() == out_sets_[topo_->num_layers()].size());
-    refill_values(vin_);
-    vin_.reserve(std::max(up_capacity_, bottom_map_.size()));
-    if (missing_bottom_.empty()) {
-      // Hot path: every in-key resolved, plain positional gather.
-      gather_into(std::span<const V>(v_), bottom_map_, vin_);
-    } else {
-      // Degraded cold path: kMissingPos entries resolve to identity.
-      vin_.clear();
-      for (const pos_t pos : bottom_map_) {
-        vin_.push_back(pos == kMissingPos ? Op::template identity<V>()
-                                          : v_[pos]);
-      }
-    }
-    work_.gather_elements += static_cast<double>(bottom_map_.size());
-  }
-
-  [[nodiscard]] std::vector<Letter<V>>& up_produce(std::uint16_t layer) {
-    const LayerCfg& cfg = layers_[layer - 1];
-    std::vector<Letter<V>>& letters = scratch_->letters[layer - 1];
-    letters.resize(cfg.group.size());
-    for (std::uint32_t q = 0; q < cfg.group.size(); ++q) {
-      Letter<V>& letter = letters[q];
-      letter.src = rank_;
-      letter.dst = cfg.group[q];
-      letter.packet.in_keys.clear();
-      letter.packet.out_keys.clear();
-      refill_values(letter.packet.values);
-      gather_into(std::span<const V>(vin_), cfg.in_maps[q],
-                  letter.packet.values);
-      work_.gather_elements +=
-          static_cast<double>(letter.packet.values.size());
-    }
-    return letters;
-  }
-
-  void up_consume(std::uint16_t layer, std::vector<Letter<V>>&& inbox) {
-    const LayerCfg& cfg = layers_[layer - 1];
-    std::vector<V>& below = scratch_->values;
-    below.assign(in_sets_[layer - 1].size(), Op::template identity<V>());
-    for (Letter<V>& letter : inbox) {
-      const std::uint32_t q = topo_->digit(layer, letter.src);
-      const std::size_t first = cfg.in_split[q];
-      KYLIX_CHECK_MSG(
-          letter.packet.values.size() == cfg.in_split[q + 1] - first,
-          "allgather payload does not match configured piece size");
-      std::copy(letter.packet.values.begin(), letter.packet.values.end(),
-                below.begin() + static_cast<std::ptrdiff_t>(first));
-      recycle(scratch_->value_pool, letter.packet.values);
-    }
-    std::swap(vin_, below);
-  }
-
-  /// The reduced values this machine asked for, aligned with in_set(0).
-  [[nodiscard]] std::vector<V> take_result() { return std::move(vin_); }
 
   // ---- introspection ----
 
   [[nodiscard]] const KeySet& in_set(std::uint16_t node_layer) const {
-    return in_sets_[node_layer];
+    return node_layer == 0 ? slot_->in0 : in_sets_[node_layer];
   }
   [[nodiscard]] const KeySet& out_set(std::uint16_t node_layer) const {
     return out_sets_[node_layer];
@@ -396,70 +282,7 @@ class KylixNode {
     return std::exchange(work_, NodeWork{});
   }
 
-  /// Freeze this node's configured routing state into a plan slot
-  /// (core/plan.hpp). Copies — the node stays usable for introspection and
-  /// further reduces. Requires finish_configure() to have run.
-  void freeze_into(RankPlan& out) const {
-    KYLIX_CHECK(configured_);
-    const std::uint16_t l = topo_->num_layers();
-    out.configured = true;
-    out.in0 = in_sets_[0];
-    out.out0_size = out_sets_[0].size();
-    out.in_sizes.resize(l + 1);
-    out.out_sizes.resize(l + 1);
-    for (std::uint16_t i = 0; i <= l; ++i) {
-      out.in_sizes[i] = in_sets_[i].size();
-      out.out_sizes[i] = out_sets_[i].size();
-    }
-    out.layers.resize(l);
-    for (std::uint16_t i = 1; i <= l; ++i) {
-      const LayerCfg& cfg = layers_[i - 1];
-      PlanLayer& frozen = out.layers[i - 1];
-      frozen.group = cfg.group;
-      frozen.in_split = cfg.in_split;
-      frozen.out_split = cfg.out_split;
-      frozen.in_maps = cfg.in_maps;
-      frozen.out_maps = cfg.out_maps;
-      frozen.recv_out_sizes = cfg.recv_out_sizes;
-      frozen.out_union_size = out_sets_[i].size();
-      frozen.in_prev_size = in_sets_[i - 1].size();
-    }
-    out.bottom_map = bottom_map_;
-    out.missing_bottom = missing_bottom_;
-    out.up_capacity = up_capacity_;
-  }
-
  private:
-  struct LayerCfg {
-    std::vector<rank_t> group;  ///< group members == expected senders
-    std::vector<std::size_t> in_split;
-    std::vector<std::size_t> out_split;
-    std::vector<PosMap> in_maps;   ///< the paper's g maps (piece -> union)
-    std::vector<PosMap> out_maps;  ///< the paper's f maps (piece -> union)
-    std::vector<std::size_t> recv_out_sizes;
-  };
-
-  /// Hand a recycled buffer to an empty shell so the following assign()
-  /// reuses warmed capacity instead of allocating.
-  template <typename T>
-  static void refill(std::vector<std::vector<T>>& pool, std::vector<T>& buf) {
-    if (buf.capacity() == 0 && !pool.empty()) {
-      buf = std::move(pool.back());
-      pool.pop_back();
-      buf.clear();
-    }
-  }
-  void refill_keys(std::vector<key_t>& buf) {
-    refill(scratch_->key_pool, buf);
-  }
-  void refill_values(std::vector<V>& buf) {
-    refill(scratch_->value_pool, buf);
-  }
-  template <typename T>
-  static void recycle(std::vector<std::vector<T>>& pool, std::vector<T>& buf) {
-    if (buf.capacity() > 0) pool.push_back(std::move(buf));
-  }
-
   [[nodiscard]] std::span<const std::span<const key_t>> spans_of(
       const std::vector<std::vector<key_t>>& pieces) {
     auto& spans = scratch_->key_spans;
@@ -468,27 +291,14 @@ class KylixNode {
     return spans;
   }
 
-  // kMissingPos (common/types.hpp) marks bottom_map_ entries for in-keys
-  // with no surviving contributor; the plan executor shares the sentinel.
-
   const Topology* topo_;
   rank_t rank_;
-  bool combined_ = false;
-  bool configured_ = false;
-  bool degraded_ = false;
+  RankPlan* slot_;            ///< this rank's entry of the plan being built
+  NodeScratch<V>* scratch_;
+  ReplayScratch<V>* lane_ = nullptr;  ///< combined mode: the value buffers
 
-  NodeScratch<V>* scratch_;  ///< external or owned_scratch_.get()
-  std::unique_ptr<NodeScratch<V>> owned_scratch_;
-
-  std::vector<KeySet> in_sets_;   ///< node layers 0..l
+  std::vector<KeySet> in_sets_;   ///< node layers 1..l (0 is slot_->in0)
   std::vector<KeySet> out_sets_;  ///< node layers 0..l
-  std::vector<LayerCfg> layers_;  ///< index i-1 holds comm layer i
-  PosMap bottom_map_;             ///< in^l positions within out^l
-  std::vector<key_t> missing_bottom_;  ///< degraded: unresolvable in-keys
-  std::size_t up_capacity_ = 0;   ///< max |in^i|: upward buffer watermark
-
-  std::vector<V> v_;    ///< downward (scatter-reduce) value buffer
-  std::vector<V> vin_;  ///< upward (allgather) value buffer
   NodeWork work_;
 };
 

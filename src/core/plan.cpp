@@ -5,24 +5,6 @@
 
 namespace kylix {
 
-std::vector<double> CollectivePlan::mean_layer_elements() const {
-  std::vector<double> mean(topo_.num_layers() + 1, 0.0);
-  rank_t alive = 0;
-  for (const RankPlan& r : ranks_) {
-    // Hierarchical plans: non-leader members carry no per-layer state (the
-    // host union lives at the leader), so only union-holding ranks count.
-    if (!r.configured || r.out_sizes.size() != mean.size()) continue;
-    ++alive;
-    for (std::size_t i = 0; i < r.out_sizes.size() && i < mean.size(); ++i) {
-      mean[i] += static_cast<double>(r.out_sizes[i]);
-    }
-  }
-  if (alive > 0) {
-    for (double& v : mean) v /= static_cast<double>(alive);
-  }
-  return mean;
-}
-
 std::vector<ScheduledMessage> CollectivePlan::message_schedule() const {
   std::vector<ScheduledMessage> schedule;
   const std::uint16_t l = topo_.num_layers();

@@ -10,12 +10,12 @@
 // replay it across iterations) and value-type independent: the same plan
 // drives float and double reduces alike.
 //
-// Plans are produced by SparseAllreduce::compile() (which runs the ordinary
-// configuration rounds and then freezes the nodes) and consumed by
-// ReduceExecutor (core/executor.hpp), which binds value buffers to a plan
-// and replays the schedule without touching any routing state. PlanCache
-// (core/plan_cache.hpp) keys plans by fingerprint so recurring minibatch
-// patterns skip configuration entirely.
+// Plans are produced by SparseAllreduce::compile() (whose configuration
+// rounds have every KylixNode write straight into its rank's slot) and
+// consumed by ReduceExecutor (core/executor.hpp), which binds value buffers
+// to a plan and replays the schedule without touching any routing state.
+// PlanCache (core/plan_cache.hpp) keys plans by fingerprint so recurring
+// minibatch patterns skip configuration entirely.
 //
 // The class is mutable only while being built; everything downstream holds
 // it behind shared_ptr<const CollectivePlan>.
@@ -33,8 +33,8 @@
 
 namespace kylix {
 
-/// Frozen per-communication-layer routing state of one rank (the LayerCfg a
-/// KylixNode derives during configuration, minus anything mutable).
+/// Frozen per-communication-layer routing state of one rank, as a KylixNode
+/// derives it during configuration.
 struct PlanLayer {
   std::vector<rank_t> group;             ///< members == expected senders
   std::vector<std::size_t> in_split;     ///< piece boundaries of in^{i-1}
@@ -164,12 +164,6 @@ class CollectivePlan {
   void set_intra_hosts(std::vector<IntraHost> intra) {
     intra_ = std::move(intra);
   }
-
-  /// Mean out-set size over configured ranks at node layers 0..l — the
-  /// measured P_i column of the run report, off the frozen plan.
-  /// Hierarchical plans average over host leaders (the ranks that hold the
-  /// per-layer unions), so Prop 4.1 shape checks stay per inter-node layer.
-  [[nodiscard]] std::vector<double> mean_layer_elements() const;
 
   /// The full frozen per-round message schedule: who sends what to whom at
   /// which (phase, layer), in element counts. Cold path (allocates); the

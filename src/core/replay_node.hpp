@@ -10,11 +10,12 @@
 // inboxes, async multi-stream replay is bit-identical to serial replay by
 // construction, not by test alone (the fuzz suite then asserts it anyway).
 //
-// ReplayScratch mirrors NodeScratch's buffer discipline: letter shells per
-// layer, recycled value pools, ping-pong merge/below buffers, pooled
-// block-watermark scratch, and the spent list that returns consumed buffers
-// to their sender's pool at a quiescent point. Warm replays allocate
-// nothing inside the rounds (tests/core/alloc_test).
+// ReplayScratch is every rank's one home for value buffers — combined
+// configure+reduce scatter-reduces into it too (core/node.hpp): letter
+// shells per layer, recycled value pools, ping-pong merge/below buffers,
+// pooled block-watermark scratch, and the spent list that returns consumed
+// buffers to their sender's pool at a quiescent point. Warm replays
+// allocate nothing inside the rounds (tests/core/alloc_test).
 #pragma once
 
 #include <algorithm>
@@ -23,12 +24,37 @@
 #include <vector>
 
 #include "comm/packet.hpp"
-#include "core/node.hpp"  // NodeWork + the kernels the replay must mirror
 #include "core/plan.hpp"
 #include "core/stream_stats.hpp"
 #include "sparse/ops.hpp"
 
 namespace kylix {
+
+/// Modeled local work performed since the last charge; the driver converts
+/// it to seconds via ComputeModel.
+struct NodeWork {
+  double merge_elements = 0;
+  std::uint32_t merge_ways = 1;
+  double combine_elements = 0;
+  double gather_elements = 0;
+};
+
+/// Hand a recycled buffer to an empty shell so the following assign()
+/// reuses warmed capacity instead of allocating.
+template <typename T>
+void pool_refill(std::vector<std::vector<T>>& pool, std::vector<T>& buf) {
+  if (buf.capacity() == 0 && !pool.empty()) {
+    buf = std::move(pool.back());
+    pool.pop_back();
+    buf.clear();
+  }
+}
+
+/// Return a spent buffer's capacity to `pool` (empty buffers are dropped).
+template <typename T>
+void pool_recycle(std::vector<std::vector<T>>& pool, std::vector<T>& buf) {
+  if (buf.capacity() > 0) pool.push_back(std::move(buf));
+}
 
 /// Everything a replay kernel needs to know about the reduce in flight.
 /// Frozen at the top of a reduce (serial) or at stream admission (async);
@@ -41,7 +67,8 @@ struct ReplayContext {
   std::size_t chunk_positions = 0;
 };
 
-/// Mutable per-rank replay state; same buffer economy as NodeScratch.
+/// Mutable per-rank value state: the replay's buffers, and in combined mode
+/// the configuration pass's down buffer too.
 template <typename V>
 struct ReplayScratch {
   std::vector<std::vector<Letter<V>>> letters;  ///< per comm layer shells
@@ -75,26 +102,13 @@ struct ReplayOps {
         (positions + ctx.chunk_positions - 1) / ctx.chunk_positions);
   }
 
-  template <typename T>
-  static void refill(std::vector<std::vector<T>>& pool, std::vector<T>& buf) {
-    if (buf.capacity() == 0 && !pool.empty()) {
-      buf = std::move(pool.back());
-      pool.pop_back();
-      buf.clear();
-    }
-  }
-  template <typename T>
-  static void recycle(std::vector<std::vector<T>>& pool, std::vector<T>& buf) {
-    if (buf.capacity() > 0) pool.push_back(std::move(buf));
-  }
-
   /// Load one rank's contribution into the downward buffer, recycling the
   /// caller's vector into the pool (the API-boundary buffer exchange that
   /// keeps warm replays allocation-free).
   static void load_input(ReplayScratch<V>& s, std::vector<V>& out_values) {
-    refill(s.value_pool, s.v);
+    pool_refill(s.value_pool, s.v);
     s.v.assign(out_values.begin(), out_values.end());
-    recycle(s.value_pool, out_values);
+    pool_recycle(s.value_pool, out_values);
   }
 
   /// Resize a letter-shell vector, recycling the value buffers of shells
@@ -104,7 +118,7 @@ struct ReplayOps {
                              std::vector<Letter<V>>& letters,
                              std::size_t count) {
     for (std::size_t i = count; i < letters.size(); ++i) {
-      recycle(s.value_pool, letters[i].packet.values);
+      pool_recycle(s.value_pool, letters[i].packet.values);
     }
     letters.resize(count);
   }
@@ -137,7 +151,7 @@ struct ReplayOps {
         const std::size_t hi =
             k == 1 ? cfg.out_split[q + 1]
                    : std::min(cfg.out_split[q + 1], lo + ctx.chunk_positions);
-        refill(s.value_pool, letter.packet.values);
+        pool_refill(s.value_pool, letter.packet.values);
         letter.packet.values.assign(
             s.v.begin() + static_cast<std::ptrdiff_t>(lo * ctx.stride),
             s.v.begin() + static_cast<std::ptrdiff_t>(hi * ctx.stride));
@@ -195,7 +209,7 @@ struct ReplayOps {
     const RankPlan& rp = ctx.plan->rank_plan(r);
     KYLIX_DCHECK(s.v.size() ==
                  rp.out_sizes[ctx.plan->topology().num_layers()] * ctx.stride);
-    refill(s.value_pool, s.vin);
+    pool_refill(s.value_pool, s.vin);
     s.vin.reserve(std::max(rp.up_capacity, rp.bottom_map.size()) * ctx.stride);
     if (rp.missing_bottom.empty()) {
       gather_strided_into(std::span<const V>(s.v), rp.bottom_map, ctx.stride,
@@ -240,7 +254,7 @@ struct ReplayOps {
         const std::size_t lo = std::size_t{c} * ctx.chunk_positions;
         const std::size_t hi =
             k == 1 ? piece : std::min(piece, lo + ctx.chunk_positions);
-        refill(s.value_pool, letter.packet.values);
+        pool_refill(s.value_pool, letter.packet.values);
         gather_strided_into(
             std::span<const V>(s.vin),
             std::span<const pos_t>(cfg.in_maps[q]).subspan(lo, hi - lo),

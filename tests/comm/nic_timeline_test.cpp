@@ -15,7 +15,9 @@ namespace {
 void expect_sorted_disjoint(const NicTimeline& line) {
   for (std::size_t i = 0; i < line.busy.size(); ++i) {
     EXPECT_LT(line.busy[i].first, line.busy[i].second);
-    if (i > 0) EXPECT_LE(line.busy[i - 1].second, line.busy[i].first);
+    if (i > 0) {
+      EXPECT_LE(line.busy[i - 1].second, line.busy[i].first);
+    }
   }
 }
 

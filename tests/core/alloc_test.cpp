@@ -17,8 +17,8 @@
 #include "comm/replicated.hpp"
 #include "core/allreduce.hpp"
 #include "core/async_executor.hpp"
-#include "core/node.hpp"
 #include "core/plan_cache.hpp"
+#include "core/replay_node.hpp"
 #include "obs/engine_obs.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
@@ -133,71 +133,71 @@ TEST(AllocHotPath, WarmPairwiseMergeIsAllocationFree) {
   EXPECT_EQ(keys, (std::vector<key_t>{1, 2, 3, 5, 7, 8, 9, 11, 20}));
 }
 
-// Drives the engine rounds exactly as SparseAllreduce does, but with the
-// warm-up / measurement boundary inside one reduction: after warm-up, the
-// down rounds and up rounds (the per-iteration hot path) must not allocate
-// at all. begin_up and take_result are the accepted API boundary: the
-// result buffer leaves the system with the caller each iteration.
+// Drives the replay kernels through the engine rounds exactly as
+// ReduceExecutor does, but with the warm-up / measurement boundary inside one
+// reduction: after warm-up, the down rounds and up rounds (the per-iteration
+// hot path, spent-buffer return included) must not allocate at all.
+// load_input, begin_up and the result hand-off are the accepted API
+// boundary: the result buffer leaves the system with the caller each
+// iteration.
 TEST(AllocHotPath, SteadyStateReduceRoundsAreAllocationFree) {
-  using Node = KylixNode<float, OpSum>;
+  using Ops = ReplayOps<float, OpSum>;
   const Topology topo({4, 2});
   const rank_t m = topo.num_machines();
   const auto w = random_workload<float>(m, 2000, 0.08, 0.15, 42);
 
   BspEngine<float> engine(m);
-  std::vector<NodeScratch<float>> scratch(m);
-  std::vector<Node> nodes;
-  nodes.reserve(m);
-  for (rank_t r = 0; r < m; ++r) {
-    nodes.emplace_back(&topo, r, w.in_sets[r], w.out_sets[r], &scratch[r]);
-  }
-  const auto run_round = [&](Phase phase, std::uint16_t layer, auto produce,
-                             auto consume) {
+  SparseAllreduce<float, OpSum, BspEngine<float>> compiler(&engine, topo);
+  const auto plan = compiler.compile(w.in_sets, w.out_sets);
+  const ReplayContext ctx{plan.get(), /*stride=*/1, /*chunk_positions=*/0};
+  std::vector<ReplayScratch<float>> state(m);
+  for (ReplayScratch<float>& s : state) s.letters.resize(topo.num_layers());
+  const auto run_round = [&](Phase phase, std::uint16_t layer, bool down) {
     engine.round(
         phase, layer,
         [&](rank_t r) -> std::vector<Letter<float>>& {
-          return (nodes[r].*produce)(layer);
+          return down ? Ops::down_produce(ctx, state[r], r, layer)
+                      : Ops::up_produce(ctx, state[r], r, layer);
         },
         [&](rank_t r) -> const std::vector<rank_t>& {
-          return nodes[r].expected(layer);
+          return plan->rank_plan(r).layers[layer - 1].group;
         },
         [&](rank_t r, std::vector<Letter<float>>&& inbox) {
-          (nodes[r].*consume)(layer, std::move(inbox));
+          if (down) {
+            Ops::down_consume(ctx, state[r], r, layer, std::move(inbox));
+          } else {
+            Ops::up_consume(ctx, state[r], r, layer, std::move(inbox));
+          }
         });
+    // Spent buffers go back to their sender's pool at the round barrier.
+    for (ReplayScratch<float>& s : state) {
+      for (auto& [src, buf] : s.spent) pool_recycle(state[src].value_pool, buf);
+      s.spent.clear();
+    }
   };
-
-  for (std::uint16_t layer = 1; layer <= topo.num_layers(); ++layer) {
-    run_round(Phase::kConfig, layer, &Node::config_produce,
-              &Node::config_consume);
-  }
-  for (Node& node : nodes) node.finish_configure();
 
   const auto reduce_once = [&](std::vector<std::vector<float>> values,
                                std::uint64_t* down_allocs,
                                std::uint64_t* up_allocs) {
-    for (rank_t r = 0; r < m; ++r) {
-      nodes[r].begin_reduce(std::move(values[r]));
-    }
+    for (rank_t r = 0; r < m; ++r) Ops::load_input(state[r], values[r]);
     {
       AllocGauge gauge;
       for (std::uint16_t layer = 1; layer <= topo.num_layers(); ++layer) {
-        run_round(Phase::kReduceDown, layer, &Node::down_produce,
-                  &Node::down_consume);
+        run_round(Phase::kReduceDown, layer, /*down=*/true);
       }
       if (down_allocs != nullptr) *down_allocs = gauge.count();
     }
-    for (Node& node : nodes) node.begin_up();
+    for (rank_t r = 0; r < m; ++r) Ops::begin_up(ctx, state[r], r);
     {
       AllocGauge gauge;
       for (std::uint16_t layer = topo.num_layers(); layer >= 1; --layer) {
-        run_round(Phase::kReduceUp, layer, &Node::up_produce,
-                  &Node::up_consume);
+        run_round(Phase::kReduceUp, layer, /*down=*/false);
       }
       if (up_allocs != nullptr) *up_allocs = gauge.count();
     }
     std::vector<std::vector<float>> results;
     results.reserve(m);
-    for (Node& node : nodes) results.push_back(node.take_result());
+    for (ReplayScratch<float>& s : state) results.push_back(std::move(s.vin));
     return results;
   };
 

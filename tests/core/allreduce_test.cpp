@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/check.hpp"
 
 #include "comm/bsp.hpp"
@@ -156,6 +158,94 @@ TEST(Allreduce, WrongValueLengthThrows) {
   auto bad = w.out_values;
   bad[0].push_back(1.0f);
   EXPECT_THROW((void)allreduce.reduce(std::move(bad)), check_error);
+}
+
+/// Runs `fn` and expects a check_error whose message contains `needle`.
+template <typename Fn>
+void expect_check_message(Fn&& fn, const std::string& needle) {
+  try {
+    fn();
+  } catch (const check_error& e) {
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+        << e.what();
+    return;
+  }
+  ADD_FAILURE() << "expected a check_error mentioning \"" << needle << "\"";
+}
+
+TEST(Allreduce, WrongSetCountThrows) {
+  const Topology topo({2, 2});
+  const auto w = random_workload<float>(4, 30, 0.5, 0.5, 9);
+  BspEngine<float> engine(4);
+  SparseAllreduce<float, OpSum, BspEngine<float>> allreduce(&engine, topo);
+  auto in_sets = w.in_sets;
+  in_sets.pop_back();
+  expect_check_message([&] { allreduce.configure(in_sets, w.out_sets); },
+                       "in_sets has 3 entries, expected 4");
+  auto out_sets = w.out_sets;
+  out_sets.push_back(KeySet{});
+  expect_check_message([&] { allreduce.configure(w.in_sets, out_sets); },
+                       "out_sets has 5 entries, expected 4");
+}
+
+TEST(Allreduce, HierarchicalWrongSetCountThrows) {
+  const Topology hier({2}, 2);
+  const auto w = random_workload<float>(4, 30, 0.5, 0.5, 10);
+  BspEngine<float> engine(4);
+  SparseAllreduce<float, OpSum, BspEngine<float>> allreduce(&engine, hier);
+  auto in_sets = w.in_sets;
+  in_sets.pop_back();
+  expect_check_message(
+      [&] { (void)allreduce.compile(in_sets, w.out_sets); },
+      "in_sets has 3 entries, expected 4");
+  auto out_sets = w.out_sets;
+  out_sets.pop_back();
+  expect_check_message(
+      [&] { (void)allreduce.compile(w.in_sets, out_sets); },
+      "out_sets has 3 entries, expected 4");
+}
+
+TEST(Allreduce, WrongValueCountThrows) {
+  const Topology topo({2});
+  const auto w = random_workload<float>(2, 30, 0.5, 0.5, 11);
+  BspEngine<float> engine(2);
+  SparseAllreduce<float, OpSum, BspEngine<float>> allreduce(&engine, topo);
+  allreduce.configure(w.in_sets, w.out_sets);
+  auto values = w.out_values;
+  values.pop_back();
+  expect_check_message([&] { (void)allreduce.reduce(values); },
+                       "out_values has 1 entries, expected 2");
+}
+
+TEST(Allreduce, CombinedWrongValueCountThrows) {
+  const Topology topo({2});
+  const auto w = random_workload<float>(2, 30, 0.5, 0.5, 12);
+  BspEngine<float> engine(2);
+  SparseAllreduce<float, OpSum, BspEngine<float>> allreduce(&engine, topo);
+  auto values = w.out_values;
+  values.push_back({});
+  expect_check_message(
+      [&] {
+        (void)allreduce.reduce_with_config(w.in_sets, w.out_sets, values);
+      },
+      "out_values has 3 entries, expected 2");
+}
+
+TEST(Allreduce, CombinedWrongValueLengthThrows) {
+  const Topology topo({2});
+  const auto w = random_workload<float>(2, 30, 0.5, 0.5, 13);
+  BspEngine<float> engine(2);
+  SparseAllreduce<float, OpSum, BspEngine<float>> allreduce(&engine, topo);
+  auto values = w.out_values;
+  values[1].push_back(1.0f);
+  const std::string expected =
+      "machine 1 contributes " + std::to_string(values[1].size()) +
+      " values, expected " + std::to_string(w.out_sets[1].size());
+  expect_check_message(
+      [&] {
+        (void)allreduce.reduce_with_config(w.in_sets, w.out_sets, values);
+      },
+      expected);
 }
 
 TEST(Allreduce, EngineTopologyMismatchThrows) {

@@ -244,10 +244,37 @@ TEST(PlanStrided, WrongLengthOrModeThrows) {
   auto bad = w.out_values;  // not multiplied by the stride
   EXPECT_THROW((void)ar.reduce_strided(std::move(bad), 2), check_error);
   EXPECT_THROW((void)ar.reduce_strided(w.out_values, 0), check_error);
-  // Combined mode retains nodes, not a plan.
+}
+
+// Combined mode compiles an anonymous plan as it reduces, so reduce() and
+// reduce_strided() afterwards replay it — bitwise equal to a separate
+// configure() + reduce().
+TEST(PlanStrided, ReplayAfterCombinedMatchesSeparateConfigure) {
+  const Topology topo({4, 2});
+  const rank_t m = topo.num_machines();
+  const std::uint32_t stride = 3;
+  const auto w = random_workload<float>(m, 90, 0.3, 0.5, 24);
+  BspEngine<float> engine(m);
+  SparseAllreduce<float, OpSum, BspEngine<float>> separate(&engine, topo);
+  separate.configure(w.in_sets, w.out_sets);
+  const auto expected = separate.reduce(w.out_values);
+
   SparseAllreduce<float, OpSum, BspEngine<float>> combined(&engine, topo);
-  (void)combined.reduce_with_config(w.in_sets, w.out_sets, w.out_values);
-  EXPECT_THROW((void)combined.reduce_strided(w.out_values, 1), check_error);
+  EXPECT_EQ(combined.reduce_with_config(w.in_sets, w.out_sets, w.out_values),
+            expected);
+  ASSERT_NE(combined.plan(), nullptr);
+  EXPECT_EQ(combined.plan()->fingerprint(), 0u);  // anonymous: never cached
+  EXPECT_EQ(combined.reduce(w.out_values), expected);
+  std::vector<std::vector<float>> interleaved(m);
+  for (rank_t r = 0; r < m; ++r) {
+    for (const float v : w.out_values[r]) {
+      for (std::uint32_t c = 0; c < stride; ++c) {
+        interleaved[r].push_back(v + static_cast<float>(c));
+      }
+    }
+  }
+  EXPECT_EQ(combined.reduce_strided(interleaved, stride),
+            separate.reduce_strided(interleaved, stride));
 }
 
 // ---- Fingerprints and the PlanCache ----

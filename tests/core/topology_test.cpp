@@ -115,9 +115,9 @@ TEST(Topology, BottomRangesTileTheKeySpace) {
 
 TEST(Topology, RejectsInvalidArguments) {
   EXPECT_THROW(Topology({0, 4}), check_error);
-  EXPECT_THROW(Topology({8, 4}).degree(0), check_error);
-  EXPECT_THROW(Topology({8, 4}).degree(3), check_error);
-  EXPECT_THROW(Topology({8, 4}).key_range(3, 0), check_error);
+  EXPECT_THROW((void)Topology({8, 4}).degree(0), check_error);
+  EXPECT_THROW((void)Topology({8, 4}).degree(3), check_error);
+  EXPECT_THROW((void)Topology({8, 4}).key_range(3, 0), check_error);
   EXPECT_THROW(Topology::direct(0), check_error);
 }
 

@@ -277,6 +277,80 @@ TEST(ChaosReplicated, MidRunGroupDeathDegradesSoundly) {
   }
 }
 
+/// True iff some degraded range of `report` contains all of `range`.
+bool range_declared(const DegradedReport& report, const KeyRange& range) {
+  for (const KeyRange& d : report.degraded_ranges) {
+    if (d.is_full()) return true;
+    if (range.is_full() || range.lo < d.lo) continue;
+    if (d.hi == 0 || (range.hi != 0 && range.hi <= d.hi)) return true;
+  }
+  return false;
+}
+
+// Combined configure+reduce carries values on the config letters, so a
+// config-phase group death follows the down rule: dead at {config, 1} the
+// group's inputs never left it; dead at {config, 2} its layer-1 pieces had
+// already spread and only its layer-1 partial (node-layer 1 range) is lost.
+TEST(ChaosReplicated, CombinedModeGroupDeathDegradesSoundly) {
+  const Topology topo({4, 2});
+  const rank_t m = topo.num_machines();
+  const struct {
+    bool from_start;
+    Phase phase;
+    std::uint16_t layer;
+    bool inputs_survive;
+  } kills[] = {
+      {false, Phase::kConfig, 1, false},
+      {false, Phase::kConfig, 2, true},
+      {false, Phase::kReduceUp, 2, true},
+      {false, Phase::kReduceUp, 1, true},
+      {true, Phase::kConfig, 1, false},
+  };
+  for (std::uint64_t seed = 0; seed < 20; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const auto w = random_workload<float>(m, 48, 0.2, 0.4, 4000 + seed);
+    const rank_t g = (seed * 5 + 2) % m;
+    const auto& kill = kills[seed % 5];
+
+    FaultPlan plan(m * 2, seed);
+    if (kill.from_start) {
+      plan.failures().kill(g);
+      plan.failures().kill(g + m);
+    } else {
+      plan.crash_at(g, kill.phase, kill.layer);
+      plan.crash_at(g + m, kill.phase, kill.layer);
+    }
+    FaultChannel<float> channel(&plan);
+    Engine engine(m, 2);
+    engine.set_fault_channel(&channel);
+    Allreduce allreduce(&engine, topo);
+    const auto results =
+        allreduce.reduce_with_config(w.in_sets, w.out_sets, w.out_values);
+
+    ASSERT_TRUE(engine.has_failed());
+    const DegradedReport report = allreduce.degraded_report();
+    EXPECT_TRUE(report.degraded);
+    EXPECT_TRUE(contains(report.lost_logical, g));
+    EXPECT_EQ(contains(report.lost_from_start, g), kill.from_start);
+    EXPECT_EQ(contains(report.inputs_lost, g), !kill.inputs_survive);
+    ASSERT_FALSE(report.degraded_ranges.empty());
+    // Combined rule: {up, i} loses node-layer i, every other record the
+    // layer below its own (clamped at 1).
+    for (const DeathRecord& d : report.deaths) {
+      const std::uint16_t node_layer =
+          d.phase == Phase::kReduceUp
+              ? d.layer
+              : static_cast<std::uint16_t>(std::max<int>(d.layer, 2) - 1);
+      EXPECT_TRUE(range_declared(report, topo.key_range(node_layer, d.logical)))
+          << "death at layer " << d.layer << " of group " << d.logical;
+    }
+
+    const std::size_t checked =
+        expect_degraded_sound(w, results, report, {g});
+    EXPECT_GT(checked, 0u) << "degraded ranges swallowed every key";
+  }
+}
+
 TEST(ChaosReplicated, GroupDeathWithDegradedCompletionDisabledThrows) {
   const Topology topo({4, 2});
   const rank_t m = topo.num_machines();

@@ -38,9 +38,9 @@ TEST(FitAlphaMle, XminFiltersTheHead) {
 
 TEST(FitAlphaMle, RejectsDegenerateInput) {
   const std::vector<std::uint64_t> one = {5};
-  EXPECT_THROW(fit_alpha_mle(one, 1), check_error);
+  EXPECT_THROW((void)fit_alpha_mle(one, 1), check_error);
   const std::vector<std::uint64_t> below = {1, 1, 1};
-  EXPECT_THROW(fit_alpha_mle(below, 10), check_error);
+  EXPECT_THROW((void)fit_alpha_mle(below, 10), check_error);
 }
 
 TEST(FitAlphaRankFrequency, RecoversExactPowerLaw) {
@@ -63,9 +63,9 @@ TEST(FitAlphaRankFrequency, IgnoresTrailingZeros) {
 
 TEST(FitAlphaRankFrequency, RejectsUnsortedOrDegenerate) {
   const std::vector<std::uint64_t> unsorted = {10, 50, 5};
-  EXPECT_THROW(fit_alpha_rank_frequency(unsorted), check_error);
+  EXPECT_THROW((void)fit_alpha_rank_frequency(unsorted), check_error);
   const std::vector<std::uint64_t> single = {42};
-  EXPECT_THROW(fit_alpha_rank_frequency(single), check_error);
+  EXPECT_THROW((void)fit_alpha_rank_frequency(single), check_error);
 }
 
 TEST(FitAlphaRankFrequency, MatchesZipfSamples) {

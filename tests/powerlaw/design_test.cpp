@@ -23,7 +23,7 @@ TEST(SmallestPrimeFactor, Basics) {
   EXPECT_EQ(smallest_prime_factor(9), 3u);
   EXPECT_EQ(smallest_prime_factor(35), 5u);
   EXPECT_EQ(smallest_prime_factor(97), 97u);
-  EXPECT_THROW(smallest_prime_factor(1), check_error);
+  EXPECT_THROW((void)smallest_prime_factor(1), check_error);
 }
 
 DesignInput base_input() {

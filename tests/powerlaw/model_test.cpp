@@ -95,9 +95,9 @@ INSTANTIATE_TEST_SUITE_P(Densities, LambdaInversionTest,
 
 TEST(PowerLawModel, LambdaForDensityRejectsBadTargets) {
   const PowerLawModel model(100, 1.0);
-  EXPECT_THROW(model.lambda_for_density(0.0), check_error);
-  EXPECT_THROW(model.lambda_for_density(1.0), check_error);
-  EXPECT_THROW(model.lambda_for_density(-0.5), check_error);
+  EXPECT_THROW((void)model.lambda_for_density(0.0), check_error);
+  EXPECT_THROW((void)model.lambda_for_density(1.0), check_error);
+  EXPECT_THROW((void)model.lambda_for_density(-0.5), check_error);
 }
 
 TEST(PowerLawModel, HarmonicMatchesDirectSum) {

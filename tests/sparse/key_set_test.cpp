@@ -65,8 +65,8 @@ TEST(KeyRange, EveryKeyBelongsToExactlyOneSubrange) {
 }
 
 TEST(KeyRange, SubrangeRejectsBadArguments) {
-  EXPECT_THROW(KeyRange::full().subrange(3, 3), check_error);
-  EXPECT_THROW(KeyRange::full().subrange(0, 0), check_error);
+  EXPECT_THROW((void)KeyRange::full().subrange(3, 3), check_error);
+  EXPECT_THROW((void)KeyRange::full().subrange(0, 0), check_error);
 }
 
 TEST(KeySet, FromIndicesSortsAndDedups) {

@@ -118,7 +118,7 @@ TEST(ReferenceReduce, UnknownKeyThrows) {
       SparseVector<float>{KeySet::from_indices(std::vector<index_t>{1}),
                           {1.0f}}};
   const ReferenceReduce<float> ref(contributions);
-  EXPECT_THROW(ref.at(hash_index(2)), check_error);
+  EXPECT_THROW((void)ref.at(hash_index(2)), check_error);
 }
 
 }  // namespace

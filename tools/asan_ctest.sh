@@ -15,7 +15,8 @@ shift || true
 
 cmake -S "${repo_root}" -B "${build_dir}" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-  -DKYLIX_SANITIZE=address
+  -DKYLIX_SANITIZE=address \
+  -DKYLIX_WERROR=ON
 cmake --build "${build_dir}" -j "$(nproc)"
 
 # halt_on_error keeps CI signal crisp: the first ASan report fails the test
