@@ -19,9 +19,10 @@ TimingAccumulator::PhaseTimes run_combined(const bench::Dataset& data,
   const NetworkModel net = bench::scaled_network();
   const ComputeModel compute;
   TimingAccumulator timing(topo.num_machines(), net, compute, 16);
-  BspEngine<real_t> engine(topo.num_machines(), nullptr, nullptr, &timing);
-  SparseAllreduce<real_t, OpSum, BspEngine<real_t>> allreduce(&engine, topo,
-                                                              &compute);
+  ParallelBspEngine<real_t> engine(topo.num_machines(), 1, nullptr, nullptr,
+                                   &timing);
+  SparseAllreduce<real_t, OpSum, ParallelBspEngine<real_t>> allreduce(
+      &engine, topo, &compute);
   (void)allreduce.reduce_with_config(data.in_sets, data.out_sets,
                                      data.out_values);
   return timing.times();

@@ -21,9 +21,10 @@ TimingAccumulator::PhaseTimes run_with_net(const bench::Dataset& data,
                                            const NetworkModel& net) {
   const ComputeModel compute;
   TimingAccumulator timing(topo.num_machines(), net, compute, 16);
-  BspEngine<real_t> engine(topo.num_machines(), nullptr, nullptr, &timing);
-  SparseAllreduce<real_t, OpSum, BspEngine<real_t>> allreduce(&engine, topo,
-                                                              &compute);
+  ParallelBspEngine<real_t> engine(topo.num_machines(), 1, nullptr, nullptr,
+                                   &timing);
+  SparseAllreduce<real_t, OpSum, ParallelBspEngine<real_t>> allreduce(
+      &engine, topo, &compute);
   allreduce.configure(data.in_sets, data.out_sets);
   (void)allreduce.reduce(data.out_values);
   return timing.times();

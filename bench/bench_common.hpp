@@ -224,9 +224,9 @@ inline TimingAccumulator::PhaseTimes run_allreduce(
   const NetworkModel net = scaled_network();
   const ComputeModel compute;
   TimingAccumulator timing(topology.num_machines(), net, compute, threads);
-  BspEngine<real_t> engine(topology.num_machines(), nullptr, trace_out,
-                           &timing);
-  SparseAllreduce<real_t, OpSum, BspEngine<real_t>> allreduce(
+  ParallelBspEngine<real_t> engine(topology.num_machines(), 1, nullptr,
+                                   trace_out, &timing);
+  SparseAllreduce<real_t, OpSum, ParallelBspEngine<real_t>> allreduce(
       &engine, topology, &compute);
   allreduce.configure(data.in_sets, data.out_sets);
   (void)allreduce.reduce(data.out_values);

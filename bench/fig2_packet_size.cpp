@@ -63,10 +63,10 @@ StreamPoint run_streamed(const bench::Dataset& data,
   const NetworkModel net = bench::scaled_network();
   TimingAccumulator timing(topology.num_machines(), net, ComputeModel{},
                            /*threads=*/1);
-  BspEngine<real_t> engine(topology.num_machines(), nullptr, nullptr,
-                           &timing);
-  SparseAllreduce<real_t, OpSum, BspEngine<real_t>> allreduce(&engine,
-                                                              topology);
+  ParallelBspEngine<real_t> engine(topology.num_machines(), 1, nullptr, nullptr,
+                                   &timing);
+  SparseAllreduce<real_t, OpSum, ParallelBspEngine<real_t>> allreduce(
+      &engine, topology);
   allreduce.set_streaming(chunk_bytes != 0);
   allreduce.set_chunk_bytes(chunk_bytes);
   allreduce.configure(data.in_sets, data.out_sets);

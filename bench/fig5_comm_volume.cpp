@@ -27,8 +27,9 @@ void run(const bench::Dataset& data) {
               data.measured_density, topo.to_string().c_str());
 
   Trace trace;
-  BspEngine<real_t> engine(topo.num_machines(), nullptr, &trace);
-  SparseAllreduce<real_t, OpSum, BspEngine<real_t>> allreduce(&engine, topo);
+  ParallelBspEngine<real_t> engine(topo.num_machines(), 1, nullptr, &trace);
+  SparseAllreduce<real_t, OpSum, ParallelBspEngine<real_t>> allreduce(
+      &engine, topo);
   allreduce.configure(data.in_sets, data.out_sets);
   (void)allreduce.reduce(data.out_values);
 

@@ -24,11 +24,12 @@ double pagerank_iteration_time(const bench::Dataset& data,
   const NetworkModel net = bench::scaled_network();
   const ComputeModel compute;
   TimingAccumulator timing(topo.num_machines(), net, compute, 16);
-  BspEngine<real_t> engine(topo.num_machines(), nullptr, nullptr, &timing);
-  DistributedPageRank<BspEngine<real_t>> pagerank(
+  ParallelBspEngine<real_t> engine(topo.num_machines(), 1, nullptr, nullptr,
+                                   &timing);
+  DistributedPageRank<ParallelBspEngine<real_t>> pagerank(
       &engine, topo, data.partitions, data.spec.num_vertices, &compute,
       &timing);
-  DistributedPageRank<BspEngine<real_t>>::Options options;
+  DistributedPageRank<ParallelBspEngine<real_t>>::Options options;
   options.iterations = 3;
   const auto result = pagerank.run(options);
   return result.mean_iteration_s();

@@ -28,11 +28,11 @@ void run(const std::string& which) {
     const NetworkModel net = bench::scaled_network();
     const ComputeModel compute;
     TimingAccumulator timing(m, net, compute, 16);
-    BspEngine<real_t> engine(m, nullptr, nullptr, &timing);
-    DistributedPageRank<BspEngine<real_t>> pagerank(
+    ParallelBspEngine<real_t> engine(m, 1, nullptr, nullptr, &timing);
+    DistributedPageRank<ParallelBspEngine<real_t>> pagerank(
         &engine, topo, data.partitions, data.spec.num_vertices, &compute,
         &timing);
-    DistributedPageRank<BspEngine<real_t>>::Options options;
+    DistributedPageRank<ParallelBspEngine<real_t>>::Options options;
     options.iterations = 3;
     const auto result = pagerank.run(options);
 

@@ -3,8 +3,9 @@
 // Unlike the figure benches, which report the *modeled* cluster time, this
 // bench measures real host seconds: how fast the simulator itself turns the
 // crank. Three questions:
-//   1. engine throughput — sequential BspEngine vs the host-parallel
-//      ParallelBspEngine (same trace, same results, bit-identical);
+//   1. engine throughput — ParallelBspEngine at one thread (sequential) vs
+//      the same engine across the host pool (same trace, same results,
+//      bit-identical);
 //   2. steady-state vs cold — the scratch/pool recycling means iteration 2+
 //      runs allocation-free, so warm reduces beat the cold first pass;
 //   3. merge scratch ablation — allocating tree_merge vs the reusable
@@ -72,12 +73,13 @@ struct PlanReuseStats {
 /// per-iteration path against warm cached replay, then push kPayloads
 /// interleaved vectors through the plan and check bit-identity against
 /// independent replays.
-PlanReuseStats run_plan_reuse(BspEngine<real_t>& engine,
+PlanReuseStats run_plan_reuse(ParallelBspEngine<real_t>& engine,
                               const bench::Dataset& data,
                               const Topology& topology) {
   PlanReuseStats stats;
   PlanCache cache(4);
-  SparseAllreduce<real_t, OpSum, BspEngine<real_t>> cached(&engine, topology);
+  SparseAllreduce<real_t, OpSum, ParallelBspEngine<real_t>> cached(
+      &engine, topology);
   (void)cached.configure_cached(cache, data.in_sets, data.out_sets);
   for (int i = 0; i < kWarmups; ++i) (void)cached.reduce(data.out_values);
   for (int i = 0; i < kTimed; ++i) {
@@ -86,8 +88,8 @@ PlanReuseStats run_plan_reuse(BspEngine<real_t>& engine,
     (void)cached.reduce(data.out_values);
     stats.replay_per_iter_s += t.seconds() / kTimed;
     bench::WallTimer t2;
-    SparseAllreduce<real_t, OpSum, BspEngine<real_t>> fresh(&engine,
-                                                            topology);
+    SparseAllreduce<real_t, OpSum, ParallelBspEngine<real_t>> fresh(
+        &engine, topology);
     (void)fresh.reduce_with_config(data.in_sets, data.out_sets,
                                    data.out_values);
     stats.combined_per_iter_s += t2.seconds() / kTimed;
@@ -178,10 +180,10 @@ StreamingStats run_streaming(const bench::Dataset& data,
   }
   const auto reduce_once = [&](std::uint64_t chunk_bytes,
                                TimingAccumulator& timing, StreamStats& stats) {
-    BspEngine<real_t> engine(topology.num_machines(), nullptr, nullptr,
-                             &timing);
-    SparseAllreduce<real_t, OpSum, BspEngine<real_t>> allreduce(&engine,
-                                                                topology);
+    ParallelBspEngine<real_t> engine(topology.num_machines(), 1, nullptr,
+                                     nullptr, &timing);
+    SparseAllreduce<real_t, OpSum, ParallelBspEngine<real_t>> allreduce(
+        &engine, topology);
     allreduce.set_streaming(chunk_bytes != 0);
     allreduce.set_chunk_bytes(chunk_bytes);
     allreduce.configure(data.in_sets, data.out_sets);
@@ -259,9 +261,9 @@ AsyncStats run_async(const bench::Dataset& data, const Topology& topology) {
   const NetworkModel net = bench::scaled_network();
   const ComputeModel compute{};
   const rank_t m = topology.num_machines();
-  BspEngine<real_t> compile_engine(m);
-  SparseAllreduce<real_t, OpSum, BspEngine<real_t>> compiler(&compile_engine,
-                                                             topology);
+  ParallelBspEngine<real_t> compile_engine(m, 1);
+  SparseAllreduce<real_t, OpSum, ParallelBspEngine<real_t>> compiler(
+      &compile_engine, topology);
   const auto plan = compiler.compile(data.in_sets, data.out_sets);
 
   // Stream i shifts every value by i so streams are distinguishable.
@@ -490,7 +492,7 @@ struct HierarchyStats {
   double intra_up_s = 0;
   double inter_down_s = 0;
   double inter_up_s = 0;
-  double seq_warm_mean_s = 0;              ///< BspEngine warm, hier topology
+  double seq_warm_mean_s = 0;              ///< one-thread warm, hier topology
   double par_warm_mean_s = 0;              ///< ParallelBspEngine warm, same
   double warm_speedup = 0;
   bool identical = false;                  ///< hier == flat, bit for bit
@@ -528,8 +530,9 @@ HierarchyStats run_hierarchy(const bench::Dataset& data,
   const ComputeModel compute;
   const auto modeled = [&](const Topology& topo, const NetworkModel& model,
                            TimingAccumulator& timing) {
-    BspEngine<real_t> engine(bench::kMachines, nullptr, nullptr, &timing);
-    SparseAllreduce<real_t, OpSum, BspEngine<real_t>> allreduce(
+    ParallelBspEngine<real_t> engine(bench::kMachines, 1, nullptr, nullptr,
+                                     &timing);
+    SparseAllreduce<real_t, OpSum, ParallelBspEngine<real_t>> allreduce(
         &engine, topo, &compute);
     allreduce.set_network(&model);
     allreduce.configure(data.in_sets, data.out_sets);
@@ -555,7 +558,7 @@ HierarchyStats run_hierarchy(const bench::Dataset& data,
   stats.inter_down_s = ht.reduce_down;
   stats.inter_up_s = ht.reduce_up;
 
-  BspEngine<real_t> seq_engine(bench::kMachines);
+  ParallelBspEngine<real_t> seq_engine(bench::kMachines, 1);
   const ReduceStats seq = run_engine(seq_engine, data, hier);
   ParallelBspEngine<real_t> par_engine(bench::kMachines, threads);
   const ReduceStats par = run_engine(par_engine, data, hier);
@@ -645,7 +648,7 @@ int main(int argc, char** argv) {
     const bench::Dataset data = bench::make_dataset(which);
     const Topology& topology = data.paper_topology;
 
-    BspEngine<real_t> seq_engine(bench::kMachines);
+    ParallelBspEngine<real_t> seq_engine(bench::kMachines, 1);
     const ReduceStats seq = run_engine(seq_engine, data, topology);
     ParallelBspEngine<real_t> par_engine(bench::kMachines, threads);
     const ReduceStats par = run_engine(par_engine, data, topology);

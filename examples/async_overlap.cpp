@@ -34,8 +34,9 @@ int main() {
   }
 
   // Compile once; the plan is the shared artifact every stream replays.
-  BspEngine<float> engine(m);
-  SparseAllreduce<float, OpSum, BspEngine<float>> allreduce(&engine, topo);
+  ParallelBspEngine<float> engine(m, 1);
+  SparseAllreduce<float, OpSum, ParallelBspEngine<float>> allreduce(
+      &engine, topo);
   const std::shared_ptr<const CollectivePlan> plan =
       allreduce.compile(sets, sets);
 

@@ -22,8 +22,9 @@ int main() {
               scale, edges.size(), m, topo.to_string().c_str());
 
   // --- Connected components via min label propagation ---
-  BspEngine<std::uint64_t> engine(m);
-  DistributedComponents<BspEngine<std::uint64_t>> cc(&engine, topo, parts);
+  ParallelBspEngine<std::uint64_t> engine(m, 1);
+  DistributedComponents<ParallelBspEngine<std::uint64_t>> cc(
+      &engine, topo, parts);
   const auto cc_result = cc.run(256);
 
   std::map<std::uint64_t, std::size_t> component_sizes;
@@ -54,8 +55,8 @@ int main() {
               mismatches, mismatches == 0 ? "PASS" : "FAIL");
 
   // --- Effective diameter via FM sketches ---
-  DistributedDiameter<BspEngine<std::uint64_t>> diameter(&engine, topo,
-                                                         parts);
+  DistributedDiameter<ParallelBspEngine<std::uint64_t>> diameter(
+      &engine, topo, parts);
   const auto d_result = diameter.run(32, 6, 2015);
   std::printf("diameter estimation: neighborhood function N(h)\n");
   for (std::size_t h = 0; h < d_result.neighborhood.size(); ++h) {

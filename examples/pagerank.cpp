@@ -37,11 +37,11 @@ int main() {
   const Topology topo(design.degrees);
   const ComputeModel compute;
   TimingAccumulator timing(kMachines, tune.network, compute, 16);
-  BspEngine<real_t> engine(kMachines, nullptr, nullptr, &timing);
-  DistributedPageRank<BspEngine<real_t>> pagerank(
+  ParallelBspEngine<real_t> engine(kMachines, 1, nullptr, nullptr, &timing);
+  DistributedPageRank<ParallelBspEngine<real_t>> pagerank(
       &engine, topo, parts, spec.num_vertices, &compute, &timing);
 
-  DistributedPageRank<BspEngine<real_t>>::Options options;
+  DistributedPageRank<ParallelBspEngine<real_t>>::Options options;
   options.iterations = 10;
   const auto result = pagerank.run(options);
 

@@ -15,8 +15,9 @@ int main() {
   // An 8-machine nested butterfly with degrees 4 x 2 (Fig. 3's shape).
   const Topology topo({4, 2});
   const rank_t m = topo.num_machines();
-  BspEngine<float> engine(m);
-  SparseAllreduce<float, OpSum, BspEngine<float>> allreduce(&engine, topo);
+  ParallelBspEngine<float> engine(m, 1);
+  SparseAllreduce<float, OpSum, ParallelBspEngine<float>> allreduce(
+      &engine, topo);
 
   // Machine r contributes 1.0 to indices {r, r+1, 100} and asks for the
   // totals of {r, 100}. Index 100 is shared by everyone, so its total is m.

@@ -14,7 +14,7 @@ int main() {
   const Topology topo({4, 2});
   const rank_t m = topo.num_machines();
 
-  DistributedSgd<BspEngine<real_t>>::Options options;
+  DistributedSgd<ParallelBspEngine<real_t>>::Options options;
   options.num_features = 1u << 14;
   options.samples_per_batch = 256;
   options.features_per_sample = 12;
@@ -27,15 +27,15 @@ int main() {
   net.set_message_overhead(4e-5);
   const ComputeModel compute;
   TimingAccumulator timing(m, net, compute, 16);
-  BspEngine<real_t> engine(m, nullptr, nullptr, &timing);
+  ParallelBspEngine<real_t> engine(m, 1, nullptr, nullptr, &timing);
 
   std::printf("distributed logistic regression: %llu features, %u machines, "
               "topology %s, one combined configure+reduce per step\n\n",
               static_cast<unsigned long long>(options.num_features), m,
               topo.to_string().c_str());
 
-  DistributedSgd<BspEngine<real_t>> sgd(&engine, topo, options, &compute,
-                                        &timing);
+  DistributedSgd<ParallelBspEngine<real_t>> sgd(&engine, topo, options,
+                                                &compute, &timing);
   const auto stats = sgd.run();
 
   std::printf("%-6s %-10s %-14s\n", "step", "loss", "comm(model)");

@@ -17,14 +17,15 @@
 #include <cmath>
 #include <vector>
 
-#include "comm/bsp.hpp"
+#include "comm/parallel.hpp"
 #include "core/topology.hpp"
 #include "sparse/merge.hpp"
 #include "sparse/ops.hpp"
 
 namespace kylix {
 
-template <typename V, typename Op = OpSum, typename Engine = BspEngine<V>>
+template <typename V, typename Op = OpSum,
+          typename Engine = ParallelBspEngine<V>>
 class TreeAllreduce {
  public:
   explicit TreeAllreduce(Engine* engine) : engine_(engine) {

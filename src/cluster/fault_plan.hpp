@@ -110,7 +110,7 @@ class FaultPlan {
   };
 
   /// Classify one transmitted copy on edge (src, dst). Deterministic given
-  /// the seed and the call sequence; sequential engines therefore replay
+  /// the seed and the call sequence; the barriered engines therefore replay
   /// exactly (the threaded engine's interleaving varies the sequence).
   [[nodiscard]] Decision classify(rank_t src, rank_t dst);
 

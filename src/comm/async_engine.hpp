@@ -19,7 +19,7 @@
 //
 // The fault script is the async twin of FaultChannel: at stream admission
 // the FaultPlan is replayed in the exact canonical order the barriered
-// BspEngine would consult it (begin_round per slot; ranks ascending;
+// engines' Wire::send consults it (begin_round per slot; ranks ascending;
 // letters in (digit, chunk) produce order; loopback and dead-destination
 // copies never classified), freezing per-slot alive masks, per-letter
 // fates, and per-box expected counts. Because classify() is a seeded

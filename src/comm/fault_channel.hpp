@@ -4,9 +4,9 @@
 // plan's scripted crash/revive events and collects previously-delayed
 // letters that are due again, route() classifies one letter (stashing it on
 // kDelay), classify_copy() classifies one physical copy for engines that
-// account per copy (ReplicatedBsp). Because all four engines call the same
-// two entry points at the same protocol positions, fault semantics are
-// identical everywhere:
+// account per copy (ReplicatedBsp). The barriered engines reach route()
+// through their one Wire, and every engine calls these entry points at the
+// same protocol positions, so fault semantics are identical everywhere:
 //
 //   kDrop      — the letter is lost; the sender already paid for it.
 //   kDuplicate — delivered once, but the wire carried it twice (the engine
@@ -21,7 +21,7 @@
 //                race (late copies are canceled) and recovers total losses.
 //
 // One channel serves one engine; it is not thread-safe by itself
-// (ThreadedBsp serializes its calls under the engine's observer mutex).
+// (ThreadedBsp serializes its Wire calls under the engine's observer mutex).
 #pragma once
 
 #include <cstdint>
@@ -85,8 +85,8 @@ class FaultChannel {
   }
 
   /// Delayed letters due in the round begin_round() last started. The
-  /// engine moves deliverable entries out, calls note_redelivered() /
-  /// note_stale() per entry, and clears the vector.
+  /// engine's Wire moves deliverable entries out, counts each entry
+  /// redelivered or stale, and clears the vector.
   [[nodiscard]] std::vector<Letter<V>>& due() { return due_; }
 
   void note_redelivered() { ++redelivered_; }

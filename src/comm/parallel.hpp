@@ -1,27 +1,23 @@
-// The host-parallel simulation engine.
+// The barriered simulation engine, sequential or host-parallel.
 //
-// Same round semantics and observer behavior as BspEngine, but the two
-// embarrassingly-parallel halves of a round — every rank's produce and every
-// rank's consume — run across a persistent ThreadPool. The sequential parts
-// that define observable order (trace events, modeled send/receive timing,
-// failure drops) stay on the calling thread, so results, traces, and timing
-// reports are bit-identical to BspEngine:
+// One round = one communication layer of one phase, in three stages:
 //
 //   1. Parallel produce: rank r's letters are staged into outboxes_[r] in
 //      production order. Workers touch only their own rank's node.
 //   2. Sequential delivery: outboxes are drained in (rank, production) order
-//      — exactly the order BspEngine emits trace/timing events in — applying
-//      failure drops and appending to the destination inboxes.
-//   3. Parallel consume: each rank sorts its inbox by source and consumes
-//      it. charge_compute() calls made by consumers land in per-rank buffers
-//      (no contention: one consume per rank) and are flushed to the timing
-//      accumulator in ascending rank order after the batch, matching the
-//      sequential engine's accumulation order exactly (floating-point
-//      addition order included).
+//      through Wire::send, then due delayed letters through
+//      Wire::redeliver, so trace events, modeled timing, observer hooks and
+//      fault-plan RNG draws keep one order at every thread count.
+//   3. Parallel consume: each rank sorts its inbox by source (results never
+//      depend on delivery order) and consumes it. charge_compute() calls
+//      land in per-rank buffers, flushed in ascending rank order after the
+//      batch, so even floating-point accumulation order is fixed.
 //
-// Inboxes and outboxes persist across rounds, so the steady-state letter
-// recycling economy of the node layer is preserved: shells keep their
-// capacity, and rounds allocate nothing once warm.
+// Results, traces and timing reports are therefore bit-identical at every
+// thread count; with one thread the pool runs both parallel stages inline
+// and this is the sequential engine. Inboxes and outboxes persist across
+// rounds, so letter shells keep their capacity and warm rounds allocate
+// nothing.
 //
 // Scaling: the pool claims contiguous rank shards (one atomic per shard, not
 // per rank), debug sender checks reuse per-worker scratch indexed by
@@ -31,97 +27,69 @@
 // hosts are independent by construction (each leader touches only its own
 // members' buffers, and the timing accumulator preallocates distinct
 // per-rank slots), so no buffering or locking is needed there.
+//
+// Node algorithms are expressed as produce/expected/consume callbacks, which
+// lets this engine, the replication wrapper, and the threaded engine drive
+// the *same* algorithm code (DESIGN.md decision 3). Engine concept shared by
+// ParallelBspEngine / ReplicatedBsp / ThreadedBsp:
+//   rank_t num_ranks() const;
+//   round(phase, layer, produce, expected, consume);
+// where, for each alive rank r,
+//   produce(r)  -> std::vector<Letter<V>>   letters to send (self allowed)
+//   expected(r) -> std::vector<rank_t>      ranks r awaits a letter from
+//   consume(r, std::vector<Letter<V>>&&)    inbox sorted by src
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <vector>
 
-#include "cluster/failure.hpp"
-#include "cluster/timing.hpp"
-#include "cluster/trace.hpp"
-#include "comm/fault_channel.hpp"
-#include "comm/packet.hpp"
+#include "comm/wire.hpp"
 #include "common/check.hpp"
 #include "common/thread_pool.hpp"
-#include "obs/observer.hpp"
 
 namespace kylix {
 
 template <typename V>
-class ParallelBspEngine {
+class ParallelBspEngine : protected Wire<V> {
  public:
-  /// `threads` counts the calling thread (0 = hardware concurrency); all
-  /// observer pointers are optional and not owned. With threads == 1 the
-  /// engine degenerates to BspEngine's exact control flow.
+  /// `threads` counts the calling thread (0 = hardware concurrency; 1 =
+  /// sequential); all observer pointers are optional and not owned.
   explicit ParallelBspEngine(rank_t num_nodes, unsigned threads = 0,
                              const FailureModel* failures = nullptr,
                              Trace* trace = nullptr,
                              TimingAccumulator* timing = nullptr)
-      : num_nodes_(num_nodes),
+      : Wire<V>(num_nodes, failures, trace, timing),
         pool_(threads),
-        failures_(failures),
-        trace_(trace),
-        timing_(timing),
         outboxes_(num_nodes),
         inboxes_(num_nodes),
         pending_compute_(num_nodes),
-        debug_senders_(pool_.num_threads()) {
-    KYLIX_CHECK(num_nodes >= 1);
-    KYLIX_CHECK_MSG(failures == nullptr || failures->num_nodes() >= num_nodes,
-                    "FailureModel covers fewer ranks than the engine");
-  }
+        debug_senders_(pool_.num_threads()) {}
 
-  [[nodiscard]] rank_t num_ranks() const { return num_nodes_; }
+  using Wire<V>::num_ranks;
+  using Wire<V>::is_dead;
+  using Wire<V>::has_failed;
+  using Wire<V>::degraded_allowed;
+  using Wire<V>::set_observer;
+  using Wire<V>::set_fault_channel;
+  using Wire<V>::dropped_messages;
+
   [[nodiscard]] unsigned num_threads() const { return pool_.num_threads(); }
 
   /// Affinity-aware placement: bind each pool worker to a CPU so rank
   /// shards keep their cache home across rounds (Linux; no-op elsewhere).
   void pin_workers() { pool_.pin_workers(); }
 
-  [[nodiscard]] bool is_dead(rank_t rank) const {
-    return failures_ != nullptr && failures_->is_dead(rank);
-  }
-
-  /// Degraded completion around dead ranks; see BspEngine::has_failed().
-  [[nodiscard]] bool has_failed() const {
-    return failures_ != nullptr && failures_->num_dead() > 0;
-  }
-  [[nodiscard]] bool degraded_allowed() const { return true; }
-
-  /// Telemetry hook (src/obs); optional and not owned, like trace/timing.
-  /// Hooks fire from the sequential half of the round, so observers see the
-  /// same event order as with BspEngine.
-  void set_observer(EngineObserver* observer) { observer_ = observer; }
-
-  /// Attach a chaos-engine fault channel (optional, not owned, one engine
-  /// per channel). Classification happens in the sequential delivery stage,
-  /// so the plan's RNG is consumed in the same order as with BspEngine and
-  /// results stay bit-identical across the two engines.
-  void set_fault_channel(FaultChannel<V>* channel) {
-    channel_ = channel;
-    if (channel_ != nullptr && failures_ == nullptr) {
-      failures_ = &channel_->plan().failures();
-    }
-    KYLIX_CHECK_MSG(
-        channel_ == nullptr ||
-            channel_->plan().num_nodes() >= num_nodes_,
-        "FaultPlan covers fewer ranks than the engine");
-  }
-
-  /// Messages transmitted to dead destinations (sender paid, nothing
-  /// arrived) since construction.
-  [[nodiscard]] std::uint64_t dropped_messages() const { return dropped_; }
-
   /// Outside a round (e.g. the begin_up charge) this forwards directly to
   /// the accumulator; during the parallel consume half it buffers per rank.
   void charge_compute(Phase phase, std::uint16_t layer, rank_t rank,
                       double seconds) {
-    if (timing_ == nullptr) return;
+    TimingAccumulator* timing = this->timing();
+    if (timing == nullptr) return;
     if (collecting_) {
       pending_compute_[rank].push_back(ComputeEvent{phase, layer, seconds});
     } else {
-      timing_->on_compute(phase, layer, rank, seconds);
+      timing->on_compute(phase, layer, rank, seconds);
     }
   }
 
@@ -129,13 +97,15 @@ class ParallelBspEngine {
   /// preallocated per-rank slots and each host's ranks are charged by
   /// exactly one intra_round worker, so concurrent charges never alias.
   void charge_intra(Phase phase, rank_t rank, double seconds) {
-    if (timing_ != nullptr) timing_->on_intra(phase, rank, seconds);
+    if (auto* timing = this->timing()) timing->on_intra(phase, rank, seconds);
   }
 
   /// Intra-node stage of a hierarchical topology: hosts are mutually
   /// independent (a leader reduces only from its own members' buffers), so
   /// they run across the pool. No letters, trace, or observer events — the
-  /// shared-memory tier has nothing on the wire to record.
+  /// shared-memory tier has nothing on the wire to record. fn must skip
+  /// dead ranks itself (it sees the member list; the engine only sees
+  /// hosts here).
   template <typename Fn>
   void intra_round(Phase phase, rank_t num_hosts, Fn&& fn) {
     (void)phase;
@@ -146,68 +116,44 @@ class ParallelBspEngine {
   template <typename ProduceFn, typename ExpectedFn, typename ConsumeFn>
   void round(Phase phase, std::uint16_t layer, ProduceFn&& produce,
              ExpectedFn&& expected, ConsumeFn&& consume) {
-    // Scripted crashes fire before produce, exactly as in BspEngine.
-    if (channel_ != nullptr) channel_->begin_round(phase, layer);
-    if (observer_ != nullptr) observer_->on_round_begin(phase, layer);
+    const rank_t m = num_ranks();
+    this->begin_round(phase, layer);
     // 1. Parallel produce into per-rank staging outboxes.
-    pool_.parallel_for(num_nodes_, [&](std::size_t r) {
+    pool_.parallel_for(m, [&](std::size_t r) {
       const rank_t rank = static_cast<rank_t>(r);
       auto& outbox = outboxes_[rank];
       outbox.clear();
       if (is_dead(rank)) return;
       for (Letter<V>& letter : produce(rank)) {
         KYLIX_DCHECK(letter.src == rank);
-        KYLIX_CHECK_MSG(letter.dst < num_nodes_, "letter to invalid rank");
         outbox.push_back(std::move(letter));
       }
     });
 
-    // 2. Sequential delivery in (rank, production) order — the event order
-    // BspEngine produces — so traces and modeled timing match exactly.
-    // The staged outboxes give the exact round size up front, so the trace
-    // can reserve once instead of growing mid-round.
-    if (trace_ != nullptr) {
-      std::size_t staged = 0;
-      for (const auto& outbox : outboxes_) staged += outbox.size();
-      trace_->reserve(staged);
-    }
+    // 2. Sequential delivery in (rank, production) order. The staged
+    // outboxes give the exact round size up front, so the trace can
+    // reserve once instead of growing mid-round.
+    std::size_t staged = 0;
+    for (const auto& outbox : outboxes_) staged += outbox.size();
+    this->reserve_trace(staged);
     for (auto& inbox : inboxes_) inbox.clear();
-    for (rank_t rank = 0; rank < num_nodes_; ++rank) {
-      for (Letter<V>& letter : outboxes_[rank]) {
-        const std::uint64_t bytes = letter.packet.wire_bytes();
-        const MsgEvent event{phase, layer, letter.src, letter.dst, bytes};
-        if (trace_ != nullptr) trace_->add(event);
-        if (timing_ != nullptr) timing_->on_message(event);
-        if (observer_ != nullptr) observer_->on_message(event);
-        // A send to a dead node costs the sender but never arrives.
-        if (failures_ != nullptr && failures_->is_dead(letter.dst)) {
-          ++dropped_;
-          if (observer_ != nullptr) observer_->on_drop(event);
-          continue;
+    for (auto& outbox : outboxes_) {
+      for (Letter<V>& letter : outbox) {
+        if (this->send(phase, layer, letter)) {
+          inboxes_[letter.dst].push_back(std::move(letter));
         }
-        if (channel_ != nullptr) {
-          const FaultAction action = channel_->route(phase, layer, letter);
-          if (action != FaultAction::kDeliver) {
-            if (observer_ != nullptr) observer_->on_fault(event, action);
-            if (action == FaultAction::kDuplicate) {
-              // The wire carried the letter twice; charge the second copy.
-              if (trace_ != nullptr) trace_->add(event);
-              if (timing_ != nullptr) timing_->on_message(event);
-              if (observer_ != nullptr) observer_->on_message(event);
-            } else {
-              continue;  // kDrop is lost; kDelay is stashed in the channel.
-            }
-          }
-        }
-        inboxes_[letter.dst].push_back(std::move(letter));
       }
     }
-    if (channel_ != nullptr) drain_due(phase, layer);
+    this->take_due(phase, layer, [&](Letter<V>&& letter) {
+      auto& inbox = inboxes_[letter.dst];
+      this->redeliver(phase, layer, std::move(letter), inbox);
+    });
 
     // 3. Parallel consume; compute charges buffer per rank (one consumer
     // per rank, so the buffers are contention-free).
-    collecting_ = timing_ != nullptr;
-    pool_.parallel_for(num_nodes_, [&](std::size_t r) {
+    TimingAccumulator* timing = this->timing();
+    collecting_ = timing != nullptr;
+    pool_.parallel_for(m, [&](std::size_t r) {
       const rank_t rank = static_cast<rank_t>(r);
       if (is_dead(rank)) return;
       auto& inbox = inboxes_[rank];
@@ -216,8 +162,9 @@ class ParallelBspEngine {
       if (!inbox.empty()) {
         // Sanity: only expected senders may appear (sorted + binary
         // search). Per-worker scratch: no allocation once warm, no locks.
+        const auto& want = expected(rank);  // may be a by-value temporary
         auto& senders = debug_senders_[ThreadPool::worker_id()];
-        senders.assign(expected(rank).begin(), expected(rank).end());
+        senders.assign(want.begin(), want.end());
         std::sort(senders.begin(), senders.end());
         for (const Letter<V>& letter : inbox) {
           KYLIX_DCHECK(
@@ -231,17 +178,17 @@ class ParallelBspEngine {
     });
     collecting_ = false;
 
-    // Flush buffered charges in ascending rank order: identical per-slot
-    // accumulation order to the sequential consume loop.
-    if (timing_ != nullptr) {
-      for (rank_t rank = 0; rank < num_nodes_; ++rank) {
+    // Flush buffered charges in ascending rank order: the per-slot
+    // accumulation order of a sequential consume loop.
+    if (timing != nullptr) {
+      for (rank_t rank = 0; rank < m; ++rank) {
         for (const ComputeEvent& e : pending_compute_[rank]) {
-          timing_->on_compute(e.phase, e.layer, rank, e.seconds);
+          timing->on_compute(e.phase, e.layer, rank, e.seconds);
         }
         pending_compute_[rank].clear();
       }
     }
-    if (observer_ != nullptr) observer_->on_round_end(phase, layer);
+    this->end_round(phase, layer);
   }
 
  private:
@@ -251,44 +198,7 @@ class ParallelBspEngine {
     double seconds;
   };
 
-  /// Same redelivery rules as BspEngine::drain_due (stale when the dst died
-  /// or a fresh letter for the same (sender, chunk) slot already arrived).
-  void drain_due(Phase phase, std::uint16_t layer) {
-    for (Letter<V>& letter : channel_->due()) {
-      const MsgEvent event{phase, layer, letter.src, letter.dst,
-                           letter.packet.wire_bytes()};
-      if (letter.dst >= num_nodes_ ||
-          (failures_ != nullptr && failures_->is_dead(letter.dst))) {
-        channel_->note_stale();
-        if (observer_ != nullptr) observer_->on_redelivery(event, true);
-        continue;
-      }
-      auto& inbox = inboxes_[letter.dst];
-      const bool superseded =
-          std::any_of(inbox.begin(), inbox.end(), [&](const Letter<V>& l) {
-            return same_slot(l, letter);
-          });
-      if (superseded) {
-        channel_->note_stale();
-        if (observer_ != nullptr) observer_->on_redelivery(event, true);
-        continue;
-      }
-      inbox.push_back(std::move(letter));
-      channel_->note_redelivered();
-      if (observer_ != nullptr) observer_->on_redelivery(event, false);
-    }
-    channel_->due().clear();
-  }
-
-  rank_t num_nodes_;
   ThreadPool pool_;
-  const FailureModel* failures_;
-  Trace* trace_;
-  TimingAccumulator* timing_;
-  EngineObserver* observer_ = nullptr;
-  FaultChannel<V>* channel_ = nullptr;
-  std::uint64_t dropped_ = 0;
-
   std::vector<std::vector<Letter<V>>> outboxes_;  ///< staged by produce
   std::vector<std::vector<Letter<V>>> inboxes_;   ///< reused across rounds
   std::vector<std::vector<ComputeEvent>> pending_compute_;

@@ -26,8 +26,8 @@
 // group, and the allreduce completes in degraded mode over surviving key
 // ranges (core/degraded.hpp) instead of aborting.
 //
-// Exposes the same round() interface as BspEngine, addressed in *logical*
-// ranks, so the identical node algorithm runs unmodified on top of it.
+// Exposes the same round() interface as ParallelBspEngine, addressed in
+// *logical* ranks, so the identical node algorithm runs unmodified on top.
 // Alive-replica lookups are cached and revalidated against
 // FailureModel::version(), so steady-state rounds allocate nothing
 // (tests/core/alloc_test).
@@ -118,17 +118,17 @@ class ReplicatedBsp {
 
   /// Attach a chaos-engine fault channel (optional, not owned). The plan
   /// must cover all num_physical() ranks; when the engine has no
-  /// FailureModel of its own it adopts the plan's.
+  /// FailureModel of its own it adopts the plan's — re-adopted on every
+  /// attach and dropped on detach, as in Wire::set_fault_channel.
   void set_fault_channel(FaultChannel<V>* channel) {
-    channel_ = channel;
-    if (channel_ != nullptr && failures_ == nullptr) {
-      failures_ = &channel_->plan().failures();
-      cache_built_ = false;
-    }
     KYLIX_CHECK_MSG(
-        channel_ == nullptr ||
-            channel_->plan().num_nodes() >= num_physical(),
+        channel == nullptr || channel->plan().num_nodes() >= num_physical(),
         "FaultPlan covers fewer ranks than the physical network");
+    channel_ = channel;
+    if (adopted_) failures_ = nullptr;
+    adopted_ = channel != nullptr && failures_ == nullptr;
+    if (adopted_) failures_ = &channel->plan().failures();
+    cache_built_ = false;
   }
 
   void set_recovery_policy(const RecoveryPolicy& policy) {
@@ -275,7 +275,8 @@ class ReplicatedBsp {
 #ifndef NDEBUG
       if (!inbox.empty()) {
         // Sanity: only expected senders may appear (sorted + binary search).
-        std::vector<rank_t> senders(expected(j).begin(), expected(j).end());
+        const auto& want = expected(j);  // may be a by-value temporary
+        std::vector<rank_t> senders(want.begin(), want.end());
         std::sort(senders.begin(), senders.end());
         for (const Letter<V>& letter : inbox) {
           KYLIX_DCHECK(
@@ -536,6 +537,7 @@ class ReplicatedBsp {
   TimingAccumulator* timing_;
   EngineObserver* observer_ = nullptr;
   FaultChannel<V>* channel_ = nullptr;
+  bool adopted_ = false;  ///< failures_ is the channel plan's model
   RecoveryPolicy policy_;
   RaceStats races_;
   RecoveryStats recovery_;

@@ -1,51 +1,43 @@
 // The concurrent engine: one std::thread per simulated machine.
 //
-// Same round() contract as BspEngine, but every node runs its
+// Same round() contract as ParallelBspEngine, but every node runs its
 // produce/send/receive/consume cycle on its own thread with blocking
 // mailboxes — real concurrency, real interleavings, opportunistic message
 // arrival (§VI-B). Received letters are sorted by source before consume, so
-// results are bit-identical to the sequential engine regardless of arrival
+// results are bit-identical to the barriered engine regardless of arrival
 // order (asserted by tests/comm, which run both engines on the same inputs).
 //
-// Failures are supported (dead nodes neither run nor receive); replication
-// racing at the wire level is exercised by the Mailbox::take_any unit tests
-// and the sequential ReplicatedBsp — this engine intentionally stays the
-// minimal concurrent counterpart of BspEngine.
+// Workers deliver through the same Wire as ParallelBspEngine, under the
+// observer mutex: per-letter observer hooks fire there (round begin/end on
+// the calling thread), and the fault plan's RNG is consumed in whatever
+// order threads reach it — fault *placement* is scheduling-dependent here,
+// fault *semantics* are not. This engine adds only what blocking receives
+// need: tombstones for letters lost on their way to live ranks, per-rank
+// staging of due delayed letters, and the worker threads. Replication
+// racing is exercised by the Mailbox::take_any unit tests and ReplicatedBsp.
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <condition_variable>
 #include <functional>
 #include <mutex>
 #include <thread>
 #include <vector>
 
-#include "cluster/failure.hpp"
-#include "cluster/timing.hpp"
-#include "cluster/trace.hpp"
-#include "comm/fault_channel.hpp"
 #include "comm/mailbox.hpp"
-#include "comm/packet.hpp"
+#include "comm/wire.hpp"
 #include "common/check.hpp"
-#include "obs/observer.hpp"
 
 namespace kylix {
 
 template <typename V>
-class ThreadedBsp {
+class ThreadedBsp : protected Wire<V> {
  public:
   ThreadedBsp(rank_t num_nodes, const FailureModel* failures = nullptr,
               Trace* trace = nullptr, TimingAccumulator* timing = nullptr)
-      : num_nodes_(num_nodes),
-        failures_(failures),
-        trace_(trace),
-        timing_(timing),
+      : Wire<V>(num_nodes, failures, trace, timing),
         mailboxes_(num_nodes),
         due_by_rank_(num_nodes) {
-    KYLIX_CHECK(num_nodes >= 1);
-    KYLIX_CHECK_MSG(failures == nullptr || failures->num_nodes() >= num_nodes,
-                    "FailureModel covers fewer ranks than the engine");
     workers_.reserve(num_nodes);
     for (rank_t rank = 0; rank < num_nodes; ++rank) {
       workers_.emplace_back([this, rank] { worker_loop(rank); });
@@ -64,58 +56,27 @@ class ThreadedBsp {
   ThreadedBsp(const ThreadedBsp&) = delete;
   ThreadedBsp& operator=(const ThreadedBsp&) = delete;
 
-  [[nodiscard]] rank_t num_ranks() const { return num_nodes_; }
-
-  [[nodiscard]] bool is_dead(rank_t rank) const {
-    return failures_ != nullptr && failures_->is_dead(rank);
-  }
-
-  /// Degraded completion around dead ranks; see BspEngine::has_failed().
-  [[nodiscard]] bool has_failed() const {
-    return failures_ != nullptr && failures_->num_dead() > 0;
-  }
-  [[nodiscard]] bool degraded_allowed() const { return true; }
-
-  /// Telemetry hook (src/obs); optional, not owned. on_message/on_drop fire
-  /// from worker threads under the observer mutex; round begin/end fire on
-  /// the calling thread.
-  void set_observer(EngineObserver* observer) { observer_ = observer; }
-
-  /// Attach a chaos-engine fault channel (optional, not owned). Workers
-  /// classify sends under the observer mutex — the plan's RNG is consumed in
-  /// whatever order threads reach it, so fault *placement* is scheduling-
-  /// dependent here (unlike the sequential engines), while fault *semantics*
-  /// are identical: dropped and delayed copies become tombstone letters so
-  /// blocking receives still unblock.
-  void set_fault_channel(FaultChannel<V>* channel) {
-    channel_ = channel;
-    if (channel_ != nullptr && failures_ == nullptr) {
-      failures_ = &channel_->plan().failures();
-    }
-    KYLIX_CHECK_MSG(
-        channel_ == nullptr ||
-            channel_->plan().num_nodes() >= num_nodes_,
-        "FaultPlan covers fewer ranks than the engine");
-  }
-
-  /// Messages transmitted to dead destinations since construction.
-  [[nodiscard]] std::uint64_t dropped_messages() const {
-    return dropped_.load(std::memory_order_relaxed);
-  }
+  using Wire<V>::num_ranks;
+  using Wire<V>::is_dead;
+  using Wire<V>::has_failed;
+  using Wire<V>::degraded_allowed;
+  using Wire<V>::set_observer;
+  using Wire<V>::set_fault_channel;
+  using Wire<V>::dropped_messages;
 
   /// Attribute modeled local compute to a rank within a round (thread-safe).
   void charge_compute(Phase phase, std::uint16_t layer, rank_t rank,
                       double seconds) {
-    if (timing_ == nullptr) return;
+    if (this->timing() == nullptr) return;
     std::lock_guard<std::mutex> lock(observer_mutex_);
-    timing_->on_compute(phase, layer, rank, seconds);
+    this->timing()->on_compute(phase, layer, rank, seconds);
   }
 
   /// Attribute modeled intra-node (shared-memory tier) time to a rank.
   /// Called from intra_round, which runs on the calling thread here, so no
   /// lock is needed (the per-rank worker threads are parked between rounds).
   void charge_intra(Phase phase, rank_t rank, double seconds) {
-    if (timing_ != nullptr) timing_->on_intra(phase, rank, seconds);
+    if (auto* timing = this->timing()) timing->on_intra(phase, rank, seconds);
   }
 
   /// Intra-node stage of a hierarchical topology: runs sequentially on the
@@ -131,38 +92,20 @@ class ThreadedBsp {
   template <typename ProduceFn, typename ExpectedFn, typename ConsumeFn>
   void round(Phase phase, std::uint16_t layer, ProduceFn&& produce,
              ExpectedFn&& expected, ConsumeFn&& consume) {
-    stale_at_staging_.clear();
-    if (channel_ != nullptr) {
-      // Scripted crashes fire on the calling thread before workers start, so
-      // is_dead() is stable for the whole round. Due delayed letters are
-      // staged per destination rank here; the generation handshake in
-      // run_task() makes the staging visible to the workers.
-      channel_->begin_round(phase, layer);
-      for (Letter<V>& letter : channel_->due()) {
-        if (letter.dst >= num_nodes_ || is_dead(letter.dst)) {
-          channel_->note_stale();
-          // Defer the observer hook: it must fire inside the round.
-          stale_at_staging_.push_back(MsgEvent{phase, layer, letter.src,
-                                               letter.dst,
-                                               letter.packet.wire_bytes()});
-          continue;
-        }
-        due_by_rank_[letter.dst].push_back(std::move(letter));
-      }
-      channel_->due().clear();
-    }
-    if (observer_ != nullptr) {
-      observer_->on_round_begin(phase, layer);
-      for (const MsgEvent& event : stale_at_staging_) {
-        observer_->on_redelivery(event, true);
-      }
-    }
+    // Scripted crashes fire on the calling thread before workers start, so
+    // is_dead() is stable for the whole round. Due delayed letters are
+    // staged per destination rank here; the generation handshake in
+    // run_task() makes the staging visible to the workers.
+    this->begin_round(phase, layer);
+    this->take_due(phase, layer, [&](Letter<V>&& letter) {
+      due_by_rank_[letter.dst].push_back(std::move(letter));
+    });
     // Type-erase this round's work; each worker runs it for its own rank.
     task_ = [&, phase, layer](rank_t rank) {
       if (is_dead(rank)) return;
       for (Letter<V>& letter : produce(rank)) {
         KYLIX_DCHECK(letter.src == rank);
-        send(phase, layer, std::move(letter));
+        post(phase, layer, std::move(letter));
       }
       std::vector<Letter<V>> inbox;
       for (rank_t src : expected(rank)) {
@@ -182,100 +125,45 @@ class ThreadedBsp {
           if (!letter.faulted) inbox.push_back(std::move(letter));
         }
       }
-      if (channel_ != nullptr) drain_due(rank, phase, layer, inbox);
+      // A fresh letter for the same slot supersedes a staged delayed copy.
+      auto& due = due_by_rank_[rank];
+      if (!due.empty()) {
+        std::lock_guard<std::mutex> lock(observer_mutex_);
+        for (Letter<V>& letter : due) {
+          this->redeliver(phase, layer, std::move(letter), inbox);
+        }
+        due.clear();
+      }
       std::sort(inbox.begin(), inbox.end(), letter_before<V>);
       consume(rank, std::move(inbox));
     };
     run_task();
-    if (observer_ != nullptr) observer_->on_round_end(phase, layer);
+    this->end_round(phase, layer);
   }
 
  private:
-  void send(Phase phase, std::uint16_t layer, Letter<V>&& letter) {
-    KYLIX_CHECK_MSG(letter.dst < num_nodes_, "letter to invalid rank");
-    const rank_t src = letter.src;
-    const rank_t dst = letter.dst;
-    const std::uint64_t bytes = letter.packet.wire_bytes();
-    const MsgEvent event{phase, layer, src, dst, bytes};
-    const bool dead_dst = is_dead(dst);
-    FaultAction action = FaultAction::kDeliver;
-    {
-      std::lock_guard<std::mutex> lock(observer_mutex_);
-      if (trace_ != nullptr) trace_->add(event);
-      if (timing_ != nullptr) timing_->on_message(event);
-      if (observer_ != nullptr) observer_->on_message(event);
-      // Classify under the same lock: the plan's RNG is not thread-safe.
-      // Letters to dead destinations never consume plan randomness,
-      // matching the sequential engines' order of checks.
-      if (channel_ != nullptr && !dead_dst) {
-        action = channel_->route(phase, layer, letter);
-        if (action != FaultAction::kDeliver) {
-          if (observer_ != nullptr) observer_->on_fault(event, action);
-          if (action == FaultAction::kDuplicate) {
-            // The wire carried the letter twice; charge the second copy.
-            if (trace_ != nullptr) trace_->add(event);
-            if (timing_ != nullptr) timing_->on_message(event);
-            if (observer_ != nullptr) observer_->on_message(event);
-          }
-        }
-      }
-    }
-    if (dead_dst) {
-      dropped_.fetch_add(1, std::memory_order_relaxed);
-      if (observer_ != nullptr) {
-        std::lock_guard<std::mutex> lock(observer_mutex_);
-        observer_->on_drop(event);
-      }
-      return;
-    }
-    if (action == FaultAction::kDrop || action == FaultAction::kDelay) {
-      // The payload is gone (lost or stashed in the channel), but the
-      // receiver blocks on take(src) — deliver a tombstone to unblock it.
-      // The tombstone keeps the chunk framing so the receiver still counts
-      // it toward the edge's chunk_count letters.
-      Letter<V> tombstone;
-      tombstone.src = src;
-      tombstone.dst = dst;
-      tombstone.faulted = true;
+  /// Send under the observer mutex (the Wire is not thread-safe). A letter
+  /// lost on its way to a live rank leaves an empty tombstone in its place:
+  /// the receiver blocks on take(src), and the kept chunk framing still
+  /// counts toward the edge's chunk_count letters.
+  void post(Phase phase, std::uint16_t layer, Letter<V>&& letter) {
+    std::unique_lock<std::mutex> lock(observer_mutex_);
+    const bool arrives = this->send(phase, layer, letter);
+    lock.unlock();
+    if (!arrives) {
+      if (is_dead(letter.dst)) return;
+      Letter<V> tombstone{letter.src, letter.dst, /*faulted=*/true, {}};
       tombstone.packet.chunk_index = letter.packet.chunk_index;
       tombstone.packet.chunk_count = letter.packet.chunk_count;
-      mailboxes_[dst].put(std::move(tombstone));
-      return;
+      letter = std::move(tombstone);
     }
-    mailboxes_[dst].put(std::move(letter));
-  }
-
-  /// Merge this rank's staged due letters into its inbox: a fresh letter
-  /// for the same (sender, chunk) slot supersedes the stale delayed copy
-  /// (sibling chunks never do). Channel counters are bumped under the
-  /// observer mutex (the channel itself is not thread-safe).
-  void drain_due(rank_t rank, Phase phase, std::uint16_t layer,
-                 std::vector<Letter<V>>& inbox) {
-    auto& due = due_by_rank_[rank];
-    if (due.empty()) return;
-    std::lock_guard<std::mutex> lock(observer_mutex_);
-    for (Letter<V>& letter : due) {
-      const MsgEvent event{phase, layer, letter.src, letter.dst,
-                           letter.packet.wire_bytes()};
-      const bool superseded =
-          std::any_of(inbox.begin(), inbox.end(), [&](const Letter<V>& l) {
-            return same_slot(l, letter);
-          });
-      if (superseded) {
-        channel_->note_stale();
-      } else {
-        inbox.push_back(std::move(letter));
-        channel_->note_redelivered();
-      }
-      if (observer_ != nullptr) observer_->on_redelivery(event, superseded);
-    }
-    due.clear();
+    mailboxes_[letter.dst].put(std::move(letter));
   }
 
   void run_task() {
     {
       std::lock_guard<std::mutex> lock(mutex_);
-      pending_ = num_nodes_;
+      pending_ = num_ranks();
       ++generation_;
     }
     start_cv_.notify_all();
@@ -314,22 +202,11 @@ class ThreadedBsp {
     }
   }
 
-  rank_t num_nodes_;
-  const FailureModel* failures_;
-  Trace* trace_;
-  TimingAccumulator* timing_;
-  EngineObserver* observer_ = nullptr;
-  FaultChannel<V>* channel_ = nullptr;
-  std::atomic<std::uint64_t> dropped_{0};
-
   std::vector<Mailbox<V>> mailboxes_;
   /// Delayed letters due this round, staged per destination by the calling
   /// thread before the workers are released (run_task's mutex handshake
   /// publishes the staging); each worker drains only its own slot.
   std::vector<std::vector<Letter<V>>> due_by_rank_;
-  /// Delayed copies discarded at staging (dead/invalid destination); their
-  /// on_redelivery hooks fire right after on_round_begin.
-  std::vector<MsgEvent> stale_at_staging_;
   std::vector<std::thread> workers_;
   std::function<void(rank_t)> task_;
 

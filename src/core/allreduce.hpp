@@ -248,8 +248,9 @@ class SparseAllreduce {
   }
 
   /// What the last completed run lost, if anything (core/degraded.hpp).
-  /// Engines without recovery support (BspEngine & friends) always report
-  /// an exact run. Call after reduce() / reduce_with_config() returns.
+  /// Engines without recovery support (ParallelBspEngine, ThreadedBsp)
+  /// always report an exact run. Call after reduce() / reduce_with_config()
+  /// returns.
   [[nodiscard]] DegradedReport degraded_report() const {
     DegradedReport rep;
     if constexpr (requires(const Engine& e) {

@@ -4,7 +4,7 @@
 // A KylixNode owns one machine's view of the butterfly while configuring:
 // its in/out index sets at every node layer. It exposes one produce/consume
 // step per configuration round, so any engine satisfying the concept in
-// comm/bsp.hpp can drive it, and writes the routing state it derives —
+// comm/parallel.hpp can drive it, and writes the routing state it derives —
 // group, split boundaries, the f/g positional maps, received-piece sizes,
 // the bottom map and the upward watermark — straight into its RankPlan slot
 // of the CollectivePlan being compiled (core/plan.hpp). Value traffic is

@@ -3,8 +3,10 @@
 // Typical usage (see examples/quickstart.cpp):
 //
 //   kylix::Topology topo({8, 4, 2});                  // or autotune_topology
-//   kylix::BspEngine<float> engine(topo.num_machines());
-//   kylix::SparseAllreduce<float> allreduce(&engine, topo);
+//   // Threads: 1 runs the engine sequentially, 0 uses every core.
+//   kylix::ParallelBspEngine<float> engine(topo.num_machines(), 1);
+//   kylix::SparseAllreduce<float, kylix::OpSum, decltype(engine)> allreduce(
+//       &engine, topo);
 //   allreduce.configure(in_sets, out_sets);           // once
 //   auto results = allreduce.reduce(out_values);      // many times
 #pragma once
@@ -23,7 +25,6 @@
 #include "cluster/netmodel.hpp"     // IWYU pragma: export
 #include "cluster/timing.hpp"       // IWYU pragma: export
 #include "cluster/trace.hpp"        // IWYU pragma: export
-#include "comm/bsp.hpp"             // IWYU pragma: export
 #include "comm/fault_channel.hpp"   // IWYU pragma: export
 #include "comm/recovery.hpp"        // IWYU pragma: export
 #include "common/log.hpp"           // IWYU pragma: export

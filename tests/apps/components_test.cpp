@@ -5,13 +5,13 @@
 #include <map>
 
 #include "apps/reference.hpp"
-#include "comm/bsp.hpp"
+#include "comm/parallel.hpp"
 #include "powerlaw/graphgen.hpp"
 
 namespace kylix {
 namespace {
 
-using Engine = BspEngine<std::uint64_t>;
+using Engine = ParallelBspEngine<std::uint64_t>;
 
 void expect_matches_reference(
     const DistributedComponents<Engine>::Result& result,
@@ -34,7 +34,7 @@ TEST(DistributedComponents, TwoTrianglesAndAnEdge) {
   const std::vector<Edge> edges = {{0, 1}, {1, 2}, {2, 0}, {3, 4},
                                    {4, 5}, {5, 3}, {2, 3}, {7, 8}};
   const Topology topo({2});
-  Engine engine(2);
+  Engine engine(2, 1);
   const auto parts = random_edge_partition(edges, 2, 5);
   DistributedComponents<Engine> cc(&engine, topo, parts);
   const auto result = cc.run();
@@ -55,7 +55,7 @@ TEST_P(ComponentsTopologyTest, MatchesUnionFindOnRandomGraphs) {
   spec.seed = 200 + m;
   const auto edges = generate_zipf_graph(spec);
   const auto parts = random_edge_partition(edges, m, spec.seed);
-  Engine engine(m);
+  Engine engine(m, 1);
   DistributedComponents<Engine> cc(&engine, topo, parts);
   const auto result = cc.run(256);
   EXPECT_GT(result.iterations, 0u);
@@ -75,7 +75,7 @@ TEST(DistributedComponents, PathGraphNeedsManyIterations) {
   std::vector<Edge> path;
   for (index_t v = 0; v + 1 < 64; ++v) path.push_back(Edge{v, v + 1});
   const Topology topo({2, 2});
-  Engine engine(4);
+  Engine engine(4, 1);
   const auto parts = random_edge_partition(path, 4, 6);
   DistributedComponents<Engine> cc(&engine, topo, parts);
   const auto result = cc.run(256);
@@ -90,7 +90,7 @@ TEST(DistributedComponents, ReplicatedVerticesAgreeAcrossMachines) {
   spec.seed = 77;
   const auto edges = generate_zipf_graph(spec);
   const Topology topo({2, 2});
-  Engine engine(4);
+  Engine engine(4, 1);
   const auto parts = random_edge_partition(edges, 4, 7);
   DistributedComponents<Engine> cc(&engine, topo, parts);
   const auto result = cc.run();

@@ -2,13 +2,13 @@
 
 #include <gtest/gtest.h>
 
-#include "comm/bsp.hpp"
+#include "comm/parallel.hpp"
 #include "powerlaw/graphgen.hpp"
 
 namespace kylix {
 namespace {
 
-using Engine = BspEngine<std::uint64_t>;
+using Engine = ParallelBspEngine<std::uint64_t>;
 
 TEST(DistributedDiameter, NeighborhoodFunctionIsNonDecreasing) {
   GraphSpec spec;
@@ -17,7 +17,7 @@ TEST(DistributedDiameter, NeighborhoodFunctionIsNonDecreasing) {
   spec.seed = 71;
   const auto edges = generate_zipf_graph(spec);
   const Topology topo({2, 2});
-  Engine engine(4);
+  Engine engine(4, 1);
   const auto parts = random_edge_partition(edges, 4, 72);
   DistributedDiameter<Engine> diameter(&engine, topo, parts);
   const auto result = diameter.run(32, 4, 73);
@@ -32,7 +32,7 @@ TEST(DistributedDiameter, PathGraphHasLargeDiameter) {
   constexpr index_t kLength = 48;
   for (index_t v = 0; v + 1 < kLength; ++v) path.push_back(Edge{v, v + 1});
   const Topology topo({2});
-  Engine engine(2);
+  Engine engine(2, 1);
   const auto parts = random_edge_partition(path, 2, 74);
   DistributedDiameter<Engine> diameter(&engine, topo, parts);
   const auto result = diameter.run(64, 2, 75);
@@ -44,7 +44,7 @@ TEST(DistributedDiameter, StarGraphSaturatesInTwoHops) {
   std::vector<Edge> star;
   for (index_t v = 1; v < 200; ++v) star.push_back(Edge{0, v});
   const Topology topo({2, 2});
-  Engine engine(4);
+  Engine engine(4, 1);
   const auto parts = random_edge_partition(star, 4, 76);
   DistributedDiameter<Engine> diameter(&engine, topo, parts);
   const auto result = diameter.run(32, 4, 77);
@@ -61,7 +61,7 @@ TEST(DistributedDiameter, EstimateIsInTheRightBallpark) {
     for (index_t b = a + 1; b < kN; ++b) clique.push_back(Edge{a, b});
   }
   const Topology topo({2});
-  Engine engine(2);
+  Engine engine(2, 1);
   const auto parts = random_edge_partition(clique, 2, 78);
   DistributedDiameter<Engine> diameter(&engine, topo, parts);
   const auto result = diameter.run(8, 8, 79);
@@ -76,13 +76,13 @@ TEST(DistributedDiameter, DeterministicInSeed) {
   const auto parts = random_edge_partition(edges, 4, 81);
   std::vector<double> first;
   {
-    Engine engine(4);
+    Engine engine(4, 1);
     DistributedDiameter<Engine> d(&engine, topo, parts);
     first = d.run(16, 2, 82).neighborhood;
   }
   std::vector<double> second;
   {
-    Engine engine(4);
+    Engine engine(4, 1);
     DistributedDiameter<Engine> d(&engine, topo, parts);
     second = d.run(16, 2, 82).neighborhood;
   }

@@ -5,13 +5,13 @@
 #include <map>
 
 #include "apps/reference.hpp"
-#include "comm/bsp.hpp"
+#include "comm/parallel.hpp"
 #include "powerlaw/graphgen.hpp"
 
 namespace kylix {
 namespace {
 
-using Engine = BspEngine<real_t>;
+using Engine = ParallelBspEngine<real_t>;
 
 /// Compare the distributed ranks against the single-node reference for
 /// every vertex any machine tracks.
@@ -49,7 +49,7 @@ TEST_P(PageRankTopologyTest, MatchesSingleNodeReference) {
   const auto edges = generate_zipf_graph(spec);
   const auto parts = random_edge_partition(edges, m, spec.seed);
 
-  Engine engine(m);
+  Engine engine(m, 1);
   DistributedPageRank<Engine> pagerank(&engine, topo, parts,
                                        spec.num_vertices);
   DistributedPageRank<Engine>::Options options;
@@ -78,18 +78,18 @@ TEST(PageRank, SecondRunAdoptsCachedPlanAndMatchesBitForBit) {
   const auto parts = random_edge_partition(edges, 8, 62);
   PlanCache cache(4);
 
-  Engine plain_engine(8);
+  Engine plain_engine(8, 1);
   DistributedPageRank<Engine> plain(&plain_engine, topo, parts, 1u << 10);
   (void)plain.run({.damping = 0.85, .iterations = 5});
 
-  Engine miss_engine(8);
+  Engine miss_engine(8, 1);
   DistributedPageRank<Engine> first(&miss_engine, topo, parts, 1u << 10,
                                     nullptr, nullptr, &cache);
   EXPECT_FALSE(first.plan_cache_hit());
   (void)first.run({.damping = 0.85, .iterations = 5});
   EXPECT_EQ(cache.size(), 1u);
 
-  Engine hit_engine(8);
+  Engine hit_engine(8, 1);
   DistributedPageRank<Engine> second(&hit_engine, topo, parts, 1u << 10,
                                      nullptr, nullptr, &cache);
   EXPECT_TRUE(second.plan_cache_hit());
@@ -108,7 +108,7 @@ TEST(PageRank, ResidualShrinksAcrossIterations) {
   const Topology topo({4, 2});
   const auto edges = generate_rmat(11, 20000, 55);
   const auto parts = random_edge_partition(edges, 8, 56);
-  Engine engine(8);
+  Engine engine(8, 1);
   DistributedPageRank<Engine> pagerank(&engine, topo, parts, 1u << 11);
   DistributedPageRank<Engine>::Options options;
   options.iterations = 10;
@@ -124,7 +124,7 @@ TEST(PageRank, TimingIsPopulatedWhenModelsAttached) {
   const NetworkModel net = NetworkModel::ec2_like();
   const ComputeModel compute;
   TimingAccumulator timing(4, net, compute, 16);
-  Engine engine(4, nullptr, nullptr, &timing);
+  Engine engine(4, 1, nullptr, nullptr, &timing);
   DistributedPageRank<Engine> pagerank(&engine, topo, parts, 1u << 10,
                                        &compute, &timing);
   const auto result = pagerank.run({.damping = 0.85, .iterations = 3});
@@ -145,7 +145,7 @@ TEST(PageRank, RanksSumToAtMostOne) {
   spec.seed = 59;
   const auto edges = generate_zipf_graph(spec);
   const auto parts = random_edge_partition(edges, 4, 60);
-  Engine engine(4);
+  Engine engine(4, 1);
   DistributedPageRank<Engine> pagerank(&engine, topo, parts,
                                        spec.num_vertices);
   (void)pagerank.run({.damping = 0.85, .iterations = 6});

@@ -2,12 +2,12 @@
 
 #include <gtest/gtest.h>
 
-#include "comm/bsp.hpp"
+#include "comm/parallel.hpp"
 
 namespace kylix {
 namespace {
 
-using Engine = BspEngine<real_t>;
+using Engine = ParallelBspEngine<real_t>;
 
 DistributedSgd<Engine>::Options small_options() {
   DistributedSgd<Engine>::Options options;
@@ -23,7 +23,7 @@ DistributedSgd<Engine>::Options small_options() {
 
 TEST(DistributedSgd, LossDecreasesUnderTraining) {
   const Topology topo({4, 2});
-  Engine engine(topo.num_machines());
+  Engine engine(topo.num_machines(), 1);
   DistributedSgd<Engine> sgd(&engine, topo, small_options());
   const auto stats = sgd.run();
   ASSERT_EQ(stats.size(), 25u);
@@ -41,13 +41,13 @@ TEST(DistributedSgd, DeterministicAcrossRuns) {
   const auto options = small_options();
   std::vector<double> first;
   {
-    Engine engine(4);
+    Engine engine(4, 1);
     DistributedSgd<Engine> sgd(&engine, topo, options);
     for (const auto& s : sgd.run()) first.push_back(s.loss);
   }
   std::vector<double> second;
   {
-    Engine engine(4);
+    Engine engine(4, 1);
     DistributedSgd<Engine> sgd(&engine, topo, options);
     for (const auto& s : sgd.run()) second.push_back(s.loss);
   }
@@ -59,7 +59,7 @@ TEST(DistributedSgd, PlanReuseWithCyclingBatchesHitsCacheAndStillLearns) {
   // period 4: the first cycle misses, every later step replays a cached
   // plan — and training still converges like the combined mode.
   const Topology topo({4, 2});
-  Engine engine(topo.num_machines());
+  Engine engine(topo.num_machines(), 1);
   auto options = small_options();
   options.reuse_plans = true;
   options.distinct_batches = 4;
@@ -78,7 +78,7 @@ TEST(DistributedSgd, PlanReuseWithCyclingBatchesHitsCacheAndStillLearns) {
 
 TEST(DistributedSgd, PlanReuseWithFreshBatchesNeverHits) {
   const Topology topo({2, 2});
-  Engine engine(4);
+  Engine engine(4, 1);
   auto options = small_options();
   options.steps = 5;
   options.reuse_plans = true;  // distinct_batches stays 0: fresh sets
@@ -92,7 +92,7 @@ TEST(DistributedSgd, HomeStoresStayConsistentWithTraining) {
   // After training, hot (head) features should have moved away from zero
   // toward the planted signal; weight() reads the authoritative store.
   const Topology topo({4});
-  Engine engine(4);
+  Engine engine(4, 1);
   DistributedSgd<Engine> sgd(&engine, topo, small_options());
   (void)sgd.run();
   double moved = 0;
@@ -107,7 +107,7 @@ TEST(DistributedSgd, RecordsCommTimingWhenAttached) {
   const NetworkModel net = NetworkModel::ec2_like();
   const ComputeModel compute;
   TimingAccumulator timing(4, net, compute, 16);
-  Engine engine(4, nullptr, nullptr, &timing);
+  Engine engine(4, 1, nullptr, nullptr, &timing);
   auto options = small_options();
   options.steps = 3;
   DistributedSgd<Engine> sgd(&engine, topo, options, &compute, &timing);
@@ -118,7 +118,7 @@ TEST(DistributedSgd, RecordsCommTimingWhenAttached) {
 
 TEST(DistributedSgd, SingleMachineStillLearns) {
   const Topology topo({});
-  Engine engine(1);
+  Engine engine(1, 1);
   auto options = small_options();
   options.steps = 20;
   DistributedSgd<Engine> sgd(&engine, topo, options);

@@ -13,7 +13,7 @@ namespace {
 using testing::random_workload;
 
 TEST(DirectAllreduce, MatchesOracle) {
-  BspEngine<float> engine(6);
+  ParallelBspEngine<float> engine(6, 1);
   auto allreduce = make_direct_allreduce<float, OpSum>(&engine);
   const auto w = random_workload<float>(6, 100, 0.3, 0.5, 21);
   allreduce.configure(w.in_sets, w.out_sets);
@@ -25,7 +25,7 @@ TEST(DirectAllreduce, SendsQuadraticallyManyMessages) {
   // single round per phase.
   const rank_t m = 8;
   Trace trace;
-  BspEngine<float> engine(m, nullptr, &trace);
+  ParallelBspEngine<float> engine(m, 1, nullptr, &trace);
   auto allreduce = make_direct_allreduce<float, OpSum>(&engine);
   const auto w = random_workload<float>(m, 80, 0.3, 0.5, 22);
   allreduce.configure(w.in_sets, w.out_sets);
@@ -40,7 +40,7 @@ TEST(DirectAllreduce, SendsQuadraticallyManyMessages) {
 TEST(BinaryAllreduce, MatchesOracleAndUsesLog2Layers) {
   const rank_t m = 16;
   Trace trace;
-  BspEngine<float> engine(m, nullptr, &trace);
+  ParallelBspEngine<float> engine(m, 1, nullptr, &trace);
   auto allreduce = make_binary_allreduce<float, OpSum>(&engine);
   EXPECT_EQ(allreduce.topology().num_layers(), 4);
   const auto w = random_workload<float>(m, 100, 0.25, 0.4, 23);
@@ -54,7 +54,7 @@ TEST(BinaryAllreduce, MatchesOracleAndUsesLog2Layers) {
 }
 
 TEST(BinaryAllreduce, RequiresPowerOfTwo) {
-  BspEngine<float> engine(6);
+  ParallelBspEngine<float> engine(6, 1);
   EXPECT_THROW((make_binary_allreduce<float, OpSum>(&engine)), check_error);
 }
 
@@ -62,7 +62,7 @@ class TreeAllreduceTest : public ::testing::TestWithParam<rank_t> {};
 
 TEST_P(TreeAllreduceTest, MatchesOracle) {
   const rank_t m = GetParam();
-  BspEngine<float> engine(m);
+  ParallelBspEngine<float> engine(m, 1);
   TreeAllreduce<float> tree(&engine);
   const auto w = random_workload<float>(m, 120, 0.3, 0.4, 24 + m);
   const auto results = tree.reduce(w.in_sets, w.out_sets, w.out_values);
@@ -76,7 +76,7 @@ TEST(TreeAllreduce, RootAccumulatesTheFullUnion) {
   // §II-A.1: "the middle (full reduction) node will have complete data" —
   // the peak set size equals the global union.
   const rank_t m = 8;
-  BspEngine<float> engine(m);
+  ParallelBspEngine<float> engine(m, 1);
   TreeAllreduce<float> tree(&engine);
   const auto w = random_workload<float>(m, 200, 0.4, 0.3, 29);
   (void)tree.reduce(w.in_sets, w.out_sets, w.out_values);
@@ -85,14 +85,14 @@ TEST(TreeAllreduce, RootAccumulatesTheFullUnion) {
 }
 
 TEST(TreeAllreduce, RejectsNonPowerOfTwo) {
-  BspEngine<float> engine(6);
+  ParallelBspEngine<float> engine(6, 1);
   EXPECT_THROW((void)TreeAllreduce<float>{&engine}, check_error);
 }
 
 TEST(TreeAllreduce, MinOpWorks) {
   const rank_t m = 4;
-  BspEngine<std::uint32_t> engine(m);
-  TreeAllreduce<std::uint32_t, OpMin, BspEngine<std::uint32_t>> tree(
+  ParallelBspEngine<std::uint32_t> engine(m, 1);
+  TreeAllreduce<std::uint32_t, OpMin, ParallelBspEngine<std::uint32_t>> tree(
       &engine);
   const auto w = random_workload<std::uint32_t>(m, 60, 0.4, 0.5, 31);
   const auto results = tree.reduce(w.in_sets, w.out_sets, w.out_values);

@@ -1,6 +1,6 @@
-// ThreadPool behavior and ParallelBspEngine round-level parity with
-// BspEngine: same delivered state, same trace event sequence, same modeled
-// timing — with observers, failures, and compute charges in play.
+// ThreadPool behavior and ParallelBspEngine round-level parity across
+// thread counts: 4 threads deliver the same state, trace event sequence and
+// modeled timing as 1 — with failures and compute charges in play.
 #include "comm/parallel.hpp"
 
 #include <gtest/gtest.h>
@@ -9,7 +9,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "comm/bsp.hpp"
 #include "common/thread_pool.hpp"
 
 namespace kylix {
@@ -74,8 +73,7 @@ TEST(ThreadPool, ZeroItemsIsANoOp) {
 // packet of values; consumers sum what they receive and charge compute
 // proportional to the received element count.
 
-using Engine = BspEngine<float>;
-using Parallel = ParallelBspEngine<float>;
+using Engine = ParallelBspEngine<float>;
 
 bool same_event(const MsgEvent& a, const MsgEvent& b) {
   return a.phase == b.phase && a.layer == b.layer && a.src == b.src &&
@@ -130,6 +128,7 @@ std::vector<float> run_synthetic_rounds(E& engine, rank_t m) {
   return state;
 }
 
+// `seq` — the engine at one thread — is the sequential BSP reference.
 TEST(ParallelBspEngine, MatchesBspStateTraceAndTimingExactly) {
   const rank_t m = 12;
   const NetworkModel net = NetworkModel::ec2_like();
@@ -139,8 +138,8 @@ TEST(ParallelBspEngine, MatchesBspStateTraceAndTimingExactly) {
   TimingAccumulator seq_timing(m, net, compute, 16);
   TimingAccumulator par_timing(m, net, compute, 16);
 
-  Engine seq(m, nullptr, &seq_trace, &seq_timing);
-  Parallel par(m, 4, nullptr, &par_trace, &par_timing);
+  Engine seq(m, 1, nullptr, &seq_trace, &seq_timing);
+  Engine par(m, 4, nullptr, &par_trace, &par_timing);
 
   const auto seq_state = run_synthetic_rounds(seq, m);
   const auto par_state = run_synthetic_rounds(par, m);
@@ -162,8 +161,8 @@ TEST(ParallelBspEngine, MatchesBspUnderFailures) {
   failures.kill(9);
 
   Trace seq_trace, par_trace;
-  Engine seq(m, &failures, &seq_trace, nullptr);
-  Parallel par(m, 4, &failures, &par_trace, nullptr);
+  Engine seq(m, 1, &failures, &seq_trace, nullptr);
+  Engine par(m, 4, &failures, &par_trace, nullptr);
 
   const auto seq_state = run_synthetic_rounds(seq, m);
   const auto par_state = run_synthetic_rounds(par, m);
@@ -172,17 +171,6 @@ TEST(ParallelBspEngine, MatchesBspUnderFailures) {
   expect_same_trace(seq_trace, par_trace);
   EXPECT_TRUE(par.is_dead(2));
   EXPECT_FALSE(par.is_dead(3));
-}
-
-TEST(ParallelBspEngine, SingleThreadDegeneratesToBsp) {
-  const rank_t m = 6;
-  Trace seq_trace, par_trace;
-  Engine seq(m, nullptr, &seq_trace, nullptr);
-  Parallel par(m, 1, nullptr, &par_trace, nullptr);
-  EXPECT_EQ(par.num_threads(), 1u);
-
-  EXPECT_EQ(run_synthetic_rounds(seq, m), run_synthetic_rounds(par, m));
-  expect_same_trace(seq_trace, par_trace);
 }
 
 }  // namespace

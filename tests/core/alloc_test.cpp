@@ -13,7 +13,7 @@
 #include <new>
 #include <vector>
 
-#include "comm/bsp.hpp"
+#include "comm/parallel.hpp"
 #include "comm/replicated.hpp"
 #include "core/allreduce.hpp"
 #include "core/async_executor.hpp"
@@ -146,8 +146,9 @@ TEST(AllocHotPath, SteadyStateReduceRoundsAreAllocationFree) {
   const rank_t m = topo.num_machines();
   const auto w = random_workload<float>(m, 2000, 0.08, 0.15, 42);
 
-  BspEngine<float> engine(m);
-  SparseAllreduce<float, OpSum, BspEngine<float>> compiler(&engine, topo);
+  ParallelBspEngine<float> engine(m, 1);
+  SparseAllreduce<float, OpSum, ParallelBspEngine<float>> compiler(
+      &engine, topo);
   const auto plan = compiler.compile(w.in_sets, w.out_sets);
   const ReplayContext ctx{plan.get(), /*stride=*/1, /*chunk_positions=*/0};
   std::vector<ReplayScratch<float>> state(m);
@@ -231,8 +232,9 @@ TEST(AllocHotPath, FullReduceStaysWithinApiBoundaryBudget) {
   const rank_t m = topo.num_machines();
   const auto w = random_workload<float>(m, 3000, 0.06, 0.12, 99);
 
-  BspEngine<float> engine(m);
-  SparseAllreduce<float, OpSum, BspEngine<float>> allreduce(&engine, topo);
+  ParallelBspEngine<float> engine(m, 1);
+  SparseAllreduce<float, OpSum, ParallelBspEngine<float>> allreduce(
+      &engine, topo);
   allreduce.configure(w.in_sets, w.out_sets);
   for (int iter = 0; iter < 8; ++iter) {
     (void)allreduce.reduce(w.out_values);  // warm
@@ -265,12 +267,13 @@ TEST(AllocHotPath, ObserverDetachRestoresSteadyStateBudget) {
   const rank_t m = topo.num_machines();
   const auto w = random_workload<float>(m, 3000, 0.06, 0.12, 99);
 
-  BspEngine<float> engine(m);
+  ParallelBspEngine<float> engine(m, 1);
   obs::SpanTracer tracer;
   obs::TelemetryObserver observer(&tracer, m, obs::TelemetryObserver::Options{});
   engine.set_observer(&observer);
 
-  SparseAllreduce<float, OpSum, BspEngine<float>> allreduce(&engine, topo);
+  SparseAllreduce<float, OpSum, ParallelBspEngine<float>> allreduce(
+      &engine, topo);
   allreduce.configure(w.in_sets, w.out_sets);
   for (int iter = 0; iter < 8; ++iter) {
     (void)allreduce.reduce(w.out_values);  // warm with telemetry attached
@@ -327,9 +330,10 @@ TEST(AllocHotPath, FullyInstrumentedSteadyStateReduceStaysWithinBudget) {
   topt.watchdog = &watchdog;
   obs::TelemetryObserver observer(/*tracer=*/nullptr, m, topt);
 
-  BspEngine<float> engine(m);
+  ParallelBspEngine<float> engine(m, 1);
   engine.set_observer(&observer);
-  SparseAllreduce<float, OpSum, BspEngine<float>> allreduce(&engine, topo);
+  SparseAllreduce<float, OpSum, ParallelBspEngine<float>> allreduce(
+      &engine, topo);
   allreduce.configure(w.in_sets, w.out_sets);
   for (int iter = 0; iter < 8; ++iter) {
     (void)allreduce.reduce(w.out_values);  // warm
@@ -376,9 +380,10 @@ TEST(AllocHotPath, MetricsEnvOffSilencesTheWholeStack) {
   topt.recorder = &recorder;
   obs::TelemetryObserver observer(/*tracer=*/nullptr, m, topt);
 
-  BspEngine<float> engine(m);
+  ParallelBspEngine<float> engine(m, 1);
   engine.set_observer(&observer);
-  SparseAllreduce<float, OpSum, BspEngine<float>> allreduce(&engine, topo);
+  SparseAllreduce<float, OpSum, ParallelBspEngine<float>> allreduce(
+      &engine, topo);
   allreduce.configure(w.in_sets, w.out_sets);
   const auto results = allreduce.reduce(w.out_values);
   testing::expect_matches_oracle<float>(w, results);
@@ -474,11 +479,13 @@ TEST(AllocHotPath, AdoptedPlanReplayStaysWithinBudget) {
   const rank_t m = topo.num_machines();
   const auto w = random_workload<float>(m, 3000, 0.06, 0.12, 17);
 
-  BspEngine<float> engine(m);
-  SparseAllreduce<float, OpSum, BspEngine<float>> compiler(&engine, topo);
+  ParallelBspEngine<float> engine(m, 1);
+  SparseAllreduce<float, OpSum, ParallelBspEngine<float>> compiler(
+      &engine, topo);
   const auto plan = compiler.compile(w.in_sets, w.out_sets);
 
-  SparseAllreduce<float, OpSum, BspEngine<float>> replayer(&engine, topo);
+  SparseAllreduce<float, OpSum, ParallelBspEngine<float>> replayer(
+      &engine, topo);
   replayer.configure(plan);
   for (int iter = 0; iter < 8; ++iter) {
     (void)replayer.reduce(w.out_values);  // warm
@@ -519,8 +526,9 @@ TEST(AllocHotPath, StridedPlanReplayStaysWithinBudget) {
     }
   }
 
-  BspEngine<float> engine(m);
-  SparseAllreduce<float, OpSum, BspEngine<float>> allreduce(&engine, topo);
+  ParallelBspEngine<float> engine(m, 1);
+  SparseAllreduce<float, OpSum, ParallelBspEngine<float>> allreduce(
+      &engine, topo);
   allreduce.configure(w.in_sets, w.out_sets);
   for (int iter = 0; iter < 8; ++iter) {
     (void)allreduce.reduce_strided(interleaved, stride);  // warm
@@ -562,8 +570,9 @@ TEST(AllocHotPath, StreamedStridedReplayStaysWithinBudget) {
     }
   }
 
-  BspEngine<float> engine(m);
-  SparseAllreduce<float, OpSum, BspEngine<float>> allreduce(&engine, topo);
+  ParallelBspEngine<float> engine(m, 1);
+  SparseAllreduce<float, OpSum, ParallelBspEngine<float>> allreduce(
+      &engine, topo);
   allreduce.set_streaming(true);
   allreduce.set_chunk_bytes(512);  // small chunks: every letter splits
   allreduce.configure(w.in_sets, w.out_sets);
@@ -602,8 +611,9 @@ TEST(AllocHotPath, AsyncSteadyStateStreamsStayWithinBudget) {
   const rank_t m = topo.num_machines();
   const auto w = random_workload<float>(m, 3000, 0.06, 0.12, 61);
 
-  BspEngine<float> engine(m);
-  SparseAllreduce<float, OpSum, BspEngine<float>> compiler(&engine, topo);
+  ParallelBspEngine<float> engine(m, 1);
+  SparseAllreduce<float, OpSum, ParallelBspEngine<float>> compiler(
+      &engine, topo);
   const auto plan = compiler.compile(w.in_sets, w.out_sets);
   ASSERT_NE(plan, nullptr);
 
@@ -664,9 +674,10 @@ TEST(AllocHotPath, PlanCacheHitsAllocateNothing) {
   const rank_t m = topo.num_machines();
   const auto w = random_workload<float>(m, 500, 0.2, 0.3, 23);
 
-  BspEngine<float> engine(m);
+  ParallelBspEngine<float> engine(m, 1);
   PlanCache cache(4);
-  SparseAllreduce<float, OpSum, BspEngine<float>> allreduce(&engine, topo);
+  SparseAllreduce<float, OpSum, ParallelBspEngine<float>> allreduce(
+      &engine, topo);
   const std::uint64_t fp = PlanCache::fingerprint(w.in_sets, w.out_sets);
   cache.insert(allreduce.compile(w.in_sets, w.out_sets));
 
@@ -686,8 +697,9 @@ TEST(AllocHotPath, RepeatedCombinedConfigReduceStabilizes) {
   const rank_t m = topo.num_machines();
   const auto w = random_workload<float>(m, 1500, 0.08, 0.15, 7);
 
-  BspEngine<float> engine(m);
-  SparseAllreduce<float, OpSum, BspEngine<float>> allreduce(&engine, topo);
+  ParallelBspEngine<float> engine(m, 1);
+  SparseAllreduce<float, OpSum, ParallelBspEngine<float>> allreduce(
+      &engine, topo);
 
   const auto step = [&] {
     // Copies made outside the gauge: the API takes sets/values by value.

@@ -6,7 +6,7 @@
 // cached-plan replay, bit for bit, across iterations.
 #include <gtest/gtest.h>
 
-#include "comm/bsp.hpp"
+#include "comm/parallel.hpp"
 #include "core/allreduce.hpp"
 #include "core/plan_cache.hpp"
 #include "powerlaw/zipf.hpp"
@@ -36,8 +36,9 @@ TEST_P(AllreduceFuzzTest, RandomTopologyAndWorkloadMatchesOracle) {
   const double in_prob = 0.02 + rng.uniform() * 0.8;
   const auto w = testing::random_workload<float>(m, features, out_prob,
                                                  in_prob, rng());
-  BspEngine<float> engine(m);
-  SparseAllreduce<float, OpSum, BspEngine<float>> allreduce(&engine, topo);
+  ParallelBspEngine<float> engine(m, 1);
+  SparseAllreduce<float, OpSum, ParallelBspEngine<float>> allreduce(
+      &engine, topo);
   if (rng.below(2) == 0) {
     allreduce.configure(w.in_sets, w.out_sets);
     testing::expect_matches_oracle<float>(w, allreduce.reduce(w.out_values));
@@ -71,9 +72,9 @@ TEST_P(ModeEquivalenceFuzzTest, AllThreePathsAgreeBitForBitAcrossIterations) {
                                             0.05 + rng.uniform() * 0.5,
                                             0.05 + rng.uniform() * 0.7,
                                             rng());
-  BspEngine<float> engine(m);
+  ParallelBspEngine<float> engine(m, 1);
   PlanCache cache(4);
-  SparseAllreduce<float, OpSum, BspEngine<float>> cached(&engine, topo);
+  SparseAllreduce<float, OpSum, ParallelBspEngine<float>> cached(&engine, topo);
   std::uint64_t expected_hits = 0;
   for (int iter = 0; iter < 4; ++iter) {
     SCOPED_TRACE("iteration " + std::to_string(iter));
@@ -82,12 +83,14 @@ TEST_P(ModeEquivalenceFuzzTest, AllThreePathsAgreeBitForBitAcrossIterations) {
       for (auto& v : values) v += static_cast<float>(iter);
     }
 
-    SparseAllreduce<float, OpSum, BspEngine<float>> fresh(&engine, topo);
+    SparseAllreduce<float, OpSum, ParallelBspEngine<float>> fresh(
+        &engine, topo);
     fresh.configure(w.in_sets, w.out_sets);
     const auto separate = fresh.reduce(w.out_values);
     testing::expect_matches_oracle<float>(w, separate);
 
-    SparseAllreduce<float, OpSum, BspEngine<float>> combined(&engine, topo);
+    SparseAllreduce<float, OpSum, ParallelBspEngine<float>> combined(
+        &engine, topo);
     EXPECT_EQ(
         combined.reduce_with_config(w.in_sets, w.out_sets, w.out_values),
         separate);
@@ -137,9 +140,9 @@ TEST_P(ZipfWorkloadFuzzTest, PowerLawSkewedSetsMatchOracle) {
     w.in_sets.push_back(KeySet::from_indices(wanted));
   }
 
-  BspEngine<std::uint32_t> engine(m);
-  SparseAllreduce<std::uint32_t, OpMin, BspEngine<std::uint32_t>> allreduce(
-      &engine, topo);
+  ParallelBspEngine<std::uint32_t> engine(m, 1);
+  SparseAllreduce<std::uint32_t, OpMin, ParallelBspEngine<std::uint32_t>>
+      allreduce(&engine, topo);
   allreduce.configure(w.in_sets, w.out_sets);
   testing::expect_matches_oracle<std::uint32_t, OpMin>(
       w, allreduce.reduce(w.out_values));

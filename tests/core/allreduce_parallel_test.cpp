@@ -1,7 +1,8 @@
 // End-to-end determinism of the host-parallel engine: SparseAllreduce on
-// ParallelBspEngine must be *bit-identical* to BspEngine — results, trace
-// event sequences, and modeled timing — across configure/reduce, the
-// combined minibatch mode, failure injection, and the PageRank / SGD apps.
+// ParallelBspEngine at 4 threads must be *bit-identical* to the same engine
+// at one thread — results, trace event sequences, and modeled timing —
+// across configure/reduce, the combined minibatch mode, failure injection,
+// and the PageRank / SGD apps.
 #include "core/allreduce.hpp"
 
 #include <gtest/gtest.h>
@@ -10,7 +11,6 @@
 
 #include "apps/pagerank.hpp"
 #include "apps/sgd.hpp"
-#include "comm/bsp.hpp"
 #include "comm/parallel.hpp"
 #include "powerlaw/graphgen.hpp"
 #include "test_util.hpp"
@@ -18,8 +18,7 @@
 namespace kylix {
 namespace {
 
-using Seq = BspEngine<float>;
-using Par = ParallelBspEngine<float>;
+using Engine = ParallelBspEngine<float>;
 
 void expect_same_trace(const Trace& a, const Trace& b) {
   ASSERT_EQ(a.events().size(), b.events().size());
@@ -54,12 +53,12 @@ TEST_P(ParallelParityTest, ReduceIsBitIdenticalToSequential) {
   TimingAccumulator seq_timing(m, net, compute, 16);
   TimingAccumulator par_timing(m, net, compute, 16);
 
-  Seq seq_engine(m, nullptr, &seq_trace, &seq_timing);
-  SparseAllreduce<float, OpSum, Seq> seq(&seq_engine, topo, &compute);
+  Engine seq_engine(m, 1, nullptr, &seq_trace, &seq_timing);
+  SparseAllreduce<float, OpSum, Engine> seq(&seq_engine, topo, &compute);
   seq.configure(w.in_sets, w.out_sets);
 
-  Par par_engine(m, 4, nullptr, &par_trace, &par_timing);
-  SparseAllreduce<float, OpSum, Par> par(&par_engine, topo, &compute);
+  Engine par_engine(m, 4, nullptr, &par_trace, &par_timing);
+  SparseAllreduce<float, OpSum, Engine> par(&par_engine, topo, &compute);
   par.configure(w.in_sets, w.out_sets);
 
   // Several reductions: the steady-state (buffer-recycling) path must stay
@@ -94,10 +93,10 @@ TEST(ParallelParity, CombinedModeWithFailuresIsBitIdentical) {
   TimingAccumulator seq_timing(m, net, compute, 16);
   TimingAccumulator par_timing(m, net, compute, 16);
 
-  Seq seq_engine(m, &failures, &seq_trace, &seq_timing);
-  SparseAllreduce<float, OpSum, Seq> seq(&seq_engine, topo, &compute);
-  Par par_engine(m, 4, &failures, &par_trace, &par_timing);
-  SparseAllreduce<float, OpSum, Par> par(&par_engine, topo, &compute);
+  Engine seq_engine(m, 1, &failures, &seq_trace, &seq_timing);
+  SparseAllreduce<float, OpSum, Engine> seq(&seq_engine, topo, &compute);
+  Engine par_engine(m, 4, &failures, &par_trace, &par_timing);
+  SparseAllreduce<float, OpSum, Engine> par(&par_engine, topo, &compute);
 
   // Minibatch-style: combined configure+reduce every step, new sets each
   // time, with dead machines dropping traffic identically on both engines.
@@ -129,10 +128,10 @@ TEST(ParallelParity, ReduceWithFailuresMatchesSequential) {
   failures.kill(5);
 
   Trace seq_trace, par_trace;
-  Seq seq_engine(m, &failures, &seq_trace, nullptr);
-  SparseAllreduce<float, OpSum, Seq> seq(&seq_engine, topo);
-  Par par_engine(m, 4, &failures, &par_trace, nullptr);
-  SparseAllreduce<float, OpSum, Par> par(&par_engine, topo);
+  Engine seq_engine(m, 1, &failures, &seq_trace, nullptr);
+  SparseAllreduce<float, OpSum, Engine> seq(&seq_engine, topo);
+  Engine par_engine(m, 4, &failures, &par_trace, nullptr);
+  SparseAllreduce<float, OpSum, Engine> par(&par_engine, topo);
 
   seq.configure(w.in_sets, w.out_sets);
   par.configure(w.in_sets, w.out_sets);
@@ -152,14 +151,13 @@ TEST(ParallelParity, PageRankRanksAreBitIdentical) {
   const auto edges = generate_zipf_graph(spec);
   const auto parts = random_edge_partition(edges, m, spec.seed);
 
-  using SeqReal = BspEngine<real_t>;
-  using ParReal = ParallelBspEngine<real_t>;
-  SeqReal seq_engine(m);
-  DistributedPageRank<SeqReal> seq_pr(&seq_engine, topo, parts,
-                                      spec.num_vertices);
-  ParReal par_engine(m, 4);
-  DistributedPageRank<ParReal> par_pr(&par_engine, topo, parts,
-                                      spec.num_vertices);
+  using RealEngine = ParallelBspEngine<real_t>;
+  RealEngine seq_engine(m, 1);
+  DistributedPageRank<RealEngine> seq_pr(&seq_engine, topo, parts,
+                                         spec.num_vertices);
+  RealEngine par_engine(m, 4);
+  DistributedPageRank<RealEngine> par_pr(&par_engine, topo, parts,
+                                         spec.num_vertices);
 
   const auto seq_result = seq_pr.run({.damping = 0.85, .iterations = 6});
   const auto par_result = par_pr.run({.damping = 0.85, .iterations = 6});
@@ -176,30 +174,21 @@ TEST(ParallelParity, PageRankRanksAreBitIdentical) {
 
 TEST(ParallelParity, SgdLossTrajectoryIsBitIdentical) {
   const Topology topo({2, 2});
-  using SeqReal = BspEngine<real_t>;
-  using ParReal = ParallelBspEngine<real_t>;
+  using RealEngine = ParallelBspEngine<real_t>;
 
-  DistributedSgd<SeqReal>::Options seq_options;
-  seq_options.num_features = 1 << 10;
-  seq_options.samples_per_batch = 128;
-  seq_options.features_per_sample = 8;
-  seq_options.alpha = 1.1;
-  seq_options.learning_rate = 0.3;
-  seq_options.steps = 8;
-  seq_options.seed = 61;
-  DistributedSgd<ParReal>::Options par_options;
-  par_options.num_features = seq_options.num_features;
-  par_options.samples_per_batch = seq_options.samples_per_batch;
-  par_options.features_per_sample = seq_options.features_per_sample;
-  par_options.alpha = seq_options.alpha;
-  par_options.learning_rate = seq_options.learning_rate;
-  par_options.steps = seq_options.steps;
-  par_options.seed = seq_options.seed;
+  DistributedSgd<RealEngine>::Options options;
+  options.num_features = 1 << 10;
+  options.samples_per_batch = 128;
+  options.features_per_sample = 8;
+  options.alpha = 1.1;
+  options.learning_rate = 0.3;
+  options.steps = 8;
+  options.seed = 61;
 
-  SeqReal seq_engine(4);
-  DistributedSgd<SeqReal> seq_sgd(&seq_engine, topo, seq_options);
-  ParReal par_engine(4, 4);
-  DistributedSgd<ParReal> par_sgd(&par_engine, topo, par_options);
+  RealEngine seq_engine(4, 1);
+  DistributedSgd<RealEngine> seq_sgd(&seq_engine, topo, options);
+  RealEngine par_engine(4, 4);
+  DistributedSgd<RealEngine> par_sgd(&par_engine, topo, options);
 
   const auto seq_stats = seq_sgd.run();
   const auto par_stats = par_sgd.run();

@@ -1,7 +1,7 @@
 // Streaming packetized reduction (DESIGN §9): wire-frame header accounting,
 // compiled chunk sizes, the pipelined timing model, and — the core contract
 // — bit-identity of streamed replay against letter-at-once delivery on all
-// four engines, for float and double, plain and strided, across seeds.
+// three engines, for float and double, plain and strided, across seeds.
 // Streamed combining is eager but ordered: every engine sorts its inbox by
 // (src, chunk_index) before consume, so the per-position op order is the
 // letter-at-once order no matter how chunks interleave in flight.
@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "cluster/timing.hpp"
-#include "comm/bsp.hpp"
 #include "comm/parallel.hpp"
 #include "comm/replicated.hpp"
 #include "comm/threaded.hpp"
@@ -68,8 +67,8 @@ TEST(WireFrames, LetterSplitIntoKChunksIsChargedKHeaders) {
 TEST(StreamPlan, ChunkBytesCompileFromTheNetworkModel) {
   const Topology topo({2, 2});
   const auto w = random_workload<float>(4, 80, 0.3, 0.4, 7);
-  BspEngine<float> engine(4);
-  SparseAllreduce<float, OpSum, BspEngine<float>> ar(&engine, topo);
+  ParallelBspEngine<float> engine(4, 1);
+  SparseAllreduce<float, OpSum, ParallelBspEngine<float>> ar(&engine, topo);
 
   // No network model: no chunk schedule is compiled in.
   auto plan = ar.compile(w.in_sets, w.out_sets);
@@ -182,13 +181,6 @@ void fuzz_engines(std::uint64_t seed) {
     StreamStats stats;
     {
       const auto letter =
-          run_once<BspEngine<V>, V>(topo, w, values, stride, 0);
-      const auto streamed =
-          run_once<BspEngine<V>, V>(topo, w, values, stride, chunk, &stats);
-      check("bsp", letter, streamed, stats);
-    }
-    {
-      const auto letter =
           run_once<ParallelBspEngine<V>, V>(topo, w, values, stride, 0);
       const auto streamed = run_once<ParallelBspEngine<V>, V>(
           topo, w, values, stride, chunk, &stats);
@@ -230,8 +222,8 @@ TEST(StreamEnvelope, StreamedPeakIsBoundedByTheLetterPeak) {
   const auto w = random_workload<float>(m, 3000, 0.2, 0.3, 31);
 
   StreamStats letter;
-  (void)run_once<BspEngine<float>, float>(topo, w, w.out_values, 1, 0,
-                                          &letter);
+  (void)run_once<ParallelBspEngine<float>, float>(topo, w, w.out_values, 1, 0,
+                                                  &letter);
   EXPECT_FALSE(letter.streamed);
   EXPECT_GT(letter.peak_letter_buffer_bytes, 0u);
   // Letter-at-once has no chunk discipline: its "stream" envelope is the
@@ -241,8 +233,8 @@ TEST(StreamEnvelope, StreamedPeakIsBoundedByTheLetterPeak) {
   EXPECT_EQ(letter.chunks, letter.letters);
 
   StreamStats streamed;
-  (void)run_once<BspEngine<float>, float>(topo, w, w.out_values, 1, 512,
-                                          &streamed);
+  (void)run_once<ParallelBspEngine<float>, float>(topo, w, w.out_values, 1, 512,
+                                                  &streamed);
   EXPECT_TRUE(streamed.streamed);
   EXPECT_EQ(streamed.chunk_bytes, 512u);
   EXPECT_GT(streamed.max_chunks_per_letter, 1u);
@@ -264,11 +256,11 @@ TEST(StreamEnvelope, HalvingTheChunkDoublesTheSplit) {
   const Topology topo({4});
   const auto w = random_workload<float>(4, 200, 0.9, 0.9, 41);
   StreamStats coarse;
-  (void)run_once<BspEngine<float>, float>(topo, w, w.out_values, 1,
-                                          64 * sizeof(float), &coarse);
+  (void)run_once<ParallelBspEngine<float>, float>(topo, w, w.out_values, 1,
+                                                  64 * sizeof(float), &coarse);
   StreamStats fine;
-  (void)run_once<BspEngine<float>, float>(topo, w, w.out_values, 1,
-                                          32 * sizeof(float), &fine);
+  (void)run_once<ParallelBspEngine<float>, float>(topo, w, w.out_values, 1,
+                                                  32 * sizeof(float), &fine);
   EXPECT_TRUE(coarse.streamed);
   EXPECT_TRUE(fine.streamed);
   EXPECT_EQ(fine.letters, coarse.letters);  // same schedule, same edges
@@ -285,12 +277,14 @@ TEST(StreamPlan, AdoptedPlanReplayStreamsBitIdentically) {
   const rank_t m = topo.num_machines();
   const auto w = random_workload<float>(m, 500, 0.2, 0.3, 53);
 
-  BspEngine<float> engine(m);
-  SparseAllreduce<float, OpSum, BspEngine<float>> compiler(&engine, topo);
+  ParallelBspEngine<float> engine(m, 1);
+  SparseAllreduce<float, OpSum, ParallelBspEngine<float>> compiler(
+      &engine, topo);
   const auto plan = compiler.compile(w.in_sets, w.out_sets);
   const auto letter = compiler.reduce(w.out_values);
 
-  SparseAllreduce<float, OpSum, BspEngine<float>> replayer(&engine, topo);
+  SparseAllreduce<float, OpSum, ParallelBspEngine<float>> replayer(
+      &engine, topo);
   replayer.set_streaming(true);
   replayer.set_chunk_bytes(128);  // 32 positions: ~50-position pieces split
   replayer.configure(plan);

@@ -6,12 +6,13 @@
 
 #include "common/check.hpp"
 
-#include "comm/bsp.hpp"
+#include "comm/parallel.hpp"
 #include "test_util.hpp"
 
 namespace kylix {
 namespace {
 
+using testing::expect_check_message;
 using testing::random_workload;
 using testing::Workload;
 
@@ -36,8 +37,9 @@ TEST_P(AllreduceScheduleTest, SeparateConfigureThenReduceMatchesOracle) {
   const Topology topo(GetParam());
   const rank_t m = topo.num_machines();
   const auto w = random_workload<float>(m, 200, 0.15, 0.3, 1000 + m);
-  BspEngine<float> engine(m);
-  SparseAllreduce<float, OpSum, BspEngine<float>> allreduce(&engine, topo);
+  ParallelBspEngine<float> engine(m, 1);
+  SparseAllreduce<float, OpSum, ParallelBspEngine<float>> allreduce(
+      &engine, topo);
   allreduce.configure(w.in_sets, w.out_sets);
   const auto results = allreduce.reduce(w.out_values);
   testing::expect_matches_oracle<float>(w, results);
@@ -47,8 +49,9 @@ TEST_P(AllreduceScheduleTest, CombinedConfigReduceMatchesOracle) {
   const Topology topo(GetParam());
   const rank_t m = topo.num_machines();
   const auto w = random_workload<float>(m, 150, 0.2, 0.4, 2000 + m);
-  BspEngine<float> engine(m);
-  SparseAllreduce<float, OpSum, BspEngine<float>> allreduce(&engine, topo);
+  ParallelBspEngine<float> engine(m, 1);
+  SparseAllreduce<float, OpSum, ParallelBspEngine<float>> allreduce(
+      &engine, topo);
   const auto results =
       allreduce.reduce_with_config(w.in_sets, w.out_sets, w.out_values);
   testing::expect_matches_oracle<float>(w, results);
@@ -58,8 +61,9 @@ TEST_P(AllreduceScheduleTest, RepeatedReduceReusesConfiguration) {
   const Topology topo(GetParam());
   const rank_t m = topo.num_machines();
   auto w = random_workload<float>(m, 100, 0.25, 0.5, 3000 + m);
-  BspEngine<float> engine(m);
-  SparseAllreduce<float, OpSum, BspEngine<float>> allreduce(&engine, topo);
+  ParallelBspEngine<float> engine(m, 1);
+  SparseAllreduce<float, OpSum, ParallelBspEngine<float>> allreduce(
+      &engine, topo);
   allreduce.configure(w.in_sets, w.out_sets);
   for (int round = 0; round < 3; ++round) {
     // New values, same sets: the PageRank pattern.
@@ -78,9 +82,9 @@ TEST(Allreduce, MinOperatorMatchesOracle) {
   const Topology topo({4, 2});
   const auto w =
       random_workload<std::uint32_t>(topo.num_machines(), 120, 0.3, 0.5, 4);
-  BspEngine<std::uint32_t> engine(topo.num_machines());
-  SparseAllreduce<std::uint32_t, OpMin, BspEngine<std::uint32_t>> allreduce(
-      &engine, topo);
+  ParallelBspEngine<std::uint32_t> engine(topo.num_machines(), 1);
+  SparseAllreduce<std::uint32_t, OpMin, ParallelBspEngine<std::uint32_t>>
+      allreduce(&engine, topo);
   allreduce.configure(w.in_sets, w.out_sets);
   const auto results = allreduce.reduce(w.out_values);
   testing::expect_matches_oracle<std::uint32_t, OpMin>(w, results);
@@ -90,8 +94,8 @@ TEST(Allreduce, BitOrOperatorMatchesOracle) {
   const Topology topo({2, 3});
   const auto w =
       random_workload<std::uint64_t>(topo.num_machines(), 120, 0.3, 0.5, 5);
-  BspEngine<std::uint64_t> engine(topo.num_machines());
-  SparseAllreduce<std::uint64_t, OpBitOr, BspEngine<std::uint64_t>>
+  ParallelBspEngine<std::uint64_t> engine(topo.num_machines(), 1);
+  SparseAllreduce<std::uint64_t, OpBitOr, ParallelBspEngine<std::uint64_t>>
       allreduce(&engine, topo);
   allreduce.configure(w.in_sets, w.out_sets);
   const auto results = allreduce.reduce(w.out_values);
@@ -104,12 +108,14 @@ TEST(Allreduce, DoubleValuesMatchOracleAcrossModes) {
   const Topology topo({4, 2});
   const rank_t m = topo.num_machines();
   const auto w = random_workload<double>(m, 150, 0.2, 0.4, 60);
-  BspEngine<double> engine(m);
-  SparseAllreduce<double, OpSum, BspEngine<double>> allreduce(&engine, topo);
+  ParallelBspEngine<double> engine(m, 1);
+  SparseAllreduce<double, OpSum, ParallelBspEngine<double>> allreduce(
+      &engine, topo);
   allreduce.configure(w.in_sets, w.out_sets);
   const auto separate = allreduce.reduce(w.out_values);
   testing::expect_matches_oracle<double>(w, separate);
-  SparseAllreduce<double, OpSum, BspEngine<double>> combined(&engine, topo);
+  SparseAllreduce<double, OpSum, ParallelBspEngine<double>> combined(
+      &engine, topo);
   EXPECT_EQ(
       combined.reduce_with_config(w.in_sets, w.out_sets, w.out_values),
       separate);
@@ -121,8 +127,9 @@ TEST(Allreduce, SingleMachineIsALocalReduction) {
   w.out_sets = {KeySet::from_indices(std::vector<index_t>{1, 2, 3})};
   w.out_values = {{10, 20, 30}};
   w.in_sets = {KeySet::from_indices(std::vector<index_t>{2})};
-  BspEngine<float> engine(1);
-  SparseAllreduce<float, OpSum, BspEngine<float>> allreduce(&engine, topo);
+  ParallelBspEngine<float> engine(1, 1);
+  SparseAllreduce<float, OpSum, ParallelBspEngine<float>> allreduce(
+      &engine, topo);
   allreduce.configure(w.in_sets, w.out_sets);
   const auto results = allreduce.reduce(w.out_values);
   testing::expect_matches_oracle<float>(w, results);
@@ -136,48 +143,38 @@ TEST(Allreduce, RequestedButNeverContributedIndexThrows) {
   std::vector<KeySet> out_sets = {
       KeySet::from_indices(std::vector<index_t>{1, 2}),
       KeySet::from_indices(std::vector<index_t>{1})};
-  BspEngine<float> engine(2);
-  SparseAllreduce<float, OpSum, BspEngine<float>> allreduce(&engine, topo);
+  ParallelBspEngine<float> engine(2, 1);
+  SparseAllreduce<float, OpSum, ParallelBspEngine<float>> allreduce(
+      &engine, topo);
   EXPECT_THROW(allreduce.configure(std::move(in_sets), std::move(out_sets)),
                check_error);
 }
 
 TEST(Allreduce, ReduceBeforeConfigureThrows) {
-  BspEngine<float> engine(2);
-  SparseAllreduce<float, OpSum, BspEngine<float>> allreduce(&engine,
-                                                            Topology({2}));
+  ParallelBspEngine<float> engine(2, 1);
+  SparseAllreduce<float, OpSum, ParallelBspEngine<float>> allreduce(
+      &engine, Topology({2}));
   EXPECT_THROW((void)allreduce.reduce({{1.0f}, {2.0f}}), check_error);
 }
 
 TEST(Allreduce, WrongValueLengthThrows) {
   const Topology topo({2});
   const auto w = random_workload<float>(2, 30, 0.5, 0.5, 6);
-  BspEngine<float> engine(2);
-  SparseAllreduce<float, OpSum, BspEngine<float>> allreduce(&engine, topo);
+  ParallelBspEngine<float> engine(2, 1);
+  SparseAllreduce<float, OpSum, ParallelBspEngine<float>> allreduce(
+      &engine, topo);
   allreduce.configure(w.in_sets, w.out_sets);
   auto bad = w.out_values;
   bad[0].push_back(1.0f);
   EXPECT_THROW((void)allreduce.reduce(std::move(bad)), check_error);
 }
 
-/// Runs `fn` and expects a check_error whose message contains `needle`.
-template <typename Fn>
-void expect_check_message(Fn&& fn, const std::string& needle) {
-  try {
-    fn();
-  } catch (const check_error& e) {
-    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
-        << e.what();
-    return;
-  }
-  ADD_FAILURE() << "expected a check_error mentioning \"" << needle << "\"";
-}
-
 TEST(Allreduce, WrongSetCountThrows) {
   const Topology topo({2, 2});
   const auto w = random_workload<float>(4, 30, 0.5, 0.5, 9);
-  BspEngine<float> engine(4);
-  SparseAllreduce<float, OpSum, BspEngine<float>> allreduce(&engine, topo);
+  ParallelBspEngine<float> engine(4, 1);
+  SparseAllreduce<float, OpSum, ParallelBspEngine<float>> allreduce(
+      &engine, topo);
   auto in_sets = w.in_sets;
   in_sets.pop_back();
   expect_check_message([&] { allreduce.configure(in_sets, w.out_sets); },
@@ -191,8 +188,9 @@ TEST(Allreduce, WrongSetCountThrows) {
 TEST(Allreduce, HierarchicalWrongSetCountThrows) {
   const Topology hier({2}, 2);
   const auto w = random_workload<float>(4, 30, 0.5, 0.5, 10);
-  BspEngine<float> engine(4);
-  SparseAllreduce<float, OpSum, BspEngine<float>> allreduce(&engine, hier);
+  ParallelBspEngine<float> engine(4, 1);
+  SparseAllreduce<float, OpSum, ParallelBspEngine<float>> allreduce(
+      &engine, hier);
   auto in_sets = w.in_sets;
   in_sets.pop_back();
   expect_check_message(
@@ -208,8 +206,9 @@ TEST(Allreduce, HierarchicalWrongSetCountThrows) {
 TEST(Allreduce, WrongValueCountThrows) {
   const Topology topo({2});
   const auto w = random_workload<float>(2, 30, 0.5, 0.5, 11);
-  BspEngine<float> engine(2);
-  SparseAllreduce<float, OpSum, BspEngine<float>> allreduce(&engine, topo);
+  ParallelBspEngine<float> engine(2, 1);
+  SparseAllreduce<float, OpSum, ParallelBspEngine<float>> allreduce(
+      &engine, topo);
   allreduce.configure(w.in_sets, w.out_sets);
   auto values = w.out_values;
   values.pop_back();
@@ -220,8 +219,9 @@ TEST(Allreduce, WrongValueCountThrows) {
 TEST(Allreduce, CombinedWrongValueCountThrows) {
   const Topology topo({2});
   const auto w = random_workload<float>(2, 30, 0.5, 0.5, 12);
-  BspEngine<float> engine(2);
-  SparseAllreduce<float, OpSum, BspEngine<float>> allreduce(&engine, topo);
+  ParallelBspEngine<float> engine(2, 1);
+  SparseAllreduce<float, OpSum, ParallelBspEngine<float>> allreduce(
+      &engine, topo);
   auto values = w.out_values;
   values.push_back({});
   expect_check_message(
@@ -234,8 +234,9 @@ TEST(Allreduce, CombinedWrongValueCountThrows) {
 TEST(Allreduce, CombinedWrongValueLengthThrows) {
   const Topology topo({2});
   const auto w = random_workload<float>(2, 30, 0.5, 0.5, 13);
-  BspEngine<float> engine(2);
-  SparseAllreduce<float, OpSum, BspEngine<float>> allreduce(&engine, topo);
+  ParallelBspEngine<float> engine(2, 1);
+  SparseAllreduce<float, OpSum, ParallelBspEngine<float>> allreduce(
+      &engine, topo);
   auto values = w.out_values;
   values[1].push_back(1.0f);
   const std::string expected =
@@ -249,8 +250,8 @@ TEST(Allreduce, CombinedWrongValueLengthThrows) {
 }
 
 TEST(Allreduce, EngineTopologyMismatchThrows) {
-  BspEngine<float> engine(4);
-  EXPECT_THROW((SparseAllreduce<float, OpSum, BspEngine<float>>(
+  ParallelBspEngine<float> engine(4, 1);
+  EXPECT_THROW((SparseAllreduce<float, OpSum, ParallelBspEngine<float>>(
                    &engine, Topology({2}))),
                check_error);
 }
@@ -264,8 +265,9 @@ TEST(Allreduce, EmptyInSetsReceiveNothing) {
     out_sets.push_back(KeySet::from_indices(std::vector<index_t>{r}));
     values.push_back({static_cast<float>(r)});
   }
-  BspEngine<float> engine(4);
-  SparseAllreduce<float, OpSum, BspEngine<float>> allreduce(&engine, topo);
+  ParallelBspEngine<float> engine(4, 1);
+  SparseAllreduce<float, OpSum, ParallelBspEngine<float>> allreduce(
+      &engine, topo);
   allreduce.configure(std::move(in_sets), std::move(out_sets));
   const auto results = allreduce.reduce(std::move(values));
   for (const auto& r : results) {
@@ -290,8 +292,9 @@ TEST(Allreduce, DenseIdenticalSetsBehaveLikeDenseAllreduce) {
     }
     w.out_values.push_back(std::move(values));
   }
-  BspEngine<float> engine(m);
-  SparseAllreduce<float, OpSum, BspEngine<float>> allreduce(&engine, topo);
+  ParallelBspEngine<float> engine(m, 1);
+  SparseAllreduce<float, OpSum, ParallelBspEngine<float>> allreduce(
+      &engine, topo);
   allreduce.configure(w.in_sets, w.out_sets);
   const auto results = allreduce.reduce(w.out_values);
   testing::expect_matches_oracle<float>(w, results);
@@ -303,8 +306,9 @@ TEST(Allreduce, PerLayerSetsShrinkOnOverlappingData) {
   const Topology topo({4, 2});
   const rank_t m = topo.num_machines();
   const auto w = random_workload<float>(m, 100, 0.7, 0.5, 8);  // dense-ish
-  BspEngine<float> engine(m);
-  SparseAllreduce<float, OpSum, BspEngine<float>> allreduce(&engine, topo);
+  ParallelBspEngine<float> engine(m, 1);
+  SparseAllreduce<float, OpSum, ParallelBspEngine<float>> allreduce(
+      &engine, topo);
   allreduce.configure(w.in_sets, w.out_sets);
   double total_l1 = 0;
   double total_l2 = 0;

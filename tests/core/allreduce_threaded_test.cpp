@@ -2,7 +2,7 @@
 
 #include "common/check.hpp"
 
-#include "comm/bsp.hpp"
+#include "comm/parallel.hpp"
 #include "comm/threaded.hpp"
 #include "core/allreduce.hpp"
 #include "test_util.hpp"
@@ -22,8 +22,9 @@ TEST_P(ThreadedScheduleTest, MatchesTheSequentialEngineBitForBit) {
 
   std::vector<std::vector<float>> sequential;
   {
-    BspEngine<float> engine(m);
-    SparseAllreduce<float, OpSum, BspEngine<float>> allreduce(&engine, topo);
+    ParallelBspEngine<float> engine(m, 1);
+    SparseAllreduce<float, OpSum, ParallelBspEngine<float>> allreduce(
+        &engine, topo);
     allreduce.configure(w.in_sets, w.out_sets);
     sequential = allreduce.reduce(w.out_values);
   }
@@ -76,8 +77,8 @@ TEST(ThreadedBspEngine, RecordsTraceLikeSequential) {
 
   Trace seq_trace;
   {
-    BspEngine<float> engine(4, nullptr, &seq_trace);
-    SparseAllreduce<float, OpSum, BspEngine<float>> ar(&engine, topo);
+    ParallelBspEngine<float> engine(4, 1, nullptr, &seq_trace);
+    SparseAllreduce<float, OpSum, ParallelBspEngine<float>> ar(&engine, topo);
     ar.configure(w.in_sets, w.out_sets);
     (void)ar.reduce(w.out_values);
   }

@@ -13,8 +13,8 @@
 #include <vector>
 
 #include "cluster/fault_plan.hpp"
-#include "comm/bsp.hpp"
 #include "comm/fault_channel.hpp"
+#include "comm/parallel.hpp"
 #include "core/allreduce.hpp"
 #include "core/async_executor.hpp"
 #include "test_util.hpp"
@@ -58,8 +58,9 @@ void run_case(std::uint64_t seed) {
       m, 40 + rng.below(200), 0.1 + rng.uniform() * 0.4,
       0.1 + rng.uniform() * 0.5, rng());
 
-  BspEngine<V> compile_engine(m);
-  SparseAllreduce<V, OpSum, BspEngine<V>> compiler(&compile_engine, topo);
+  ParallelBspEngine<V> compile_engine(m, 1);
+  SparseAllreduce<V, OpSum, ParallelBspEngine<V>> compiler(
+      &compile_engine, topo);
   const auto plan = compiler.compile(w.in_sets, w.out_sets);
   ASSERT_NE(plan, nullptr);
 
@@ -124,7 +125,7 @@ void run_case(std::uint64_t seed) {
 
   for (int i = 0; i < streams; ++i) {
     SCOPED_TRACE("stream " + std::to_string(i));
-    BspEngine<V> engine(m);
+    ParallelBspEngine<V> engine(m, 1);
     std::optional<FaultPlan> oracle_faults;
     std::optional<FaultChannel<V>> channel;
     if (faulted) {
@@ -132,7 +133,7 @@ void run_case(std::uint64_t seed) {
       channel.emplace(&*oracle_faults);
       engine.set_fault_channel(&*channel);
     }
-    SparseAllreduce<V, OpSum, BspEngine<V>> ar(&engine, topo);
+    SparseAllreduce<V, OpSum, ParallelBspEngine<V>> ar(&engine, topo);
     ar.configure(plan);
     ar.set_streaming(streaming);
     ar.set_chunk_bytes(chunk_override);

@@ -3,9 +3,10 @@
 // the serial executor, the pending-admission path (more streams than
 // lanes), strided and chunked-streaming replays, modeled-clock latency
 // accounting (overlap must beat the serialized schedule), fault-script
-// replays against the BspEngine+FaultChannel oracle, flight-recorder
-// stream events, reset()/resubmit reuse, and the multi-worker scheduler
-// (the tsan lane: values must not depend on thread interleaving).
+// replays against the one-thread engine + FaultChannel oracle,
+// flight-recorder stream events, reset()/resubmit reuse, and the
+// multi-worker scheduler (the tsan lane: values must not depend on thread
+// interleaving).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,8 +15,8 @@
 
 #include "cluster/fault_plan.hpp"
 #include "cluster/netmodel.hpp"
-#include "comm/bsp.hpp"
 #include "comm/fault_channel.hpp"
+#include "comm/parallel.hpp"
 #include "core/allreduce.hpp"
 #include "core/async_executor.hpp"
 #include "obs/flight_recorder.hpp"
@@ -31,15 +32,15 @@ using testing::random_workload;
 template <typename V>
 std::shared_ptr<const CollectivePlan> compile_plan(const Topology& topo,
                                                    const Workload<V>& w) {
-  BspEngine<V> engine(topo.num_machines());
-  SparseAllreduce<V, OpSum, BspEngine<V>> compiler(&engine, topo);
+  ParallelBspEngine<V> engine(topo.num_machines(), 1);
+  SparseAllreduce<V, OpSum, ParallelBspEngine<V>> compiler(&engine, topo);
   auto plan = compiler.compile(w.in_sets, w.out_sets);
   EXPECT_NE(plan, nullptr);
   return plan;
 }
 
-/// Serial reference: replay the plan once on a fresh BspEngine (optionally
-/// fault-wrapped), mirroring one async stream.
+/// Serial reference: replay the plan once on a fresh one-thread engine
+/// (optionally fault-wrapped), mirroring one async stream.
 template <typename V>
 std::vector<std::vector<V>> serial_replay(
     const std::shared_ptr<const CollectivePlan>& plan,
@@ -47,13 +48,13 @@ std::vector<std::vector<V>> serial_replay(
     bool streaming = false, std::uint64_t chunk_override = 0,
     FaultPlan* faults = nullptr) {
   const rank_t m = plan->num_ranks();
-  BspEngine<V> engine(m);
+  ParallelBspEngine<V> engine(m, 1);
   std::optional<FaultChannel<V>> channel;
   if (faults != nullptr) {
     channel.emplace(faults);
     engine.set_fault_channel(&*channel);
   }
-  SparseAllreduce<V, OpSum, BspEngine<V>> ar(&engine, plan->topology());
+  SparseAllreduce<V, OpSum, ParallelBspEngine<V>> ar(&engine, plan->topology());
   ar.configure(plan);
   ar.set_streaming(streaming);
   ar.set_chunk_bytes(chunk_override);
@@ -90,8 +91,8 @@ TEST(AsyncExecutor, ManyStreamsBitIdenticalToSerialReplay) {
     EXPECT_EQ(ax.take_result(tags[i]), serial);
     EXPECT_FALSE(ax.degraded_report(tags[i]).degraded);
     // Per-stream telemetry matches the serial executor's.
-    BspEngine<float> engine(m);
-    SparseAllreduce<float, OpSum, BspEngine<float>> ar(&engine, topo);
+    ParallelBspEngine<float> engine(m, 1);
+    SparseAllreduce<float, OpSum, ParallelBspEngine<float>> ar(&engine, topo);
     ar.configure(plan);
     (void)ar.reduce(inputs[i].out_values);
     EXPECT_EQ(ax.stream_stats(tags[i]).letters, ar.stream_stats().letters);

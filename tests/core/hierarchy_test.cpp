@@ -5,7 +5,7 @@
 // {c, d_1, ..., d_l} over the same ranks, because the per-key accumulation
 // expression trees coincide — the leader folds its host's members in
 // ascending rank order exactly as a flat layer-1 group merge would, and
-// the up pass is pure gathers. The suite checks that identity on all four
+// the up pass is pure gathers. The suite checks that identity on all three
 // engines (float, double, strided), the c == 1 degeneration (results,
 // traces, and fingerprint all equal the flat run), PlanCache coexistence
 // of hierarchical and flat plans over the same key sets, the intra/inter
@@ -21,7 +21,6 @@
 #include "cluster/netmodel.hpp"
 #include "cluster/timing.hpp"
 #include "cluster/trace.hpp"
-#include "comm/bsp.hpp"
 #include "comm/parallel.hpp"
 #include "comm/replicated.hpp"
 #include "comm/threaded.hpp"
@@ -112,14 +111,16 @@ TEST(HierarchyDegenerate, CoresOneMatchesFlatResultsTraceAndFingerprint) {
   roughen(w);
 
   Trace flat_trace;
-  BspEngine<float> flat_engine(m, nullptr, &flat_trace);
-  SparseAllreduce<float, OpSum, BspEngine<float>> flat_ar(&flat_engine, flat);
+  ParallelBspEngine<float> flat_engine(m, 1, nullptr, &flat_trace);
+  SparseAllreduce<float, OpSum, ParallelBspEngine<float>> flat_ar(
+      &flat_engine, flat);
   const auto flat_plan = flat_ar.compile(w.in_sets, w.out_sets);
   const auto flat_results = flat_ar.reduce(w.out_values);
 
   Trace one_trace;
-  BspEngine<float> one_engine(m, nullptr, &one_trace);
-  SparseAllreduce<float, OpSum, BspEngine<float>> one_ar(&one_engine, one);
+  ParallelBspEngine<float> one_engine(m, 1, nullptr, &one_trace);
+  SparseAllreduce<float, OpSum, ParallelBspEngine<float>> one_ar(
+      &one_engine, one);
   const auto one_plan = one_ar.compile(w.in_sets, w.out_sets);
   const auto one_results = one_ar.reduce(w.out_values);
 
@@ -142,13 +143,14 @@ TEST(HierarchyDegenerate, CoresOneHitsTheFlatPlanInTheCache) {
   const auto w = random_workload<float>(m, 120, 0.2, 0.4, 72);
 
   PlanCache cache(8);
-  BspEngine<float> engine(m);
-  SparseAllreduce<float, OpSum, BspEngine<float>> flat_ar(&engine, flat);
+  ParallelBspEngine<float> engine(m, 1);
+  SparseAllreduce<float, OpSum, ParallelBspEngine<float>> flat_ar(
+      &engine, flat);
   EXPECT_FALSE(flat_ar.configure_cached(cache, w.in_sets, w.out_sets));
 
   // cores_per_machine == 1 does not salt the fingerprint: the degenerate
   // hierarchical topology is served the very plan the flat run compiled.
-  SparseAllreduce<float, OpSum, BspEngine<float>> one_ar(
+  SparseAllreduce<float, OpSum, ParallelBspEngine<float>> one_ar(
       &engine, Topology({4, 2}, 1));
   EXPECT_TRUE(one_ar.configure_cached(cache, w.in_sets, w.out_sets));
   EXPECT_EQ(one_ar.plan().get(), flat_ar.plan().get());
@@ -180,11 +182,6 @@ TEST(HierarchyBitIdentity, MatchesFlatExpandedOnAllFourEngines) {
     auto w = random_workload<float>(m, 120, 0.25, 0.4, 500 + seed);
     roughen(w);
     {
-      BspEngine<float> fe(m);
-      BspEngine<float> he(m);
-      EXPECT_EQ(run_once(he, hier, w), run_once(fe, flat, w));
-    }
-    {
       ParallelBspEngine<float> fe(m);
       ParallelBspEngine<float> he(m);
       EXPECT_EQ(run_once(he, hier, w), run_once(fe, flat, w));
@@ -210,8 +207,8 @@ TEST(HierarchyBitIdentity, WideHostsAndHeterogeneousInterLayers) {
   const rank_t m = hier.num_machines();
   ASSERT_EQ(m, flat.num_machines());
   const auto w = random_workload<float>(m, 200, 0.15, 0.3, 600);
-  BspEngine<float> fe(m);
-  BspEngine<float> he(m);
+  ParallelBspEngine<float> fe(m, 1);
+  ParallelBspEngine<float> he(m, 1);
   const auto flat_results = run_once(fe, flat, w);
   const auto hier_results = run_once(he, hier, w);
   EXPECT_EQ(hier_results, flat_results);
@@ -234,11 +231,11 @@ TEST(HierarchyBitIdentity, DoubleStridedReplayMatchesFlatExpanded) {
       }
     }
   }
-  BspEngine<double> fe(m);
-  SparseAllreduce<double, OpSum, BspEngine<double>> flat_ar(&fe, flat);
+  ParallelBspEngine<double> fe(m, 1);
+  SparseAllreduce<double, OpSum, ParallelBspEngine<double>> flat_ar(&fe, flat);
   flat_ar.configure(w.in_sets, w.out_sets);
-  BspEngine<double> he(m);
-  SparseAllreduce<double, OpSum, BspEngine<double>> hier_ar(&he, hier);
+  ParallelBspEngine<double> he(m, 1);
+  SparseAllreduce<double, OpSum, ParallelBspEngine<double>> hier_ar(&he, hier);
   hier_ar.configure(w.in_sets, w.out_sets);
   EXPECT_EQ(hier_ar.reduce_strided(strided, stride),
             flat_ar.reduce_strided(strided, stride));
@@ -249,8 +246,9 @@ TEST(HierarchyBitIdentity, StreamedReplayMatchesLetterAtOnce) {
   const rank_t m = hier.num_machines();
   auto w = random_workload<float>(m, 150, 0.25, 0.4, 800);
   roughen(w);
-  BspEngine<float> engine(m);
-  SparseAllreduce<float, OpSum, BspEngine<float>> allreduce(&engine, hier);
+  ParallelBspEngine<float> engine(m, 1);
+  SparseAllreduce<float, OpSum, ParallelBspEngine<float>> allreduce(
+      &engine, hier);
   allreduce.configure(w.in_sets, w.out_sets);
   const auto whole = allreduce.reduce(w.out_values);
   allreduce.set_chunk_bytes(64);
@@ -267,10 +265,12 @@ TEST(HierarchyPlanCache, HierarchicalAndFlatPlansCoexist) {
   const auto w = random_workload<float>(m, 120, 0.2, 0.4, 900);
 
   PlanCache cache(8);
-  BspEngine<float> engine(m);
-  SparseAllreduce<float, OpSum, BspEngine<float>> flat_ar(&engine, flat);
+  ParallelBspEngine<float> engine(m, 1);
+  SparseAllreduce<float, OpSum, ParallelBspEngine<float>> flat_ar(
+      &engine, flat);
   EXPECT_FALSE(flat_ar.configure_cached(cache, w.in_sets, w.out_sets));
-  SparseAllreduce<float, OpSum, BspEngine<float>> hier_ar(&engine, hier);
+  SparseAllreduce<float, OpSum, ParallelBspEngine<float>> hier_ar(
+      &engine, hier);
   EXPECT_FALSE(hier_ar.configure_cached(cache, w.in_sets, w.out_sets));
 
   // Same key sets, distinct fingerprints: both plans live in the cache.
@@ -283,7 +283,7 @@ TEST(HierarchyPlanCache, HierarchicalAndFlatPlansCoexist) {
 
   // A second hierarchical allreduce over the same sets is a cache hit and
   // replays to the same bits.
-  SparseAllreduce<float, OpSum, BspEngine<float>> again(&engine, hier);
+  SparseAllreduce<float, OpSum, ParallelBspEngine<float>> again(&engine, hier);
   EXPECT_TRUE(again.configure_cached(cache, w.in_sets, w.out_sets));
   EXPECT_EQ(again.plan().get(), hier_ar.plan().get());
   EXPECT_EQ(again.reduce(w.out_values), hier_ar.reduce(w.out_values));
@@ -300,17 +300,17 @@ TEST(HierarchyTiming, IntraTierIsChargedOnHierarchicalRunsOnly) {
   const ComputeModel compute;
 
   TimingAccumulator flat_timing(m, net, compute);
-  BspEngine<float> fe(m, nullptr, nullptr, &flat_timing);
-  SparseAllreduce<float, OpSum, BspEngine<float>> flat_ar(&fe, flat,
-                                                          &compute);
+  ParallelBspEngine<float> fe(m, 1, nullptr, nullptr, &flat_timing);
+  SparseAllreduce<float, OpSum, ParallelBspEngine<float>> flat_ar(
+      &fe, flat, &compute);
   flat_ar.set_network(&net);
   flat_ar.configure(w.in_sets, w.out_sets);
   (void)flat_ar.reduce(w.out_values);
 
   TimingAccumulator hier_timing(m, net, compute);
-  BspEngine<float> he(m, nullptr, nullptr, &hier_timing);
-  SparseAllreduce<float, OpSum, BspEngine<float>> hier_ar(&he, hier,
-                                                          &compute);
+  ParallelBspEngine<float> he(m, 1, nullptr, nullptr, &hier_timing);
+  SparseAllreduce<float, OpSum, ParallelBspEngine<float>> hier_ar(
+      &he, hier, &compute);
   hier_ar.set_network(&net);
   hier_ar.configure(w.in_sets, w.out_sets);
   (void)hier_ar.reduce(w.out_values);
@@ -349,8 +349,9 @@ TEST(HierarchyDegraded, DeadCanonicalLeaderSitsTheHostOut) {
 
   FailureModel failures(m);
   failures.kill(leader);
-  BspEngine<float> engine(m, &failures);
-  SparseAllreduce<float, OpSum, BspEngine<float>> allreduce(&engine, hier);
+  ParallelBspEngine<float> engine(m, 1, &failures);
+  SparseAllreduce<float, OpSum, ParallelBspEngine<float>> allreduce(
+      &engine, hier);
   allreduce.configure(w.in_sets, w.out_sets);
   const auto results = allreduce.reduce(w.out_values);
 
@@ -387,8 +388,8 @@ TEST(HierarchyDegraded, DeadCanonicalLeaderSitsTheHostOut) {
   FailureModel both_failures(m);
   both_failures.kill(leader);
   both_failures.kill(member);
-  BspEngine<float> be(m, &both_failures);
-  SparseAllreduce<float, OpSum, BspEngine<float>> both_ar(&be, hier);
+  ParallelBspEngine<float> be(m, 1, &both_failures);
+  SparseAllreduce<float, OpSum, ParallelBspEngine<float>> both_ar(&be, hier);
   both_ar.configure(w.in_sets, w.out_sets);
   const auto both = both_ar.reduce(w.out_values);
   EXPECT_TRUE(both[member].empty());
@@ -413,15 +414,15 @@ TEST(HierarchyDegraded, DeadMemberAtCompileIsExactOverSurvivors) {
 
   FailureModel hier_failures(m);
   hier_failures.kill(victim);
-  BspEngine<float> he(m, &hier_failures);
-  SparseAllreduce<float, OpSum, BspEngine<float>> hier_ar(&he, hier);
+  ParallelBspEngine<float> he(m, 1, &hier_failures);
+  SparseAllreduce<float, OpSum, ParallelBspEngine<float>> hier_ar(&he, hier);
   hier_ar.configure(w.in_sets, w.out_sets);
   const auto hier_results = hier_ar.reduce(w.out_values);
 
   FailureModel flat_failures(m);
   flat_failures.kill(victim);
-  BspEngine<float> fe(m, &flat_failures);
-  SparseAllreduce<float, OpSum, BspEngine<float>> flat_ar(&fe, flat);
+  ParallelBspEngine<float> fe(m, 1, &flat_failures);
+  SparseAllreduce<float, OpSum, ParallelBspEngine<float>> flat_ar(&fe, flat);
   flat_ar.configure(w.in_sets, w.out_sets);
   const auto flat_results = flat_ar.reduce(w.out_values);
 
@@ -457,11 +458,15 @@ TEST(HierarchyGuards, CombinedModeRejectsHierarchicalTopologies) {
   const Topology hier({2, 2}, 2);
   const rank_t m = hier.num_machines();
   const auto w = random_workload<float>(m, 60, 0.25, 0.4, 1300);
-  BspEngine<float> engine(m);
-  SparseAllreduce<float, OpSum, BspEngine<float>> allreduce(&engine, hier);
-  EXPECT_THROW(
-      (void)allreduce.reduce_with_config(w.in_sets, w.out_sets, w.out_values),
-      check_error);
+  ParallelBspEngine<float> engine(m, 1);
+  SparseAllreduce<float, OpSum, ParallelBspEngine<float>> allreduce(
+      &engine, hier);
+  testing::expect_check_message(
+      [&] {
+        (void)allreduce.reduce_with_config(w.in_sets, w.out_sets,
+                                           w.out_values);
+      },
+      "reduce_with_config() supports flat topologies only");
 }
 
 }  // namespace

@@ -4,7 +4,7 @@
 
 #include <map>
 
-#include "comm/bsp.hpp"
+#include "comm/parallel.hpp"
 #include "core/allreduce.hpp"
 #include "test_util.hpp"
 
@@ -12,11 +12,11 @@ namespace kylix {
 namespace {
 
 using testing::random_workload;
-using Allreduce = SparseAllreduce<float, OpSum, BspEngine<float>>;
+using Allreduce = SparseAllreduce<float, OpSum, ParallelBspEngine<float>>;
 
 struct Configured {
   Topology topo{{}};
-  BspEngine<float> engine;
+  ParallelBspEngine<float> engine;
   Allreduce allreduce;
   testing::Workload<float> workload;
 
@@ -113,14 +113,14 @@ TEST(KylixNode, CombinedModeProducesIdenticalResultsToSeparate) {
                                         654);
   std::vector<std::vector<float>> separate;
   {
-    BspEngine<float> engine(topo.num_machines());
+    ParallelBspEngine<float> engine(topo.num_machines(), 1);
     Allreduce ar(&engine, topo);
     ar.configure(w.in_sets, w.out_sets);
     separate = ar.reduce(w.out_values);
   }
   std::vector<std::vector<float>> combined;
   {
-    BspEngine<float> engine(topo.num_machines());
+    ParallelBspEngine<float> engine(topo.num_machines(), 1);
     Allreduce ar(&engine, topo);
     combined = ar.reduce_with_config(w.in_sets, w.out_sets, w.out_values);
   }
@@ -133,14 +133,16 @@ TEST(KylixNode, CombinedModeSavesTheDownwardValuePass) {
                                         654);
   Trace separate_trace;
   {
-    BspEngine<float> engine(topo.num_machines(), nullptr, &separate_trace);
+    ParallelBspEngine<float> engine(topo.num_machines(), 1, nullptr,
+                                    &separate_trace);
     Allreduce ar(&engine, topo);
     ar.configure(w.in_sets, w.out_sets);
     (void)ar.reduce(w.out_values);
   }
   Trace combined_trace;
   {
-    BspEngine<float> engine(topo.num_machines(), nullptr, &combined_trace);
+    ParallelBspEngine<float> engine(topo.num_machines(), 1, nullptr,
+                                    &combined_trace);
     Allreduce ar(&engine, topo);
     (void)ar.reduce_with_config(w.in_sets, w.out_sets, w.out_values);
   }

@@ -10,7 +10,7 @@
 //      exactly equal the brute-force sum excluding inputs_lost ranks.
 //
 // Plus per-engine fault-semantics checks for the shared FaultChannel hook
-// (BspEngine, ParallelBspEngine, ThreadedBsp).
+// (ParallelBspEngine sequential and pooled, ThreadedBsp).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "cluster/fault_plan.hpp"
-#include "comm/bsp.hpp"
 #include "comm/fault_channel.hpp"
 #include "comm/parallel.hpp"
 #include "comm/replicated.hpp"
@@ -537,8 +536,9 @@ TEST(ChaosBsp, DuplicatesAreDeliveredOnceAndChargedTwice) {
   const auto w = random_workload<float>(m, 64, 0.25, 0.4, 17);
 
   Trace clean_trace;
-  BspEngine<float> clean(m, nullptr, &clean_trace);
-  SparseAllreduce<float, OpSum, BspEngine<float>> clean_ar(&clean, topo);
+  ParallelBspEngine<float> clean(m, 1, nullptr, &clean_trace);
+  SparseAllreduce<float, OpSum, ParallelBspEngine<float>> clean_ar(
+      &clean, topo);
   clean_ar.configure(w.in_sets, w.out_sets);
   const auto clean_results = clean_ar.reduce(w.out_values);
 
@@ -548,9 +548,10 @@ TEST(ChaosBsp, DuplicatesAreDeliveredOnceAndChargedTwice) {
   plan.set_transient_rates(rates);
   FaultChannel<float> channel(&plan);
   Trace trace;
-  BspEngine<float> engine(m, nullptr, &trace);
+  ParallelBspEngine<float> engine(m, 1, nullptr, &trace);
   engine.set_fault_channel(&channel);
-  SparseAllreduce<float, OpSum, BspEngine<float>> allreduce(&engine, topo);
+  SparseAllreduce<float, OpSum, ParallelBspEngine<float>> allreduce(
+      &engine, topo);
   allreduce.configure(w.in_sets, w.out_sets);
   const auto results = allreduce.reduce(w.out_values);
 
@@ -568,9 +569,10 @@ TEST(ChaosBsp, DelayedLetterIsSupersededByTheNextRun) {
 
   FaultPlan plan(m);
   FaultChannel<float> channel(&plan);
-  BspEngine<float> engine(m);
+  ParallelBspEngine<float> engine(m, 1);
   engine.set_fault_channel(&channel);
-  SparseAllreduce<float, OpSum, BspEngine<float>> allreduce(&engine, topo);
+  SparseAllreduce<float, OpSum, ParallelBspEngine<float>> allreduce(
+      &engine, topo);
   allreduce.configure(w.in_sets, w.out_sets);
 
   // Armed only after configuration so the held-back letter is a value

@@ -51,8 +51,9 @@ TEST(EndToEnd, CommunicationVolumeHasTheKylixShape) {
   const Workbench w = make_workbench(m, 1 << 14, 0.2);
   const Topology topo({4, 2, 2});
   Trace trace;
-  BspEngine<real_t> engine(m, nullptr, &trace);
-  SparseAllreduce<real_t, OpSum, BspEngine<real_t>> allreduce(&engine, topo);
+  ParallelBspEngine<real_t> engine(m, 1, nullptr, &trace);
+  SparseAllreduce<real_t, OpSum, ParallelBspEngine<real_t>> allreduce(
+      &engine, topo);
   allreduce.configure(w.in_sets, w.out_sets);
   (void)allreduce.reduce(w.values);
   const auto volumes = trace.bytes_by_layer(Phase::kReduceDown, 3);
@@ -69,8 +70,8 @@ TEST(EndToEnd, TotalVolumeIsASmallConstantTimesTheTopLayer) {
   const rank_t m = 16;
   const Workbench w = make_workbench(m, 1 << 14, 0.2);
   Trace trace;
-  BspEngine<real_t> engine(m, nullptr, &trace);
-  SparseAllreduce<real_t, OpSum, BspEngine<real_t>> allreduce(
+  ParallelBspEngine<real_t> engine(m, 1, nullptr, &trace);
+  SparseAllreduce<real_t, OpSum, ParallelBspEngine<real_t>> allreduce(
       &engine, Topology({4, 2, 2}));
   allreduce.configure(w.in_sets, w.out_sets);
   (void)allreduce.reduce(w.values);
@@ -92,8 +93,8 @@ TEST(EndToEnd, TunedButterflyBeatsDirectAndBinaryOnModeledTime) {
 
   const auto run_with = [&](const Topology& topo) {
     TimingAccumulator timing(m, net, compute, 16);
-    BspEngine<real_t> engine(m, nullptr, nullptr, &timing);
-    SparseAllreduce<real_t, OpSum, BspEngine<real_t>> allreduce(
+    ParallelBspEngine<real_t> engine(m, 1, nullptr, nullptr, &timing);
+    SparseAllreduce<real_t, OpSum, ParallelBspEngine<real_t>> allreduce(
         &engine, topo, &compute);
     allreduce.configure(w.in_sets, w.out_sets);
     (void)allreduce.reduce(w.values);
@@ -125,8 +126,8 @@ TEST(EndToEnd, ThreadsImproveModeledRuntimeWithDiminishingReturns) {
   const ComputeModel compute;
   const auto run_with_threads = [&](std::uint32_t threads) {
     TimingAccumulator timing(m, net, compute, threads);
-    BspEngine<real_t> engine(m, nullptr, nullptr, &timing);
-    SparseAllreduce<real_t, OpSum, BspEngine<real_t>> allreduce(
+    ParallelBspEngine<real_t> engine(m, 1, nullptr, nullptr, &timing);
+    SparseAllreduce<real_t, OpSum, ParallelBspEngine<real_t>> allreduce(
         &engine, Topology({4, 2, 2}), &compute);
     allreduce.configure(w.in_sets, w.out_sets);
     (void)allreduce.reduce(w.values);
@@ -171,9 +172,9 @@ TEST(EndToEnd, ReplicationCostIsModestAndFailureCountIndependent) {
   TimingAccumulator unreplicated_timing(logical, net, compute, 16);
   double unreplicated = 0;
   {
-    BspEngine<real_t> engine(logical, nullptr, nullptr,
-                             &unreplicated_timing);
-    SparseAllreduce<real_t, OpSum, BspEngine<real_t>> allreduce(
+    ParallelBspEngine<real_t> engine(logical, 1, nullptr, nullptr,
+                                     &unreplicated_timing);
+    SparseAllreduce<real_t, OpSum, ParallelBspEngine<real_t>> allreduce(
         &engine, topo, &compute);
     allreduce.configure(w.in_sets, w.out_sets);
     (void)allreduce.reduce(w.values);

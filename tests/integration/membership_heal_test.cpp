@@ -1,7 +1,7 @@
 // End-to-end elastic-membership healing: seeded kill-group → degraded
 // rounds → detector-confirmed re-plan → post-heal reduces bit-identical to
 // a fresh configure on the survivor set → rejoin at a later epoch restores
-// the original plan from the PlanCache. Runs on all four engines plus the
+// the original plan from the PlanCache. Runs on all three engines plus the
 // AsyncExecutor, and carries the PlanCache-across-epochs satellite tests.
 
 #include <gtest/gtest.h>
@@ -12,7 +12,6 @@
 #include "cluster/failure.hpp"
 #include "cluster/fault_plan.hpp"
 #include "cluster/membership.hpp"
-#include "comm/bsp.hpp"
 #include "comm/parallel.hpp"
 #include "comm/replicated.hpp"
 #include "comm/threaded.hpp"
@@ -39,8 +38,8 @@ std::unique_ptr<Engine> make_engine(rank_t m, const FailureModel* fm) {
 template <typename Engine>
 class FlatHealTest : public ::testing::Test {};
 
-using FlatEngines = ::testing::Types<BspEngine<float>, ParallelBspEngine<float>,
-                                     ThreadedBsp<float>>;
+using FlatEngines =
+    ::testing::Types<ParallelBspEngine<float>, ThreadedBsp<float>>;
 TYPED_TEST_SUITE(FlatHealTest, FlatEngines);
 
 // Kill one rank mid-run, confirm via the heartbeat detector, re-plan, and
@@ -190,14 +189,14 @@ TEST(ReplicatedHealTest, GroupDeathHealRejoin) {
 // admitted under, old-epoch streams complete against the old plan, and the
 // manager rebinds + re-stamps the executor at each heal.
 TEST(AsyncHealTest, EpochTaggedStreamsAcrossHeal) {
-  using Engine = BspEngine<float>;
+  using Engine = ParallelBspEngine<float>;
   using Allreduce = SparseAllreduce<float, OpSum, Engine>;
   const rank_t m = 8;
   const Topology topo({4, 2});
   const auto w = testing::random_workload<float>(m, 128, 0.3, 0.5, 17);
 
   FailureModel fm(m);
-  Engine engine(m, &fm);
+  Engine engine(m, 1, &fm);
   Allreduce ar(&engine, topo);
   MembershipView view(m, &fm);
   PlanCache cache(8);
@@ -251,13 +250,13 @@ TEST(AsyncHealTest, EpochTaggedStreamsAcrossHeal) {
 // Satellite: plans of different epochs never collide in the cache, and the
 // salted fingerprint is deterministic per alive-set.
 TEST(PlanCacheEpochTest, FingerprintSaltedByAliveSet) {
-  using Engine = BspEngine<float>;
+  using Engine = ParallelBspEngine<float>;
   const rank_t m = 8;
   const Topology topo({4, 2});
   const auto w = testing::random_workload<float>(m, 128, 0.3, 0.5, 23);
 
   FailureModel fm(m);
-  Engine engine(m, &fm);
+  Engine engine(m, 1, &fm);
   SparseAllreduce<float, OpSum, Engine> ar(&engine, topo);
   const auto p0 = ar.compile(w.in_sets, w.out_sets);
   fm.kill(2);
@@ -279,13 +278,13 @@ TEST(PlanCacheEpochTest, FingerprintSaltedByAliveSet) {
 // async executor still references it (in-flight old-epoch streams), and
 // becomes reclaimable once the executor rebinds to the new epoch.
 TEST(PlanCacheEpochTest, OldEpochPlanPinnedByAsyncThenEvictable) {
-  using Engine = BspEngine<float>;
+  using Engine = ParallelBspEngine<float>;
   const rank_t m = 8;
   const Topology topo({4, 2});
   const auto w = testing::random_workload<float>(m, 128, 0.3, 0.5, 31);
 
   FailureModel fm(m);
-  Engine engine(m, &fm);
+  Engine engine(m, 1, &fm);
   SparseAllreduce<float, OpSum, Engine> ar(&engine, topo);
   PlanCache cache(1);  // one slot: the epoch-1 insert evicts epoch 0
 

@@ -21,8 +21,8 @@
 #include <vector>
 
 #include "cluster/fault_plan.hpp"
-#include "comm/bsp.hpp"
 #include "comm/fault_channel.hpp"
+#include "comm/parallel.hpp"
 #include "comm/replicated.hpp"
 #include "comm/threaded.hpp"
 #include "core/allreduce.hpp"
@@ -192,9 +192,10 @@ TEST(StreamChaos, DelayedChunkIsSupersededBySlotNotBySender) {
 
   FaultPlan plan(m);
   FaultChannel<float> channel(&plan);
-  BspEngine<float> engine(m);
+  ParallelBspEngine<float> engine(m, 1);
   engine.set_fault_channel(&channel);
-  SparseAllreduce<float, OpSum, BspEngine<float>> allreduce(&engine, topo);
+  SparseAllreduce<float, OpSum, ParallelBspEngine<float>> allreduce(
+      &engine, topo);
   allreduce.set_streaming(true);
   allreduce.set_chunk_bytes(kChunkBytes);
   allreduce.configure(w.in_sets, w.out_sets);

@@ -9,7 +9,7 @@
 #include "cluster/timing.hpp"
 #include "cluster/trace.hpp"
 #include "common/check.hpp"
-#include "comm/bsp.hpp"
+#include "comm/parallel.hpp"
 #include "comm/replicated.hpp"
 #include "core/allreduce.hpp"
 #include "core/topology.hpp"
@@ -32,14 +32,14 @@ struct ObservedRun {
   std::vector<std::vector<float>> results;
 };
 
-/// One BspEngine allreduce with the full telemetry stack attached. Fills a
+/// One sequential allreduce with the full telemetry stack attached. Fills a
 /// caller-owned record (the tracer/registry members are not movable).
 void observed_run(const Topology& topo, std::uint64_t features,
                   std::uint64_t seed, ObservedRun& run) {
   const rank_t m = topo.num_machines();
   const auto w = random_workload<float>(m, features, 0.08, 0.15, seed);
 
-  BspEngine<float> engine(m, nullptr, &run.trace, nullptr);
+  ParallelBspEngine<float> engine(m, 1, nullptr, &run.trace, nullptr);
   TelemetryObserver::Options opt;
   opt.topology = &topo;
   opt.features = features;
@@ -47,7 +47,8 @@ void observed_run(const Topology& topo, std::uint64_t features,
   TelemetryObserver observer(&run.tracer, m, opt);
   engine.set_observer(&observer);
 
-  SparseAllreduce<float, OpSum, BspEngine<float>> allreduce(&engine, topo);
+  SparseAllreduce<float, OpSum, ParallelBspEngine<float>> allreduce(
+      &engine, topo);
   allreduce.configure(w.in_sets, w.out_sets);
   run.results = allreduce.reduce(w.out_values);
   run.measured = allreduce.measured_layer_elements();
@@ -132,8 +133,9 @@ TEST(RunReport, TimingColumnsComeFromTheAccumulator) {
   const auto w = random_workload<float>(m, 2000, 0.08, 0.15, 5);
   Trace trace;
   TimingAccumulator timing(m, NetworkModel::ec2_like(), ComputeModel{}, 4);
-  BspEngine<float> engine(m, nullptr, &trace, &timing);
-  SparseAllreduce<float, OpSum, BspEngine<float>> allreduce(&engine, topo);
+  ParallelBspEngine<float> engine(m, 1, nullptr, &trace, &timing);
+  SparseAllreduce<float, OpSum, ParallelBspEngine<float>> allreduce(
+      &engine, topo);
   allreduce.configure(w.in_sets, w.out_sets);
   (void)allreduce.reduce(w.out_values);
 
@@ -216,11 +218,11 @@ TEST(RunReport, HierarchicalTimingSplitsIntraFromInter) {
   const NetworkModel net = NetworkModel::ec2_like();
   const ComputeModel compute;
   TimingAccumulator timing(m, net, compute, 4);
-  BspEngine<float> engine(m, nullptr, &trace, &timing);
+  ParallelBspEngine<float> engine(m, 1, nullptr, &trace, &timing);
   // The intra stage is priced by the allreduce itself (it owns the
   // shared-memory schedule), so it needs the models too.
-  SparseAllreduce<float, OpSum, BspEngine<float>> allreduce(&engine, topo,
-                                                            &compute);
+  SparseAllreduce<float, OpSum, ParallelBspEngine<float>> allreduce(
+      &engine, topo, &compute);
   allreduce.set_network(&net);
   allreduce.configure(w.in_sets, w.out_sets);
   (void)allreduce.reduce(w.out_values);
@@ -252,9 +254,9 @@ TEST(RunReport, ObserverDoesNotChangeResults) {
   const rank_t m = topo.num_machines();
   const auto w = random_workload<float>(m, 4000, 0.08, 0.15, 23);
 
-  BspEngine<float> plain(m);
-  SparseAllreduce<float, OpSum, BspEngine<float>> allreduce_plain(&plain,
-                                                                 topo);
+  ParallelBspEngine<float> plain(m, 1);
+  SparseAllreduce<float, OpSum, ParallelBspEngine<float>> allreduce_plain(
+      &plain, topo);
   allreduce_plain.configure(w.in_sets, w.out_sets);
   const auto expected = allreduce_plain.reduce(w.out_values);
   testing::expect_matches_oracle<float>(w, expected);
@@ -274,13 +276,14 @@ TEST(RunReport, TelemetryObserverCountsMatchTheTrace) {
   const rank_t m = topo.num_machines();
   const auto w = random_workload<float>(m, 4000, 0.08, 0.15, 9);
 
-  BspEngine<float> engine(m, nullptr, &trace, nullptr);
+  ParallelBspEngine<float> engine(m, 1, nullptr, &trace, nullptr);
   MetricsRegistry metrics;
   TelemetryObserver::Options opt;
   opt.metrics = &metrics;
   TelemetryObserver observer(&tracer, m, opt);
   engine.set_observer(&observer);
-  SparseAllreduce<float, OpSum, BspEngine<float>> allreduce(&engine, topo);
+  SparseAllreduce<float, OpSum, ParallelBspEngine<float>> allreduce(
+      &engine, topo);
   allreduce.configure(w.in_sets, w.out_sets);
   (void)allreduce.reduce(w.out_values);
 

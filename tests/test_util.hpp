@@ -1,13 +1,16 @@
 // Shared helpers for the Kylix test suite: random sparse workload
-// generation with the ∪in ⊆ ∪out invariant, and brute-force oracles.
+// generation with the ∪in ⊆ ∪out invariant, brute-force oracles, and
+// check-message assertions.
 #pragma once
 
 #include <gtest/gtest.h>
 
 #include <map>
 #include <set>
+#include <string>
 #include <vector>
 
+#include "common/check.hpp"
 #include "common/rng.hpp"
 #include "sparse/key_set.hpp"
 #include "sparse/ops.hpp"
@@ -97,6 +100,19 @@ void expect_matches_oracle(const Workload<V>& w,
           << unhash_index(k);
     }
   }
+}
+
+/// Runs `fn` and expects a check_error whose message contains `needle`.
+template <typename Fn>
+void expect_check_message(Fn&& fn, const std::string& needle) {
+  try {
+    fn();
+  } catch (const check_error& e) {
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+        << e.what();
+    return;
+  }
+  ADD_FAILURE() << "expected a check_error mentioning \"" << needle << "\"";
 }
 
 }  // namespace kylix::testing

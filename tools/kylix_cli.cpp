@@ -501,8 +501,8 @@ int run_default(const Cli& cli) {
   if (cli.replication == 1) {
     KYLIX_CHECK_MSG(cli.failures == 0,
                     "failures need --replication >= 2 to stay correct");
-    BspEngine<real_t> engine(cli.machines, nullptr, &trace, &timing);
-    SparseAllreduce<real_t, OpSum, BspEngine<real_t>> allreduce(
+    ParallelBspEngine<real_t> engine(cli.machines, 1, nullptr, &trace, &timing);
+    SparseAllreduce<real_t, OpSum, ParallelBspEngine<real_t>> allreduce(
         &engine, topo, &compute);
     allreduce.configure(w.in_sets, w.out_sets);
     results = allreduce.reduce(w.values);
@@ -754,8 +754,8 @@ int run_report(const Cli& cli) {
     KYLIX_CHECK_MSG(cli.replication == 1 && cli.failures == 0,
                     "--inflight overlaps plain-channel replays; drop "
                     "--replication/--failures");
-    BspEngine<real_t> compile_engine(cli.machines);
-    SparseAllreduce<real_t, OpSum, BspEngine<real_t>> async_compiler(
+    ParallelBspEngine<real_t> compile_engine(cli.machines, 1);
+    SparseAllreduce<real_t, OpSum, ParallelBspEngine<real_t>> async_compiler(
         &compile_engine, topo, &compute);
     const auto plan = async_compiler.compile(w.in_sets, w.out_sets);
     const auto overlap = [&](std::uint32_t window, double& makespan,
@@ -1011,8 +1011,9 @@ int run_plan(const Cli& cli) {
   const Topology topo = pick_topology(cli, w, net, /*verbose=*/false);
 
   // Compile: run the configuration rounds once and freeze the plan.
-  BspEngine<real_t> engine(cli.machines);
-  SparseAllreduce<real_t, OpSum, BspEngine<real_t>> allreduce(&engine, topo);
+  ParallelBspEngine<real_t> engine(cli.machines, 1);
+  SparseAllreduce<real_t, OpSum, ParallelBspEngine<real_t>> allreduce(
+      &engine, topo);
   Timer timer;
   const auto plan = allreduce.compile(w.in_sets, w.out_sets);
   const double compile_s = timer.seconds();
@@ -1052,7 +1053,8 @@ int run_plan(const Cli& cli) {
   // Cache demo: the first configure compiles and inserts, the second hashes
   // the same sets and adopts the stored plan without any config rounds.
   PlanCache cache(4);
-  SparseAllreduce<real_t, OpSum, BspEngine<real_t>> cached(&engine, topo);
+  SparseAllreduce<real_t, OpSum, ParallelBspEngine<real_t>> cached(
+      &engine, topo);
   const bool first = cached.configure_cached(cache, w.in_sets, w.out_sets);
   const bool second = cached.configure_cached(cache, w.in_sets, w.out_sets);
   std::printf("plan cache: first configure %s, second %s "
@@ -1073,7 +1075,8 @@ int run_plan(const Cli& cli) {
   const double replay_s = timer.seconds();
   timer.reset();
   for (std::uint32_t it = 0; it < cli.plan_iters; ++it) {
-    SparseAllreduce<real_t, OpSum, BspEngine<real_t>> fresh(&engine, topo);
+    SparseAllreduce<real_t, OpSum, ParallelBspEngine<real_t>> fresh(
+        &engine, topo);
     (void)fresh.reduce_with_config(w.in_sets, w.out_sets, w.values);
   }
   const double combined_s = timer.seconds();
@@ -1338,9 +1341,10 @@ int run_heal(const Cli& cli) {
               cli.heal_cycles, cli.group_size, cli.replication,
               format_seconds(cli.round_dt).c_str());
   if (cli.replication == 1) {
-    return run_heal_engine<BspEngine<real_t>>(
+    return run_heal_engine<ParallelBspEngine<real_t>>(
         cli, w, topo, [&](const FailureModel* fm) {
-          return std::make_unique<BspEngine<real_t>>(cli.machines, fm);
+          return std::make_unique<ParallelBspEngine<real_t>>(
+              cli.machines, 1, fm);
         });
   }
   return run_heal_engine<ReplicatedBsp<real_t>>(
