@@ -4,9 +4,12 @@
 // counterpart over a size x skew grid that mirrors real configure/reduce
 // traffic:
 //   * radix_sort_dedup vs std::sort + std::unique — uniform hashed keys
-//     (the production case) and duplicate-heavy keys;
-//   * kway_merge_into vs tree_merge_into at the paper's maximum fan-in —
-//     balanced runs and one-dominant-run skew;
+//     (already-unique sets), duplicate-heavy keys, and raw Zipf(1.1) draws
+//     (a minibatch's indices, where the repeat filter does the work);
+//   * merge_union_into (union + both maps) vs std::set_union (keys only) —
+//     balanced pairs (the branch-free loop) and 8x-skewed pairs (gallop);
+//   * tree_merge_into vs hash_union at fan-in 16 and 64 over overlapping
+//     Zipf sets — the paper's §VI-A "tree merge ~5x faster than hashing";
 //   * prefetched scatter_combine / gather vs their scalar forms — random
 //     (cache-hostile) and strictly-increasing (cache-friendly) maps.
 //
@@ -28,7 +31,7 @@
 
 #include "bench_common.hpp"
 #include "obs/json_writer.hpp"
-#include "sparse/kernels/kway_merge.hpp"
+#include "powerlaw/zipf.hpp"
 #include "sparse/kernels/radix_sort.hpp"
 #include "sparse/kernels/scatter_gather.hpp"
 
@@ -85,23 +88,67 @@ void emit(obs::JsonWriter& json, const Row& row) {
               row.baseline_eps > 0 ? row.kernel_eps / row.baseline_eps : 0.0);
 }
 
-std::vector<key_t> make_keys(std::size_t n, bool duplicate_heavy,
+/// Raw feature draws of a minibatch: Zipf(alpha = 1.1) over 2^20 features.
+const ZipfSampler& feature_zipf() {
+  static const ZipfSampler zipf(std::uint64_t{1} << 20, 1.1);
+  return zipf;
+}
+
+enum class SortSkew : std::uint64_t { kUniform, kDupHeavy, kZipf };
+constexpr const char* kSortSkewNames[] = {"uniform", "dup-heavy", "zipf"};
+
+std::vector<key_t> make_keys(std::size_t n, SortSkew skew,
                              std::uint64_t seed) {
   Rng rng(seed);
   std::vector<key_t> keys(n);
-  if (duplicate_heavy) {
-    for (auto& k : keys) k = hash_index(rng.below(n / 16 + 1));
-  } else {
-    for (auto& k : keys) k = rng();
+  switch (skew) {
+    case SortSkew::kUniform:
+      for (auto& k : keys) k = rng();
+      break;
+    case SortSkew::kDupHeavy:
+      for (auto& k : keys) k = hash_index(rng.below(n / 16 + 1));
+      break;
+    case SortSkew::kZipf:
+      for (auto& k : keys) k = hash_index(feature_zipf()(rng) - 1);
+      break;
+  }
+  return keys;
+}
+
+/// Sorted sets of exactly `na` and `nb` hashed keys: each fresh index goes
+/// to a, to b or to both at random until both are full, so a union walk
+/// mixes a-only, b-only and shared steps in random order.
+void make_pair(Rng& rng, std::size_t na, std::size_t nb, std::vector<key_t>& a,
+               std::vector<key_t>& b) {
+  for (index_t i = 0; a.size() < na || b.size() < nb; ++i) {
+    const std::uint64_t pick = rng.below(3);  // 0: a, 1: b, 2: both
+    if (pick != 1 && a.size() < na) a.push_back(hash_index(i));
+    if (pick != 0 && b.size() < nb) b.push_back(hash_index(i));
+  }
+  std::sort(a.begin(), a.end());
+  std::sort(b.begin(), b.end());
+}
+
+/// A sorted set of exactly `n` distinct hashed feature draws.
+std::vector<key_t> zipf_set(Rng& rng, std::size_t n) {
+  std::vector<key_t> keys;
+  while (keys.size() < n) {
+    for (std::size_t i = keys.size(); i < n; ++i) {
+      keys.push_back(hash_index(feature_zipf()(rng) - 1));
+    }
+    std::sort(keys.begin(), keys.end());
+    keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
   }
   return keys;
 }
 
 void bench_sort(obs::JsonWriter& json) {
   for (const std::size_t n : kSizes) {
-    for (const bool dup : {false, true}) {
-      const auto data = make_keys(n, dup, n * 3 + (dup ? 1 : 0));
-      Row row{"radix_sort", "std_sort_unique", n, dup ? "dup-heavy" : "uniform"};
+    for (const SortSkew skew :
+         {SortSkew::kUniform, SortSkew::kDupHeavy, SortSkew::kZipf}) {
+      const auto kind = static_cast<std::uint64_t>(skew);
+      const auto data = make_keys(n, skew, n * 3 + kind);
+      Row row{"radix_sort", "std_sort_unique", n, kSortSkewNames[kind]};
 
       std::vector<key_t> work(n);
       std::vector<key_t> scratch(n);
@@ -123,41 +170,60 @@ void bench_sort(obs::JsonWriter& json) {
   }
 }
 
-void bench_merge(obs::JsonWriter& json) {
-  constexpr std::size_t kWays = 16;  // the paper's maximum degree
+void bench_pairwise(obs::JsonWriter& json) {
   for (const std::size_t total : kSizes) {
     for (const bool skewed : {false, true}) {
-      // Balanced: 16 equal runs. Skewed: one run holds ~80% of the
-      // elements, the rest split the remainder (replica/failure shapes).
+      // Balanced: two halves (the branch-free loop). Skewed: 8:1, at
+      // gallop_ratio (the galloping path).
+      Rng rng(total * 5 + (skewed ? 1 : 0));
+      const std::size_t nb = skewed ? total / 9 : total / 2;
+      std::vector<key_t> a;
+      std::vector<key_t> b;
+      make_pair(rng, skewed ? 8 * nb : nb, nb, a, b);
+      const auto elements = static_cast<double>(a.size() + b.size());
+      Row row{"merge_union", "std_set_union", total,
+              skewed ? "skew8" : "balanced"};
+
+      std::vector<key_t> keys;
+      PosMap map_a, map_b;
+      merge_union_into(a, b, keys, map_a, map_b);  // warm
+      row.kernel_eps = elements / time_per_call(total, [&] {
+        merge_union_into(a, b, keys, map_a, map_b);
+      });
+
+      std::vector<key_t> out(a.size() + b.size());
+      row.baseline_eps = elements / time_per_call(total, [&] {
+        std::set_union(a.begin(), a.end(), b.begin(), b.end(), out.begin());
+      });
+      emit(json, row);
+    }
+  }
+}
+
+void bench_tree_vs_hash(obs::JsonWriter& json) {
+  for (const std::size_t total : kSizes) {
+    for (const std::size_t ways : {std::size_t{16}, std::size_t{64}}) {
+      // Overlapping sets with a shared hot head, as one node's configure
+      // union sees them (bench/micro_merge's shape).
+      Rng rng(total * 11 + ways);
       std::vector<std::vector<key_t>> inputs;
-      Rng rng(total * 7 + (skewed ? 1 : 0));
-      for (std::size_t i = 0; i < kWays; ++i) {
-        const std::size_t n =
-            skewed ? (i == 0 ? total * 4 / 5 : total / (5 * (kWays - 1)))
-                   : total / kWays;
-        std::vector<key_t> keys(n);
-        for (auto& k : keys) k = rng();
-        std::sort(keys.begin(), keys.end());
-        keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-        inputs.push_back(std::move(keys));
+      for (std::size_t i = 0; i < ways; ++i) {
+        inputs.push_back(zipf_set(rng, total / ways));
       }
       std::vector<std::span<const key_t>> spans(inputs.begin(), inputs.end());
-      Row row{"kway_merge", "tree_merge", total,
-              skewed ? "one-dominant" : "balanced"};
+      Row row{"tree_merge", "hash_union", total,
+              ways == 16 ? "fanin16" : "fanin64"};
 
       UnionResult out;
-      kernels::KWayScratch kway_scratch;
-      kernels::kway_merge_into(spans, out, kway_scratch);  // warm
+      MergeScratch scratch;
+      tree_merge_into(spans, out, scratch);  // warm
       row.kernel_eps =
           static_cast<double>(total) / time_per_call(total, [&] {
-            kernels::kway_merge_into(spans, out, kway_scratch);
+            tree_merge_into(spans, out, scratch);
           });
-
-      MergeScratch tree_scratch;
-      tree_merge_into(spans, out, tree_scratch);  // warm
       row.baseline_eps =
           static_cast<double>(total) / time_per_call(total, [&] {
-            tree_merge_into(spans, out, tree_scratch);
+            out = hash_union(spans);
           });
       emit(json, row);
     }
@@ -230,19 +296,19 @@ int main(int argc, char** argv) {
   json.key("tuning");
   json.begin_object();
   const kernels::KernelTuning& t = kernels::kernel_tuning();
-  json.key_value("kway_min_ways", static_cast<std::uint64_t>(t.kway_min_ways));
-  json.key_value("kway_min_elements",
-                 static_cast<std::uint64_t>(t.kway_min_elements));
   json.key_value("radix_min_keys",
                  static_cast<std::uint64_t>(t.radix_min_keys));
   json.key_value("gallop_ratio", static_cast<std::uint64_t>(t.gallop_ratio));
   json.key_value("prefetch_ahead",
                  static_cast<std::uint64_t>(kernels::kPrefetchAhead));
+  json.key_value("repeat_probe_keys",
+                 static_cast<std::uint64_t>(kernels::kRepeatProbeKeys));
   json.end_object();
   json.key("kernels");
   json.begin_array();
   bench_sort(json);
-  bench_merge(json);
+  bench_pairwise(json);
+  bench_tree_vs_hash(json);
   bench_scatter_gather(json);
   json.end_array();
   json.end_object();

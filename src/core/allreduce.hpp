@@ -237,16 +237,6 @@ class SparseAllreduce {
     return mean;
   }
 
-  /// Feed the next compile() measured per-layer densities from a previous
-  /// epoch (same l+1 shape as measured_layer_elements()): the union-kernel
-  /// autotune then sizes itself from observed survivor volumes instead of
-  /// the fresh pass's own measurement. One-shot — consumed by the next
-  /// compile, cleared afterwards. The EpochedPlanManager uses this to carry
-  /// the old epoch's measurements into the healed plan.
-  void set_layer_density_hints(std::vector<double> mean_elements) {
-    layer_hints_ = std::move(mean_elements);
-  }
-
   /// What the last completed run lost, if anything (core/degraded.hpp).
   /// Engines without recovery support (ParallelBspEngine, ThreadedBsp)
   /// always report an exact run. Call after reduce() / reduce_with_config()
@@ -331,7 +321,7 @@ class SparseAllreduce {
 
   /// Hierarchical compile (DESIGN §13). The shared-memory tier is compiled
   /// here: per-host unions of the alive members' {in, out} sets, whose
-  /// piece->union positional maps from union_into ARE the intra-stage
+  /// piece->union positional maps from tree_merge_into ARE the intra-stage
   /// scatter/gather maps. The inter-node butterfly is then the ordinary
   /// flat configuration pass over host leaders (canonical rank host*c)
   /// holding those unions — config rounds are gated to leaders, so the wire
@@ -372,7 +362,7 @@ class SparseAllreduce {
       for (const rank_t r : ih.members) {
         member_keys.push_back(out_sets[r].keys());
       }
-      union_into(member_keys, host_union, merge_scratch);
+      tree_merge_into(member_keys, host_union, merge_scratch);
       ih.out_maps = std::move(host_union.maps);
       ih.out_union_size = host_union.keys.size();
       node_out[canonical] =
@@ -381,7 +371,7 @@ class SparseAllreduce {
       for (const rank_t r : ih.members) {
         member_keys.push_back(in_sets[r].keys());
       }
-      union_into(member_keys, host_union, merge_scratch);
+      tree_merge_into(member_keys, host_union, merge_scratch);
       ih.in_maps = std::move(host_union.maps);
       node_in[canonical] =
           KeySet::from_sorted_keys(std::vector<key_t>(host_union.keys));
@@ -471,7 +461,6 @@ class SparseAllreduce {
       RankPlan& rp = plan->mutable_rank_plan(r);
       if (!rp.configured) rp = RankPlan{};
     }
-    freeze_union_kernels(*plan);
     plan->set_chunk_bytes(
         chunk_bytes_ != 0
             ? chunk_bytes_
@@ -617,25 +606,6 @@ class SparseAllreduce {
     return fp;
   }
 
-  /// Freeze the union-kernel choices the configuration pass dispatched
-  /// with, sized by the measured per-layer union volume (autotune's
-  /// union_kernel_plan — the same heuristic union_into consults). A pending
-  /// density hint (set_layer_density_hints) overrides the fresh measurement.
-  void freeze_union_kernels(CollectivePlan& plan) {
-    const std::uint16_t l = topo_.num_layers();
-    if (l == 0) return;
-    std::vector<double> mean;
-    if (layer_hints_.size() == static_cast<std::size_t>(l) + 1) {
-      mean = std::move(layer_hints_);
-    } else {
-      mean = measured_layer_elements();
-    }
-    layer_hints_.clear();
-    // Entry i-1 is what one node unions at communication layer i.
-    plan.set_union_kernels(
-        union_kernel_plan(topo_, std::span<const double>(mean).first(l)));
-  }
-
   /// True iff `inner` ⊆ `outer` (hi == 0 with lo != 0 means "up to 2^64").
   static bool range_within(const KeyRange& inner, const KeyRange& outer) {
     if (outer.is_full()) return true;
@@ -686,7 +656,6 @@ class SparseAllreduce {
   const ComputeModel* compute_;
   const NetworkModel* net_ = nullptr;  ///< chunk-size compiler input
   std::uint64_t chunk_bytes_ = 0;      ///< tuning override (0 = compiled)
-  std::vector<double> layer_hints_;    ///< one-shot measured-density carry
   /// The last configuration pass carried values (reduce_with_config):
   /// config-phase deaths then follow the down rule (record_node_layer).
   bool combined_ = false;

@@ -32,19 +32,4 @@ Topology autotune_topology(const AutotuneInput& input) {
   return Topology(autotune(input).degrees);
 }
 
-std::vector<UnionKernel> union_kernel_plan(
-    const Topology& topology, std::span<const double> layer_elements) {
-  KYLIX_CHECK(layer_elements.empty() ||
-              layer_elements.size() == topology.num_layers());
-  std::vector<UnionKernel> plan(topology.num_layers());
-  for (std::uint16_t i = 1; i <= topology.num_layers(); ++i) {
-    const std::size_t elements =
-        layer_elements.empty()
-            ? kernel_tuning().kway_min_elements
-            : static_cast<std::size_t>(layer_elements[i - 1]);
-    plan[i - 1] = choose_union_kernel(topology.degree(i), elements);
-  }
-  return plan;
-}
-
 }  // namespace kylix

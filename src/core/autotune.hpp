@@ -17,12 +17,10 @@
 
 namespace kylix {
 
-// The kernel-selection thresholds live next to the kernels
+// The kernel thresholds live next to the kernels
 // (sparse/kernels/kernels.hpp) but are part of the autotune surface: the
-// same workflow that picks degrees owns how each layer's union runs.
+// same workflow that picks degrees owns the kernel tuning.
 using kernels::KernelTuning;
-using kernels::UnionKernel;
-using kernels::choose_union_kernel;
 using kernels::kernel_tuning;
 using kernels::set_kernel_tuning;
 
@@ -46,13 +44,5 @@ struct AutotuneInput {
 
 /// Shorthand: run autotune() and wrap the degrees in a Topology.
 [[nodiscard]] Topology autotune_topology(const AutotuneInput& input);
-
-/// Which union kernel each comm layer of `topology` will run during
-/// configuration. `layer_elements` (optional, one entry per layer) is the
-/// expected total piece elements a node unions at that layer — e.g. the
-/// design report's P_i x D_i — and defaults to "large enough", leaving the
-/// choice to the fan-in alone.
-[[nodiscard]] std::vector<UnionKernel> union_kernel_plan(
-    const Topology& topology, std::span<const double> layer_elements = {});
 
 }  // namespace kylix

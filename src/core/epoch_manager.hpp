@@ -6,21 +6,17 @@
 // advanced (a rank was confirmed dead, or a dead rank rejoined), the
 // manager re-plans:
 //
-//   1. capture the *measured* per-layer densities of the outgoing epoch
-//      (measured_layer_elements, already restricted to survivors) and feed
-//      them to the next compile as union-kernel sizing hints — the healed
-//      plan is tuned from observed volumes, not the Poisson prior;
-//   2. reset the engine's epoch-scoped degraded bookkeeping (begin_epoch,
+//   1. reset the engine's epoch-scoped degraded bookkeeping (begin_epoch,
 //      when the engine has it) so post-heal DegradedReports describe only
 //      rounds run on the new plan;
-//   3. recompile the same key sets under the new alive set. Dead ranks
+//   2. recompile the same key sets under the new alive set. Dead ranks
 //      simply never answer configuration, so the compiler's split machinery
 //      redistributes their key ranges across survivors and surviving nodes
 //      resolve orphaned keys to identity. The plan fingerprint is salted
 //      with the dead set (SparseAllreduce::salt_fingerprint), so per-epoch
 //      plans coexist in the PlanCache and a full-membership rejoin hits the
 //      original epoch-0 entry;
-//   4. atomically swap: the allreduce is left configured against the new
+//   3. atomically swap: the allreduce is left configured against the new
 //      plan, and an attached AsyncExecutor is drained (in-flight old-epoch
 //      streams complete against the old plan, which its shared_ptr keeps
 //      alive even if the cache evicted it), rebound, and stamped with the
@@ -124,16 +120,10 @@ class EpochedPlanManager {
     if (view_->epoch() == last_epoch_) return false;
     KYLIX_CHECK_MSG(!in_sets_.empty(), "heal() before configure()");
     last_epoch_ = view_->epoch();
-    // Carry the outgoing epoch's measured survivor densities into the new
-    // plan's union-kernel sizing.
-    allreduce_->set_layer_density_hints(allreduce_->measured_layer_elements());
     if constexpr (requires(Engine& e) { e.begin_epoch(); }) {
       if (engine_ != nullptr) engine_->begin_epoch();
     }
     timeline_.push_back(cut_plan());
-    // A cache hit adopts without compiling; drop the one-shot hints so they
-    // can't leak into an unrelated later compile.
-    allreduce_->set_layer_density_hints({});
     if (opts_.metrics != nullptr) {
       opts_.metrics->counter("membership.replans").add(1);
       opts_.metrics->gauge("membership.replan_seconds")

@@ -176,13 +176,11 @@ class KylixNode {
 
     UnionResult& in_union = scratch_->in_union;
     UnionResult& out_union = scratch_->out_union;
-    // union_into picks the loser-tree kernel for high-degree layers and the
-    // binary cascade for low degrees (kernels::choose_union_kernel).
-    union_into(spans_of(in_pieces), in_union, scratch_->merge);
+    tree_merge_into(spans_of(in_pieces), in_union, scratch_->merge);
     for (const auto& piece : in_pieces) {
       work_.merge_elements += static_cast<double>(piece.size());
     }
-    union_into(spans_of(out_pieces), out_union, scratch_->merge);
+    tree_merge_into(spans_of(out_pieces), out_union, scratch_->merge);
     for (const auto& piece : out_pieces) {
       work_.merge_elements += static_cast<double>(piece.size());
     }

@@ -27,7 +27,6 @@
 #include "cluster/trace.hpp"
 #include "common/types.hpp"
 #include "core/topology.hpp"
-#include "sparse/kernels/kernels.hpp"
 #include "sparse/key_set.hpp"
 #include "sparse/merge.hpp"
 
@@ -141,16 +140,6 @@ class CollectivePlan {
   [[nodiscard]] std::uint64_t chunk_bytes() const { return chunk_bytes_; }
   void set_chunk_bytes(std::uint64_t bytes) { chunk_bytes_ = bytes; }
 
-  /// Union kernel frozen per communication layer at compile time (the
-  /// autotune choice the configuration pass actually ran with).
-  [[nodiscard]] const std::vector<kernels::UnionKernel>& union_kernels()
-      const {
-    return union_kernels_;
-  }
-  void set_union_kernels(std::vector<kernels::UnionKernel> kernels) {
-    union_kernels_ = std::move(kernels);
-  }
-
   /// Intra-node tier of a hierarchical plan, one entry per host (empty for
   /// flat plans). Set once by the compiler before the plan is shared.
   [[nodiscard]] bool hierarchical() const { return !intra_.empty(); }
@@ -182,7 +171,6 @@ class CollectivePlan {
   std::uint64_t chunk_bytes_ = 0;
   std::vector<RankPlan> ranks_;
   std::vector<IntraHost> intra_;  ///< per host; empty for flat plans
-  std::vector<kernels::UnionKernel> union_kernels_;
 };
 
 /// Order- and role-sensitive fingerprint of per-rank {in, out} key sets:

@@ -10,13 +10,4 @@ const KernelTuning& kernel_tuning() { return g_tuning; }
 
 void set_kernel_tuning(const KernelTuning& tuning) { g_tuning = tuning; }
 
-UnionKernel choose_union_kernel(std::size_t ways,
-                                std::size_t total_elements) {
-  const KernelTuning& t = g_tuning;
-  if (ways >= t.kway_min_ways && total_elements >= t.kway_min_elements) {
-    return UnionKernel::kKWay;
-  }
-  return UnionKernel::kTree;
-}
-
 }  // namespace kylix::kernels

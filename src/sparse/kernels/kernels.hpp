@@ -1,11 +1,11 @@
-// Tuning knobs and dispatch for the vectorized sparse kernels.
+// Tuning knobs for the vectorized sparse kernels.
 //
 // The paper's cost model (§IV) treats configuration and reduction as
 // memory-speed passes; the kernels under this directory exist to make that
 // assumption true on a real host. Each kernel has a scalar counterpart it is
-// benchmarked against (bench/micro_kernels -> BENCH_kernels.json), and each
-// call-site picks an implementation through the size heuristics here, so a
-// re-tune is one struct update rather than a code change.
+// benchmarked against (bench/micro_kernels -> BENCH_kernels.json), and the
+// size thresholds the kernels consult live here, so a re-tune is one struct
+// update rather than a code change.
 //
 // Thread-safety: the process-wide tuning is read on every union; engines run
 // nodes on worker threads, so set_kernel_tuning() must happen before any
@@ -17,31 +17,10 @@
 
 namespace kylix::kernels {
 
-/// Which union implementation a call-site should use for one k-way merge.
-enum class UnionKernel {
-  kTree,  ///< balanced binary merge tree (merge.hpp tree_merge_into)
-  kKWay,  ///< single-pass loser-tree merge (kway_merge.hpp)
-};
-
-/// Process-wide kernel selection thresholds. Defaults come from
-/// bench/micro_kernels on the development host; autotune (core/autotune.hpp)
-/// re-exports them so the §IV workflow and the kernel plan live in one place.
+/// Process-wide kernel thresholds. Defaults come from bench/micro_kernels on
+/// the development host; autotune (core/autotune.hpp) re-exports them so the
+/// §IV workflow and the kernel thresholds live in one place.
 struct KernelTuning {
-  /// Minimum merge fan-in before the loser tree beats the binary cascade.
-  /// Below this, tree merge's 2-way inner loop (no tournament replay) wins.
-  /// BENCH_kernels.json: at fan-in 16 the cascade's cache-friendly 2-way
-  /// passes hold their own until inputs far exceed L2, so the loser tree is
-  /// reserved for genuinely high-degree layers.
-  std::size_t kway_min_ways = 8;
-
-  /// Minimum total input elements before the loser tree is worth its setup.
-  /// From BENCH_kernels.json the crossover on the development host sits near
-  /// 512 Ki elements (0.89x at 128 Ki, 1.02x at 1 Mi for fan-in 16): below
-  /// it the binary cascade's streaming passes win, above it the loser tree's
-  /// single pass over cache-resident tournament state pulls ahead — the
-  /// regime paper-scale unions (millions of keys per node) live in.
-  std::size_t kway_min_elements = std::size_t{1} << 19;
-
   /// Below this many keys, std::sort beats the 8-pass LSD radix sort
   /// (histogram + ping-pong setup dominates at small n).
   std::size_t radix_min_keys = 512;
@@ -61,10 +40,5 @@ struct KernelTuning {
 
 /// Replace the active tuning. Call before engines start (see header note).
 void set_kernel_tuning(const KernelTuning& tuning);
-
-/// The size heuristic for k-way unions: loser tree for high fan-in on
-/// non-trivial inputs, binary tree cascade otherwise.
-[[nodiscard]] UnionKernel choose_union_kernel(std::size_t ways,
-                                              std::size_t total_elements);
 
 }  // namespace kylix::kernels

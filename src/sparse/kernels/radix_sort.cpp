@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstring>
+#include <span>
 
 #include "sparse/kernels/kernels.hpp"
 
@@ -13,6 +15,61 @@ namespace {
 constexpr std::size_t kRadixBits = 8;
 constexpr std::size_t kBuckets = std::size_t{1} << kRadixBits;
 constexpr std::size_t kPasses = 64 / kRadixBits;
+
+/// Share of the probed keys (1/kProbeRepeatShare) that must be repeats for
+/// the full filter pass to pay for itself: one filter step costs a fraction
+/// of the eight radix passes a dropped key no longer takes.
+constexpr std::size_t kProbeRepeatShare = 16;
+
+/// Repeat-filter table: n/4 slots, capped so it stays cache-resident.
+constexpr std::size_t kMaxFilterSlots = std::size_t{1} << 16;
+
+/// Fibonacci hashing picks the slot from the product's top bits, so keys
+/// that differ only in their high bytes still spread over the table.
+constexpr key_t kSlotMultiplier = 0x9e3779b97f4a7c15ULL;
+
+/// Filter keys[lo, hi) into keys[kept, ...): a key is dropped when its slot
+/// holds an equal key, and otherwise kept and recorded in the slot. The
+/// compare result advances the write cursor, so the loop has no
+/// data-dependent branch. Returns the new write cursor.
+std::size_t keep_unseen(key_t* keys, std::size_t lo, std::size_t hi,
+                        std::size_t kept, key_t* table, unsigned shift) {
+  for (std::size_t r = lo; r < hi; ++r) {
+    const key_t x = keys[r];
+    key_t& slot = table[(x * kSlotMultiplier) >> shift];
+    keys[kept] = x;
+    kept += static_cast<std::size_t>(slot != x);
+    slot = x;
+  }
+  return kept;
+}
+
+/// Drop exact repeats from keys[0, n) in place (first copies stay, in input
+/// order) through a direct-mapped "last kept key per slot" table held in
+/// `table`, which needs min(n/4, kMaxFilterSlots) entries (at least 2). A
+/// key is dropped only when it equals a key already kept, so the sorted,
+/// deduplicated result is unchanged; slot collisions only let a repeat
+/// through to the fused dedup. A probe of the leading keys gates the rest:
+/// inputs that repeat little there (already-unique sets, fresh hashed keys)
+/// pay for the probe alone. Returns the surviving size.
+std::size_t drop_repeats(key_t* keys, std::size_t n, key_t* table) {
+  const std::size_t slots =
+      std::clamp<std::size_t>(std::bit_floor(n) / 4, 2, kMaxFilterSlots);
+  const auto shift = static_cast<unsigned>(64 - std::countr_zero(slots));
+  // Key 0 hashes to slot 0 and key 2^63 to slot slots/2, so after this fill
+  // no slot holds a key that hashes to it: an empty slot matches nothing.
+  std::fill(table, table + slots, key_t{0});
+  table[0] = key_t{1} << 63;
+
+  const std::size_t probe = std::min(n, kRepeatProbeKeys);
+  const std::size_t kept = keep_unseen(keys, 0, probe, 0, table, shift);
+  if ((probe - kept) * kProbeRepeatShare >= probe) {
+    return keep_unseen(keys, probe, n, kept, table, shift);
+  }
+  // Too few repeats to pay for a full pass: close the probe's gaps.
+  std::copy(keys + probe, keys + n, keys + kept);
+  return kept + (n - probe);
+}
 
 /// Standard stable LSD distribution pass: src -> dst ordered by the digit at
 /// `shift`, using the precomputed histogram `count`.
@@ -72,18 +129,26 @@ std::size_t distribute_dedup(const key_t* src, key_t* dst, std::size_t n,
 }  // namespace
 
 void radix_sort_dedup(std::vector<key_t>& keys, std::vector<key_t>& scratch) {
-  const std::size_t n = keys.size();
-  if (n < kernel_tuning().radix_min_keys) {
+  const std::size_t min_keys = kernel_tuning().radix_min_keys;
+  std::size_t n = keys.size();
+  if (n >= min_keys) {
+    if (scratch.size() < n) scratch.resize(n);
+    // The filter table lives in the ping-pong buffer, which the passes
+    // below overwrite anyway. `keys` keeps its size until the end, so a
+    // swapped-in scratch stays full-sized for the next call.
+    n = drop_repeats(keys.data(), n, scratch.data());
+  }
+  if (n < min_keys) {
+    keys.resize(n);
     std::sort(keys.begin(), keys.end());
     keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
     return;
   }
-  if (scratch.size() < n) scratch.resize(n);
 
   // One streaming pass builds all eight digit histograms.
   static_assert(kPasses == 8);
   std::array<std::array<std::size_t, kBuckets>, kPasses> counts{};
-  for (const key_t x : keys) {
+  for (const key_t x : std::span<const key_t>(keys.data(), n)) {
     for (std::size_t pass = 0; pass < kPasses; ++pass) {
       ++counts[pass][(x >> (pass * kRadixBits)) & (kBuckets - 1)];
     }

@@ -6,6 +6,12 @@
 // scatter at memory speed, O(n) total versus std::sort's O(n log n) with a
 // branch per compare.
 //
+// Before the passes, a repeat filter drops exact repeats through a small
+// direct-mapped "last kept key per slot" table: raw minibatch indices repeat
+// heavily (a Zipf batch of 32 Ki indices holds about 10 K distinct keys), and
+// every dropped key skips all eight passes. A probe of the leading keys
+// decides whether the input repeats enough to filter the rest.
+//
 // Two classic refinements:
 //  * one up-front pass builds all eight digit histograms, and any pass whose
 //    histogram puts every key in a single bucket is skipped (un-hashed test
@@ -18,16 +24,22 @@
 //    already-unique sets) the compaction is a no-op scan over 256 counters.
 #pragma once
 
+#include <cstddef>
 #include <vector>
 
 #include "common/types.hpp"
 
 namespace kylix::kernels {
 
+/// Leading keys the repeat filter inspects before deciding whether the rest
+/// of the input repeats enough to be worth filtering.
+inline constexpr std::size_t kRepeatProbeKeys = 1024;
+
 /// Sort `keys` ascending and remove duplicates, using `scratch` as the
-/// ping-pong buffer (grown as needed, never shrunk — steady-state reuse is
-/// allocation-free). Falls back to std::sort + std::unique below the
-/// radix_min_keys tuning threshold. Equivalent to
+/// repeat-filter table and ping-pong buffer (grown as needed, never shrunk —
+/// steady-state reuse is allocation-free). Inputs below the radix_min_keys
+/// tuning threshold, before or after the filter, go through std::sort +
+/// std::unique. Equivalent to
 /// `std::sort(keys); keys.erase(std::unique(keys), keys.end());`.
 void radix_sort_dedup(std::vector<key_t>& keys, std::vector<key_t>& scratch);
 

@@ -1,6 +1,7 @@
 #include "sparse/key_set.hpp"
 
 #include <algorithm>
+#include <functional>
 
 #include "sparse/kernels/radix_sort.hpp"
 
@@ -35,8 +36,16 @@ KeySet KeySet::from_keys(std::vector<key_t> keys) {
 }
 
 KeySet KeySet::from_sorted_keys(std::vector<key_t> keys) {
-  KYLIX_DCHECK(std::is_sorted(keys.begin(), keys.end()));
-  KYLIX_DCHECK(std::adjacent_find(keys.begin(), keys.end()) == keys.end());
+  // Checked in every build: an unsorted or repeating set would make
+  // split_points and every later union silently wrong.
+  const auto bad = std::adjacent_find(keys.begin(), keys.end(),
+                                      std::greater_equal<key_t>());
+  KYLIX_CHECK_MSG(bad == keys.end(),
+                  "from_sorted_keys: keys must be strictly increasing, but "
+                  "the key at position "
+                      << (bad - keys.begin() + 1) << " "
+                      << (bad[1] == bad[0] ? "repeats" : "is below")
+                      << " the one before it");
   return KeySet(std::move(keys));
 }
 

@@ -56,8 +56,9 @@ class KeySet {
   /// Adopt keys that may be unsorted / contain duplicates.
   static KeySet from_keys(std::vector<key_t> keys);
 
-  /// Adopt keys the caller guarantees are strictly increasing (checked in
-  /// debug builds only).
+  /// Adopt keys that must already be strictly increasing. One linear scan
+  /// checks it in every build; a violation throws check_error naming the
+  /// first offending position.
   static KeySet from_sorted_keys(std::vector<key_t> keys);
 
   [[nodiscard]] std::size_t size() const { return keys_.size(); }

@@ -11,15 +11,18 @@ namespace kylix {
 
 namespace {
 
-/// Append src[lo, hi) to the union in one bulk copy (vector::insert lowers
-/// to memmove) and fill the matching map entries with consecutive union
-/// positions — the memcpy-tail form of "everything left comes from one side".
-void bulk_take(std::span<const key_t> src, std::size_t lo, std::size_t hi,
-               std::vector<key_t>& keys, PosMap& map) {
-  auto out = static_cast<pos_t>(keys.size());
-  keys.insert(keys.end(), src.begin() + static_cast<std::ptrdiff_t>(lo),
-              src.begin() + static_cast<std::ptrdiff_t>(hi));
-  for (std::size_t p = lo; p < hi; ++p) map[p] = out++;
+/// Copy src[lo, hi) to out[o, ...) and fill the matching map entries with
+/// consecutive union positions, in one compare-free loop — "everything left
+/// comes from one side". A fused loop rather than a memmove call: the
+/// gallop path takes runs of a few keys, where the call costs more than
+/// the copy. Returns the next output position.
+std::size_t bulk_take(std::span<const key_t> src, std::size_t lo,
+                      std::size_t hi, key_t* out, std::size_t o, PosMap& map) {
+  for (std::size_t p = lo; p < hi; ++p) {
+    out[o] = src[p];
+    map[p] = static_cast<pos_t>(o++);
+  }
+  return o;
 }
 
 /// First index >= `from` with a[idx] >= key: exponential probe to bracket
@@ -38,65 +41,85 @@ std::size_t gallop(std::span<const key_t> a, std::size_t from, key_t key) {
 
 /// Skewed-size union: for each key of the short side, gallop over the long
 /// side and bulk-copy the keys it skips. Total cost O(short * log(long/short)
-/// + long/memcpy-speed) instead of a compare+branch per long element.
-void gallop_union(std::span<const key_t> lng, std::span<const key_t> shrt,
-                  std::vector<key_t>& keys, PosMap& map_long,
-                  PosMap& map_short) {
+/// + long at copy speed) instead of a compare per long element. Returns the
+/// union size.
+std::size_t gallop_union(std::span<const key_t> lng,
+                         std::span<const key_t> shrt, key_t* out,
+                         PosMap& map_long, PosMap& map_short) {
   std::size_t i = 0;
+  std::size_t o = 0;
   for (std::size_t j = 0; j < shrt.size(); ++j) {
     const std::size_t idx = gallop(lng, i, shrt[j]);
-    bulk_take(lng, i, idx, keys, map_long);
+    o = bulk_take(lng, i, idx, out, o, map_long);
     i = idx;
-    const auto out = static_cast<pos_t>(keys.size());
     if (i < lng.size() && lng[i] == shrt[j]) {
-      keys.push_back(lng[i]);
-      map_long[i++] = out;
-    } else {
-      keys.push_back(shrt[j]);
+      map_long[i++] = static_cast<pos_t>(o);
     }
-    map_short[j] = out;
+    out[o] = shrt[j];
+    map_short[j] = static_cast<pos_t>(o++);
   }
-  bulk_take(lng, i, lng.size(), keys, map_long);
+  return bulk_take(lng, i, lng.size(), out, o, map_long);
+}
+
+/// Balanced-size union, branch-free: each step emits the smaller head and
+/// advances each cursor by its compare result (both on a tie), so random
+/// interleavings cost no mispredicted branches. Both map slots under the
+/// cursors are written every step; a slot is rewritten until its key is
+/// taken, and the last write is that key's union position.
+std::size_t interleave_union(std::span<const key_t> a,
+                             std::span<const key_t> b, key_t* out,
+                             PosMap& map_a, PosMap& map_b) {
+  const key_t* pa = a.data();
+  const key_t* pb = b.data();
+  pos_t* ma = map_a.data();
+  pos_t* mb = map_b.data();
+  const std::size_t na = a.size();
+  const std::size_t nb = b.size();
+  std::size_t i = 0;
+  std::size_t j = 0;
+  std::size_t o = 0;
+  while (i < na && j < nb) {
+    const key_t x = pa[i];
+    const key_t y = pb[j];
+    out[o] = x < y ? x : y;
+    ma[i] = static_cast<pos_t>(o);
+    mb[j] = static_cast<pos_t>(o);
+    i += static_cast<std::size_t>(x <= y);
+    j += static_cast<std::size_t>(y <= x);
+    ++o;
+  }
+  // One side is exhausted: the other tail transfers in one copy loop.
+  o = bulk_take(a, i, na, out, o, map_a);
+  return bulk_take(b, j, nb, out, o, map_b);
 }
 
 }  // namespace
 
 void merge_union_into(std::span<const key_t> a, std::span<const key_t> b,
                       std::vector<key_t>& keys, PosMap& map_a, PosMap& map_b) {
-  keys.clear();
-  keys.reserve(a.size() + b.size());
+  // Presized outputs: every path writes through raw pointers and the union
+  // is trimmed to its size at the end. A buffer too small for the input
+  // total is reallocated to exactly that total, copying nothing; a warm one
+  // is only resized, which fills no more than its newly grown slots.
+  const std::size_t total = a.size() + b.size();
+  if (keys.capacity() < total) {
+    keys.clear();
+    keys.reserve(total);
+  }
+  keys.resize(total);
   map_a.resize(a.size());
   map_b.resize(b.size());
 
   const std::size_t ratio = kernels::kernel_tuning().gallop_ratio;
+  std::size_t size = 0;
   if (a.size() >= ratio * b.size()) {
-    gallop_union(a, b, keys, map_a, map_b);
-    return;
+    size = gallop_union(a, b, keys.data(), map_a, map_b);
+  } else if (b.size() >= ratio * a.size()) {
+    size = gallop_union(b, a, keys.data(), map_b, map_a);
+  } else {
+    size = interleave_union(a, b, keys.data(), map_a, map_b);
   }
-  if (b.size() >= ratio * a.size()) {
-    gallop_union(b, a, keys, map_b, map_a);
-    return;
-  }
-
-  std::size_t i = 0;
-  std::size_t j = 0;
-  while (i < a.size() && j < b.size()) {
-    const auto out = static_cast<pos_t>(keys.size());
-    if (a[i] < b[j]) {
-      keys.push_back(a[i]);
-      map_a[i++] = out;
-    } else if (b[j] < a[i]) {
-      keys.push_back(b[j]);
-      map_b[j++] = out;
-    } else {
-      keys.push_back(a[i]);
-      map_a[i++] = out;
-      map_b[j++] = out;
-    }
-  }
-  // One side is exhausted: the other tail transfers as a single bulk copy.
-  bulk_take(a, i, a.size(), keys, map_a);
-  bulk_take(b, j, b.size(), keys, map_b);
+  keys.resize(size);
 }
 
 UnionResult merge_union(std::span<const key_t> a, std::span<const key_t> b) {
@@ -176,18 +199,6 @@ void tree_merge_into(std::span<const std::span<const key_t>> inputs,
     ++level;
   }
   std::swap(out.keys, scratch.runs[level & 1][0]);
-}
-
-void union_into(std::span<const std::span<const key_t>> inputs,
-                UnionResult& out, MergeScratch& scratch) {
-  std::size_t total = 0;
-  for (const auto& in : inputs) total += in.size();
-  if (kernels::choose_union_kernel(inputs.size(), total) ==
-      kernels::UnionKernel::kKWay) {
-    kernels::kway_merge_into(inputs, out, scratch.kway);
-  } else {
-    tree_merge_into(inputs, out, scratch);
-  }
 }
 
 UnionResult tree_merge(std::span<const std::span<const key_t>> inputs) {

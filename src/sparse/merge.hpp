@@ -13,17 +13,15 @@
 //    reusable run buffers with a caller-suppliable MergeScratch: repeated
 //    unions of same-shaped inputs (minibatch SGD, one union per node per
 //    layer per step) stop touching the allocator once capacities warm up.
-//  * kway_merge_into (kernels/kway_merge.hpp) — single-pass loser-tree
-//    union, preferred for high fan-in; union_into dispatches between the two
-//    by the kernels::choose_union_kernel size heuristic.
+//    Every level is merge_union_into, a branch-free two-way union (galloping
+//    when one side is gallop_ratio times the other).
 //  * hash_union — the hash-table alternative, kept as a measurable baseline
-//    for bench/micro_merge.
+//    for bench/micro_merge and bench/micro_kernels.
 #pragma once
 
 #include <span>
 #include <vector>
 
-#include "sparse/kernels/kway_merge.hpp"
 #include "sparse/key_set.hpp"
 
 namespace kylix {
@@ -47,12 +45,13 @@ struct MergeScratch {
   std::vector<std::vector<key_t>> runs[2];  ///< ping-pong key runs per level
   PosMap map_a;                             ///< 2-way merge temporaries
   PosMap map_b;
-  kernels::KWayScratch kway;  ///< loser-tree storage for union_into's k-way path
 };
 
 /// Union of two strictly-sorted sequences into caller-owned buffers:
 /// `keys` receives the union, `map_a`/`map_b` the positional maps of `a`/`b`
-/// within it. Buffers are overwritten (capacity reused). Linear time.
+/// within it. Buffers are overwritten (capacity reused). Linear time, with
+/// no data-dependent branch per element on balanced sizes; galloping when
+/// one side is at least kernel_tuning().gallop_ratio times the other.
 void merge_union_into(std::span<const key_t> a, std::span<const key_t> b,
                       std::vector<key_t>& keys, PosMap& map_a, PosMap& map_b);
 
@@ -66,12 +65,6 @@ UnionResult merge_union(std::span<const key_t> a, std::span<const key_t> b);
 /// arbitrarily many empty inputs. `out` is overwritten, reusing its buffers.
 void tree_merge_into(std::span<const std::span<const key_t>> inputs,
                      UnionResult& out, MergeScratch& scratch);
-
-/// Union of k strictly-sorted sequences, dispatching between the binary
-/// merge cascade and the single-pass loser tree by input shape
-/// (kernels::choose_union_kernel) — the form the node hot paths use.
-void union_into(std::span<const std::span<const key_t>> inputs,
-                UnionResult& out, MergeScratch& scratch);
 
 /// Allocating convenience wrapper around tree_merge_into.
 UnionResult tree_merge(std::span<const std::span<const key_t>> inputs);

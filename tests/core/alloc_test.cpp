@@ -24,6 +24,8 @@
 #include "obs/metrics.hpp"
 #include "obs/span_tracer.hpp"
 #include "obs/watchdog.hpp"
+#include "powerlaw/zipf.hpp"
+#include "sparse/kernels/radix_sort.hpp"
 #include "sparse/merge.hpp"
 #include "test_util.hpp"
 
@@ -96,33 +98,17 @@ TEST(AllocHotPath, WarmTreeMergeIsAllocationFree) {
   EXPECT_EQ(out.maps, expected.maps);
 }
 
-TEST(AllocHotPath, WarmKWayMergeIsAllocationFree) {
-  Rng rng(12);
-  std::vector<std::vector<key_t>> inputs;
-  for (int i = 0; i < 16; ++i) {
-    std::vector<key_t> keys;
-    for (int j = 0; j < 80; ++j) keys.push_back(rng.below(700));
-    std::sort(keys.begin(), keys.end());
-    keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-    inputs.push_back(std::move(keys));
-  }
-  std::vector<std::span<const key_t>> spans(inputs.begin(), inputs.end());
-
-  kernels::KWayScratch scratch;
-  UnionResult out;
-  for (int i = 0; i < 3; ++i) kernels::kway_merge_into(spans, out, scratch);
-  const UnionResult expected = tree_merge(spans);
-
-  AllocGauge gauge;
-  kernels::kway_merge_into(spans, out, scratch);
-  EXPECT_EQ(gauge.count(), 0u);
-  EXPECT_EQ(out.keys, expected.keys);
-  EXPECT_EQ(out.maps, expected.maps);
-}
-
 TEST(AllocHotPath, WarmPairwiseMergeIsAllocationFree) {
-  const std::vector<key_t> a = {1, 3, 5, 7, 9, 11};
-  const std::vector<key_t> b = {2, 3, 8, 9, 20};
+  // Balanced sizes with every kind of step — a-only, b-only and shared
+  // keys — run the presized branch-free loop, not the gallop path.
+  Rng rng(13);
+  std::vector<key_t> a;
+  std::vector<key_t> b;
+  for (key_t k = 0; k < 30000; ++k) {
+    const auto side = rng.below(3);
+    if (side != 1) a.push_back(k);
+    if (side != 0) b.push_back(k);
+  }
   std::vector<key_t> keys;
   PosMap map_a, map_b;
   merge_union_into(a, b, keys, map_a, map_b);  // warm
@@ -130,7 +116,33 @@ TEST(AllocHotPath, WarmPairwiseMergeIsAllocationFree) {
   AllocGauge gauge;
   merge_union_into(a, b, keys, map_a, map_b);
   EXPECT_EQ(gauge.count(), 0u);
-  EXPECT_EQ(keys, (std::vector<key_t>{1, 2, 3, 5, 7, 8, 9, 11, 20}));
+  ASSERT_EQ(keys.size(), 30000u);
+  for (std::size_t p = 0; p < keys.size(); ++p) ASSERT_EQ(keys[p], p);
+  for (std::size_t p = 0; p < a.size(); ++p) ASSERT_EQ(map_a[p], a[p]);
+  for (std::size_t p = 0; p < b.size(); ++p) ASSERT_EQ(map_b[p], b[p]);
+}
+
+TEST(AllocHotPath, WarmRepeatFilteredSortIsAllocationFree) {
+  // A minibatch-shaped Zipf batch: the repeat filter's table lives in the
+  // warm scratch, so the whole sort allocates nothing.
+  const ZipfSampler zipf(std::uint64_t{1} << 20, 1.1);
+  Rng rng(14);
+  std::vector<key_t> batch(std::size_t{1} << 15);
+  for (auto& k : batch) k = hash_index(zipf(rng) - 1);
+  std::vector<key_t> expected = batch;
+  std::sort(expected.begin(), expected.end());
+  expected.erase(std::unique(expected.begin(), expected.end()),
+                 expected.end());
+
+  std::vector<key_t> keys = batch;
+  std::vector<key_t> scratch;
+  kernels::radix_sort_dedup(keys, scratch);  // warm
+  keys.assign(batch.begin(), batch.end());
+
+  AllocGauge gauge;
+  kernels::radix_sort_dedup(keys, scratch);
+  EXPECT_EQ(gauge.count(), 0u);
+  EXPECT_EQ(keys, expected);
 }
 
 // Drives the replay kernels through the engine rounds exactly as

@@ -10,8 +10,8 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "core/autotune.hpp"
-#include "sparse/kernels/kway_merge.hpp"
+#include "powerlaw/zipf.hpp"
+#include "sparse/kernels/kernels.hpp"
 #include "sparse/kernels/radix_sort.hpp"
 #include "sparse/kernels/scatter_gather.hpp"
 #include "sparse/merge.hpp"
@@ -80,6 +80,55 @@ TEST(RadixSort, ExtremeKeyValuesSurviveDedup) {
   expect_radix_matches_std(std::move(keys));
 }
 
+TEST(RadixSort, ZipfMinibatchBatchLosesItsRepeatsToTheFilter) {
+  // The minibatch shape: 32 Ki raw Zipf(1.1) feature draws over 2^20
+  // features, about 70% of them repeats.
+  const ZipfSampler zipf(std::uint64_t{1} << 20, 1.1);
+  Rng rng(106);
+  std::vector<key_t> keys(std::size_t{1} << 15);
+  for (auto& k : keys) k = hash_index(zipf(rng) - 1);
+  expect_radix_matches_std(std::move(keys));
+}
+
+TEST(RadixSort, FilterSentinelKeysAtBothEndsSurvive) {
+  // The filter's table starts out holding 0 and 2^63; inputs that carry
+  // either value as their first and last key must keep exactly one copy.
+  Rng rng(107);
+  for (const key_t sentinel : {key_t{0}, key_t{1} << 63}) {
+    for (const std::size_t n : {std::size_t{600}, std::size_t{5000}}) {
+      std::vector<key_t> keys(n);
+      for (auto& k : keys) k = hash_index(rng.below(200));
+      keys.front() = sentinel;
+      keys.back() = sentinel;
+      expect_radix_matches_std(keys);
+      keys.back() = ~key_t{0};  // the sentinel appears once, first
+      expect_radix_matches_std(keys);
+      keys.front() = 1;  // ... and once, last
+      keys.back() = sentinel;
+      expect_radix_matches_std(std::move(keys));
+    }
+  }
+}
+
+TEST(RadixSort, SizesAtTheProbeLengthAndTheStdSortCutoff) {
+  const std::size_t probe = kernels::kRepeatProbeKeys;
+  const std::size_t cutoff = kernels::kernel_tuning().radix_min_keys;
+  Rng rng(108);
+  for (const std::size_t n : {probe - 1, probe, probe + 1, cutoff - 1,
+                              cutoff, cutoff + 1}) {
+    // Unique, repeat-heavy (the filter runs past the probe), and a handful
+    // of leading repeats (the probe declines and closes its gaps).
+    std::vector<key_t> unique(n);
+    for (auto& k : unique) k = rng();
+    expect_radix_matches_std(unique);
+    std::vector<key_t> repeating(n);
+    for (auto& k : repeating) k = hash_index(rng.below(n / 4 + 1));
+    expect_radix_matches_std(std::move(repeating));
+    for (std::size_t i = 1; i < 6; ++i) unique[i * 7] = unique[i];
+    expect_radix_matches_std(std::move(unique));
+  }
+}
+
 TEST(RadixSort, WarmScratchIsReusedAcrossShrinkingCalls) {
   Rng rng(105);
   std::vector<key_t> scratch;
@@ -95,130 +144,11 @@ TEST(RadixSort, WarmScratchIsReusedAcrossShrinkingCalls) {
   }
 }
 
-// --- k-way merge ------------------------------------------------------------
-
 std::vector<key_t> random_sorted_unique(Rng& rng, std::size_t size,
                                         key_t universe) {
   std::set<key_t> keys;
   while (keys.size() < size) keys.insert(rng.below(universe));
   return std::vector<key_t>(keys.begin(), keys.end());
-}
-
-/// kway_merge_into must be indistinguishable from tree_merge_into: same
-/// union, same positional maps.
-void expect_kway_matches_tree(const std::vector<std::vector<key_t>>& inputs) {
-  std::vector<std::span<const key_t>> spans(inputs.begin(), inputs.end());
-  UnionResult tree;
-  MergeScratch tree_scratch;
-  tree_merge_into(spans, tree, tree_scratch);
-  UnionResult kway;
-  kernels::KWayScratch kway_scratch;
-  kernels::kway_merge_into(spans, kway, kway_scratch);
-  EXPECT_EQ(kway.keys, tree.keys);
-  ASSERT_EQ(kway.maps.size(), tree.maps.size());
-  for (std::size_t i = 0; i < tree.maps.size(); ++i) {
-    EXPECT_EQ(kway.maps[i], tree.maps[i]) << "map " << i;
-  }
-}
-
-TEST(KWayMerge, DegenerateShapes) {
-  expect_kway_matches_tree({});
-  expect_kway_matches_tree({{}});
-  expect_kway_matches_tree({{5, 9}});
-  expect_kway_matches_tree({{}, {}, {}});
-  expect_kway_matches_tree({{1}, {}, {1}, {}});
-  expect_kway_matches_tree({{~key_t{0}}, {0, ~key_t{0}}});
-}
-
-TEST(KWayMerge, RandomizedFanInAndOverlap) {
-  Rng rng(201);
-  for (const std::size_t ways : {2u, 3u, 5u, 8u, 16u, 33u}) {
-    for (const key_t universe : {50u, 100000u}) {
-      std::vector<std::vector<key_t>> inputs;
-      for (std::size_t i = 0; i < ways; ++i) {
-        const std::size_t size = rng.below(200);
-        inputs.push_back(random_sorted_unique(
-            rng, std::min<std::size_t>(size, universe / 2 + 1), universe));
-      }
-      expect_kway_matches_tree(inputs);
-    }
-  }
-}
-
-TEST(KWayMerge, SkewedRunSizes) {
-  Rng rng(202);
-  std::vector<std::vector<key_t>> inputs;
-  inputs.push_back(random_sorted_unique(rng, 20000, 1u << 30));
-  for (int i = 0; i < 15; ++i) {
-    inputs.push_back(random_sorted_unique(rng, 20, 1u << 30));
-  }
-  expect_kway_matches_tree(inputs);
-}
-
-TEST(KWayMerge, WarmScratchSurvivesChangingFanIn) {
-  Rng rng(203);
-  kernels::KWayScratch scratch;
-  UnionResult out;
-  for (const std::size_t ways : {16u, 2u, 9u, 16u}) {
-    std::vector<std::vector<key_t>> inputs;
-    for (std::size_t i = 0; i < ways; ++i) {
-      inputs.push_back(random_sorted_unique(rng, 100, 4000));
-    }
-    std::vector<std::span<const key_t>> spans(inputs.begin(), inputs.end());
-    kernels::kway_merge_into(spans, out, scratch);
-    const UnionResult expected = tree_merge(spans);
-    EXPECT_EQ(out.keys, expected.keys);
-    EXPECT_EQ(out.maps, expected.maps);
-  }
-}
-
-// --- dispatch heuristic -----------------------------------------------------
-
-TEST(UnionDispatch, HeuristicSelectsByFanInAndSize) {
-  const KernelTuning& t = kernel_tuning();
-  EXPECT_EQ(choose_union_kernel(2, 1 << 20), UnionKernel::kTree);
-  EXPECT_EQ(choose_union_kernel(t.kway_min_ways, t.kway_min_elements),
-            UnionKernel::kKWay);
-  EXPECT_EQ(choose_union_kernel(16, t.kway_min_elements - 1),
-            UnionKernel::kTree);
-}
-
-TEST(UnionDispatch, PlanCoversEveryLayer) {
-  const KernelTuning& t = kernel_tuning();
-  const Topology topo({16, 4, 2});
-  // Without an element estimate the plan assumes the threshold volume, so
-  // only the fan-in criterion discriminates.
-  const auto plan = union_kernel_plan(topo);
-  ASSERT_EQ(plan.size(), 3u);
-  EXPECT_EQ(plan[0], UnionKernel::kKWay);
-  EXPECT_EQ(plan[1], UnionKernel::kTree);
-  EXPECT_EQ(plan[2], UnionKernel::kTree);
-
-  // Explicit per-layer volumes flip a small high-fan-in layer back to the
-  // cascade; a big volume keeps the loser tree only where fan-in allows.
-  const double big = static_cast<double>(t.kway_min_elements);
-  const auto starved = union_kernel_plan(topo, std::vector<double>{16, 16, 16});
-  EXPECT_EQ(starved[0], UnionKernel::kTree);
-  const auto fed = union_kernel_plan(topo, std::vector<double>{big, big, big});
-  EXPECT_EQ(fed[0], UnionKernel::kKWay);
-  EXPECT_EQ(fed[1], UnionKernel::kTree);  // fan-in 4 < kway_min_ways
-}
-
-TEST(UnionDispatch, UnionIntoMatchesTreeMergeEitherWay) {
-  Rng rng(301);
-  for (const std::size_t ways : {2u, 4u, 16u}) {
-    std::vector<std::vector<key_t>> inputs;
-    for (std::size_t i = 0; i < ways; ++i) {
-      inputs.push_back(random_sorted_unique(rng, 300, 10000));
-    }
-    std::vector<std::span<const key_t>> spans(inputs.begin(), inputs.end());
-    UnionResult dispatched;
-    MergeScratch scratch;
-    union_into(spans, dispatched, scratch);
-    const UnionResult expected = tree_merge(spans);
-    EXPECT_EQ(dispatched.keys, expected.keys);
-    EXPECT_EQ(dispatched.maps, expected.maps);
-  }
 }
 
 // --- galloping pairwise merge ----------------------------------------------

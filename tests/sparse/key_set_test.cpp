@@ -7,6 +7,7 @@
 #include <algorithm>
 
 #include "common/rng.hpp"
+#include "test_util.hpp"
 
 namespace kylix {
 namespace {
@@ -161,6 +162,18 @@ TEST(KeySet, ExtractCopiesSlice) {
   const KeySet set = KeySet::from_keys({10, 20, 30, 40, 50});
   EXPECT_EQ(set.extract(1, 4), (std::vector<key_t>{20, 30, 40}));
   EXPECT_TRUE(set.extract(2, 2).empty());
+}
+
+TEST(KeySet, FromSortedKeysUnsortedThrows) {
+  testing::expect_check_message(
+      [] { (void)KeySet::from_sorted_keys({1, 4, 9, 7, 12}); },
+      "key at position 3 is below the one before it");
+}
+
+TEST(KeySet, FromSortedKeysDuplicateThrows) {
+  testing::expect_check_message(
+      [] { (void)KeySet::from_sorted_keys({2, 2, 3}); },
+      "key at position 1 repeats the one before it");
 }
 
 TEST(KeySet, SubsetOf) {

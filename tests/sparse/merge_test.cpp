@@ -6,6 +6,7 @@
 #include <set>
 
 #include "common/rng.hpp"
+#include "sparse/kernels/kernels.hpp"
 
 namespace kylix {
 namespace {
@@ -188,6 +189,59 @@ TEST(MergeUnionInto, ReusesCallerBuffers) {
   EXPECT_EQ(keys, (std::vector<key_t>{1, 2, 4, 6, 9}));
   EXPECT_EQ(map_a, (PosMap{0, 2, 3}));
   EXPECT_EQ(map_b, (PosMap{1, 2, 4}));
+}
+
+/// merge_union_into into dirty, mis-sized buffers against the oracle: the
+/// sorted set union, and maps that address every input key in it.
+void expect_pairwise_matches_oracle(const std::vector<key_t>& a,
+                                    const std::vector<key_t>& b) {
+  std::vector<key_t> keys(a.size() + 3, 77);
+  PosMap map_a(b.size() + 1, 5);
+  PosMap map_b(3, 9);
+  merge_union_into(a, b, keys, map_a, map_b);
+  const UnionResult r{keys, {map_a, map_b}};
+  EXPECT_EQ(r.keys, set_union_oracle({a, b}))
+      << "|a|=" << a.size() << " |b|=" << b.size();
+  expect_maps_valid(r, {a, b});
+}
+
+TEST(MergeUnionInto, SizesAroundTheGallopRatioBothWays) {
+  const std::size_t ratio = kernels::kernel_tuning().gallop_ratio;
+  Rng rng(301);
+  for (const std::size_t big_n : {ratio * 4, ratio * 300}) {
+    const auto big = random_sorted_unique(rng, big_n, key_t{1} << 20);
+    // |big| / |small| lands at the ratio (gallop), just below it and at 1
+    // (branch-free loop); half the small keys are drawn from `big`.
+    for (const std::size_t small_n :
+         {big_n / ratio, big_n / ratio + 1, big_n / 2, big_n}) {
+      std::set<key_t> picked;
+      while (picked.size() < small_n) {
+        picked.insert(rng.below(2) == 0 ? big[rng.below(big.size())]
+                                        : rng.below(key_t{1} << 20));
+      }
+      const std::vector<key_t> small(picked.begin(), picked.end());
+      expect_pairwise_matches_oracle(big, small);
+      expect_pairwise_matches_oracle(small, big);
+    }
+  }
+}
+
+TEST(MergeUnionInto, EdgeShapes) {
+  std::vector<key_t> evens;
+  std::vector<key_t> odds;
+  for (key_t k = 0; k < 4000; k += 2) {
+    evens.push_back(k);
+    odds.push_back(k + 1);
+  }
+  expect_pairwise_matches_oracle(evens, evens);  // full overlap
+  expect_pairwise_matches_oracle(evens, odds);   // disjoint, interleaved
+  expect_pairwise_matches_oracle(odds, evens);
+  const std::vector<key_t> extremes = {0, 3, ~key_t{0} - 1, ~key_t{0}};
+  expect_pairwise_matches_oracle(extremes, {0, 1, 2, ~key_t{0}});
+  expect_pairwise_matches_oracle({~key_t{0}}, {0});
+  expect_pairwise_matches_oracle(extremes, {});
+  expect_pairwise_matches_oracle({}, extremes);
+  expect_pairwise_matches_oracle({}, {});
 }
 
 class HashUnionTest : public ::testing::TestWithParam<std::size_t> {};
