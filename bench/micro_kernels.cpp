@@ -34,6 +34,7 @@
 #include "powerlaw/zipf.hpp"
 #include "sparse/kernels/radix_sort.hpp"
 #include "sparse/kernels/scatter_gather.hpp"
+#include "sparse/merge.hpp"
 
 namespace {
 
@@ -295,10 +296,9 @@ int main(int argc, char** argv) {
   json.key_value("trials", kTrials);
   json.key("tuning");
   json.begin_object();
-  const kernels::KernelTuning& t = kernels::kernel_tuning();
   json.key_value("radix_min_keys",
-                 static_cast<std::uint64_t>(t.radix_min_keys));
-  json.key_value("gallop_ratio", static_cast<std::uint64_t>(t.gallop_ratio));
+                 static_cast<std::uint64_t>(kernels::kRadixMinKeys));
+  json.key_value("gallop_ratio", static_cast<std::uint64_t>(kGallopRatio));
   json.key_value("prefetch_ahead",
                  static_cast<std::uint64_t>(kernels::kPrefetchAhead));
   json.key_value("repeat_probe_keys",

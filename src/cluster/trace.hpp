@@ -2,8 +2,8 @@
 // model (DESIGN.md decision 2: correctness and timing are decoupled).
 //
 // Every engine records one MsgEvent per message it delivers. Volume charts
-// (Fig. 5) read the trace directly; LayerTimer (timing.hpp) replays it
-// against a NetworkModel.
+// (Fig. 5) read the trace directly; the engines also feed each event live
+// to a TimingAccumulator (timing.hpp), which prices it on a NetworkModel.
 #pragma once
 
 #include <cstdint>

@@ -27,11 +27,11 @@
 // replay against an identically-configured FaultPlan would see — the fuzz
 // suite asserts exactly that, fault stats included.
 //
-// Modeled clock (single-worker mode): per-rank tx/rx NIC clocks shared by
-// every in-flight stream. A send occupies the sender's NIC for
-// stack_overhead + bytes/bandwidth (serializing, per NetworkModel's
-// stack/handshake split), then lands after the thread-hideable handshake +
-// propagation latency, serialized against the receiver's NIC clock. This
+// Modeled clock: per-rank tx/rx NIC clocks shared by every in-flight
+// stream. A send occupies the sender's NIC for stack_overhead +
+// bytes/bandwidth (serializing, per NetworkModel's stack/handshake split),
+// then lands after the thread-hideable handshake + propagation latency;
+// receive occupancy is accounted but not serialized (see route()). This
 // is where overlapping k streams wins: while one stream's nodes wait out
 // latency, another stream's letters keep the NICs busy.
 #pragma once
@@ -82,28 +82,19 @@ struct AsyncFaultScript {
   }
 };
 
-namespace detail {
-inline std::uint32_t async_chunks_for(std::size_t chunk_positions,
-                                      std::size_t positions) {
-  if (chunk_positions == 0 || positions <= chunk_positions) return 1;
-  return static_cast<std::uint32_t>((positions + chunk_positions - 1) /
-                                    chunk_positions);
-}
-}  // namespace detail
-
-/// Freeze one stream's fault schedule. `faults` may be null (clean stream:
-/// all alive, everything delivered, no fates stored). With faults, the plan
-/// is consumed by this replay — hand each stream its own identically-seeded
-/// FaultPlan, exactly as a serial oracle run would. Scripted revivals
-/// mid-stream are rejected: with no barrier there is no round at which a
-/// revived rank could rejoin the protocol (matches the plain engines, where
-/// a mid-reduce revive corrupts the replay state).
-inline void build_async_fault_script(const CollectivePlan& plan,
-                                     std::size_t chunk_positions,
+/// Freeze one stream's fault schedule over the letters `ctx` replays.
+/// `faults` may be null (clean stream: all alive, everything delivered, no
+/// fates stored). With faults, the plan is consumed by this replay — hand
+/// each stream its own identically-seeded FaultPlan, exactly as a serial
+/// oracle run would. Scripted revivals mid-stream are rejected: with no
+/// barrier there is no round at which a revived rank could rejoin the
+/// protocol (matches the plain engines, where a mid-reduce revive corrupts
+/// the replay state).
+inline void build_async_fault_script(const ReplayContext& ctx,
                                      FaultPlan* faults,
                                      AsyncFaultScript& script) {
-  const Topology& topo = plan.topology();
-  const std::uint16_t layers = topo.num_layers();
+  const CollectivePlan& plan = *ctx.plan;
+  const std::uint16_t layers = plan.topology().num_layers();
   const rank_t m = plan.num_ranks();
   const std::size_t slots = AsyncSlots::count(layers);
   script.slots.resize(slots);
@@ -134,12 +125,7 @@ inline void build_async_fault_script(const CollectivePlan& plan,
       if (slot.alive[q] == 0) continue;
       const PlanLayer& cfg = plan.rank_plan(q).layers[layer - 1];
       for (std::uint32_t d = 0; d < cfg.group.size(); ++d) {
-        const std::size_t piece =
-            phase == Phase::kReduceDown
-                ? cfg.out_split[d + 1] - cfg.out_split[d]
-                : cfg.in_maps[d].size();
-        const std::uint32_t chunks =
-            detail::async_chunks_for(chunk_positions, piece);
+        const std::uint32_t chunks = ctx.chunks(cfg.piece(phase, d));
         const rank_t dst = cfg.group[d];
         for (std::uint32_t c = 0; c < chunks; ++c) {
           LetterFate fate = LetterFate::kDeliver;
@@ -212,9 +198,8 @@ struct NicTimeline {
 };
 
 /// The shared transport: per-(lane, rank, slot) mailboxes plus the modeled
-/// NIC clocks. One channel serves every lane of one AsyncExecutor; it is
-/// not thread-safe by itself (the executor serializes route/take under its
-/// scheduler lock in multi-worker mode).
+/// NIC clocks. One channel serves every lane of one AsyncExecutor, whose
+/// single event loop is its only caller (not thread-safe).
 template <typename V>
 class AsyncChannel {
  public:
@@ -226,8 +211,13 @@ class AsyncChannel {
     double ready_time = 0;
   };
 
-  void configure(rank_t num_ranks, std::uint16_t layers, std::size_t lanes) {
+  /// Size the mailboxes and clear the NIC clocks. `net` (optional) turns
+  /// the modeled clock on; `observer` (optional) sees every letter.
+  void configure(rank_t num_ranks, std::uint16_t layers, std::size_t lanes,
+                 const NetworkModel* net, EngineObserver* observer) {
     num_ranks_ = num_ranks;
+    net_ = net;
+    observer_ = observer;
     slots_ = AsyncSlots::count(layers);
     boxes_.resize(lanes);
     for (auto& lane : boxes_) {
@@ -238,11 +228,6 @@ class AsyncChannel {
     tx_busy_.assign(num_ranks, 0.0);
     rx_busy_.assign(num_ranks, 0.0);
   }
-
-  /// Modeled clock on/off (off in multi-worker mode, where interleaving
-  /// makes modeled timestamps meaningless; results are unaffected).
-  void set_network(const NetworkModel* net) { net_ = net; }
-  void set_observer(EngineObserver* observer) { observer_ = observer; }
 
   /// Reset one lane's mailboxes for a new stream: expected counts from the
   /// stream's script, letter shells reserved once and reused.
@@ -260,10 +245,6 @@ class AsyncChannel {
 
   [[nodiscard]] SlotBox& box_at(std::size_t lane, rank_t r, std::size_t t) {
     return boxes_[lane][std::size_t{r} * slots_ + t];
-  }
-  [[nodiscard]] bool complete(std::size_t lane, rank_t r, std::size_t t) {
-    const SlotBox& box = box_at(lane, r, t);
-    return box.letters.size() == box.expected;
   }
 
   /// Route one produced batch from (lane, src, slot) at modeled `send_time`
@@ -338,13 +319,15 @@ class AsyncChannel {
   }
 
   /// Sort a completed box by (src, chunk) — the barriered consume order —
-  /// and hand it to the node. The vector (and its shells) stays owned by
-  /// the channel; the consume kernels strip only the value buffers.
-  [[nodiscard]] std::vector<Letter<V>>& take_inbox(std::size_t lane, rank_t r,
+  /// and hand it to the node; null while letters are still expected. The
+  /// vector (and its shells) stays owned by the channel; the consume
+  /// kernels strip only the value buffers.
+  [[nodiscard]] std::vector<Letter<V>>* take_inbox(std::size_t lane, rank_t r,
                                                    std::size_t t) {
     SlotBox& box = box_at(lane, r, t);
+    if (box.letters.size() != box.expected) return nullptr;
     std::sort(box.letters.begin(), box.letters.end(), letter_before<V>);
-    return box.letters;
+    return &box.letters;
   }
 
   /// Accumulated modeled NIC occupancy per rank since configure() — the

@@ -40,7 +40,7 @@ class ThreadedBsp : protected Wire<V> {
         due_by_rank_(num_nodes) {
     workers_.reserve(num_nodes);
     for (rank_t rank = 0; rank < num_nodes; ++rank) {
-      workers_.emplace_back([this, rank] { worker_loop(rank); });
+      workers_.emplace_back([this, rank] { serve_rank(rank); });
     }
   }
 
@@ -176,7 +176,7 @@ class ThreadedBsp : protected Wire<V> {
     }
   }
 
-  void worker_loop(rank_t rank) {
+  void serve_rank(rank_t rank) {
     std::uint64_t seen_generation = 0;
     for (;;) {
       {

@@ -55,7 +55,7 @@ class ThreadPool {
     for (unsigned i = 1; i < threads_; ++i) {
       workers_.emplace_back([this, i] {
         tls_worker_id_ = i;
-        worker_loop();
+        serve_batches();
       });
     }
   }
@@ -139,7 +139,7 @@ class ThreadPool {
   }
 
  private:
-  void worker_loop() {
+  void serve_batches() {
     std::uint64_t seen = 0;
     for (;;) {
       {

@@ -377,25 +377,20 @@ class SparseAllreduce {
           KeySet::from_sorted_keys(std::vector<key_t>(host_union.keys));
       // Price the leader-side set unions of the config stage: the leader
       // walks every co-located member's key sets once over the memory bus.
-      if constexpr (requires(Engine& e) {
-                      e.charge_intra(Phase::kConfig, rank_t{0}, 0.0);
-                    }) {
-        double elements = 0.0;
-        for (const rank_t r : ih.members) {
-          elements +=
-              static_cast<double>(in_sets[r].size() + out_sets[r].size());
-        }
-        const auto peers = static_cast<std::uint32_t>(ih.members.size());
-        double seconds = 0.0;
-        if (net_ != nullptr) {
-          seconds += net_->intra_copy_time(elements * sizeof(key_t), peers);
-        }
-        if (compute_ != nullptr) {
-          seconds += compute_->merge_time(elements, peers);
-        }
-        if (seconds > 0.0) {
-          engine_->charge_intra(Phase::kConfig, ih.leader, seconds);
-        }
+      double elements = 0.0;
+      for (const rank_t r : ih.members) {
+        elements += static_cast<double>(in_sets[r].size() + out_sets[r].size());
+      }
+      const auto peers = static_cast<std::uint32_t>(ih.members.size());
+      double seconds = 0.0;
+      if (net_ != nullptr) {
+        seconds += net_->intra_copy_time(elements * sizeof(key_t), peers);
+      }
+      if (compute_ != nullptr) {
+        seconds += compute_->merge_time(elements, peers);
+      }
+      if (seconds > 0.0) {
+        engine_->charge_intra(Phase::kConfig, ih.leader, seconds);
       }
     }
 
@@ -644,11 +639,8 @@ class SparseAllreduce {
   void charge(std::uint16_t layer, Node& node) {
     const NodeWork work = node.take_work();
     if (compute_ == nullptr) return;
-    const double seconds =
-        compute_->merge_time(work.merge_elements, work.merge_ways) +
-        compute_->combine_time(work.combine_elements) +
-        compute_->gather_time(work.gather_elements);
-    engine_->charge_compute(Phase::kConfig, layer, node.rank(), seconds);
+    engine_->charge_compute(Phase::kConfig, layer, node.rank(),
+                            work.seconds(*compute_));
   }
 
   Engine* engine_;

@@ -4,7 +4,7 @@
 // Where ReduceExecutor walks one reduce through round barriers, this
 // executor keeps a window of `window` concurrent streams in flight: each
 // admitted stream occupies one *lane* (per-rank ReplayScratch + AsyncNode
-// state machines + a frozen fault script) and all lanes share one
+// slot counters + a frozen fault script) and all lanes share one
 // AsyncChannel — the mailboxes, the modeled NIC clocks, and, in the real
 // cluster this models, the wires. Streams are sequence-tagged at submit();
 // completion, per-stream latency, StreamStats, FaultStats, and results are
@@ -12,43 +12,34 @@
 // stream, so the channel never idles between reduces the way the
 // serialized path does.
 //
-// Scheduling. Single-worker mode (the default, and the deterministic one)
-// runs an event loop over a min-heap of (modeled time, lane, rank): pop the
-// earliest runnable node, step() it until it parks on an incomplete inbox,
-// and wake parked nodes when a routed batch completes their box. With a
-// NetworkModel bound, the heap order IS the modeled cluster timeline: each
-// rank's tx NIC is a gap-filling busy-interval timeline shared across
-// lanes (work-conserving regardless of claim order — see NicTimeline),
-// arrivals are sender-serialized plus handshake/propagation latency, and
-// compute runs per-lane (one core per in-flight stream; within a stream
-// the node clock serializes it). k overlapped streams thus fill the wire
-// gaps a serialized run leaves idle — that gap recovery is the aggregate
-// reduces/sec headline in bench/wall_engines. Admission is paced at the
-// per-slot pipeline initiation interval, which bounds per-stream latency
-// without costing throughput.
-// Multi-worker mode (workers > 1) drives the same nodes from a thread pool
-// behind one scheduler lock — kernels run outside the lock — and exists to
-// let tsan/asan hunt races in the multiplexing; modeled time is disabled
-// there (latencies read 0), and because every stream's values depend only
-// on its sorted inboxes, results are bit-identical to single-worker runs
-// regardless of interleaving.
+// Scheduling. One deterministic event loop over a min-heap of (modeled
+// time, lane, rank): pop the earliest runnable node, step() it until it
+// parks on an incomplete inbox, and wake parked nodes when a routed batch
+// completes their box. With a NetworkModel bound, the heap order IS the
+// modeled cluster timeline: each rank's tx NIC is a gap-filling
+// busy-interval timeline shared across lanes (work-conserving regardless
+// of claim order — see NicTimeline), arrivals are sender-serialized plus
+// handshake/propagation latency, and compute runs per-lane (one core per
+// in-flight stream; within a stream the node clock serializes it). k
+// overlapped streams thus fill the wire gaps a serialized run leaves idle
+// — that gap recovery is the aggregate reduces/sec headline in
+// bench/wall_engines. Admission is paced at the per-slot pipeline
+// initiation interval, which bounds per-stream latency without costing
+// throughput.
 //
 // Buffer economy. Lanes pool everything (scratch, letter shells, mailbox
-// shells, value pools); a consumed buffer returns to its sender's pool
-// immediately in single-worker mode and at stream completion in threaded
-// mode (the quiescent points that need no cross-rank synchronization).
-// After the first batch warms the pools, submit()/drain() cycles are
-// allocation-free, same as the serial executor (tests/core/alloc_test).
+// shells, value pools); a consumed buffer returns to its sender's pool as
+// soon as it is consumed (one loop drives every node, so no cross-rank
+// synchronization is needed). After the first batch warms the pools,
+// submit()/drain() cycles are allocation-free, same as the serial executor
+// (tests/core/alloc_test).
 #pragma once
 
 #include <algorithm>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <limits>
 #include <memory>
-#include <mutex>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -69,12 +60,11 @@ template <typename V, typename Op = OpSum>
 class AsyncExecutor {
  public:
   struct Options {
-    std::uint32_t window = 4;   ///< max concurrent in-flight streams (lanes)
-    std::uint32_t workers = 1;  ///< >1: thread pool (sanitizer lane; no clock)
-    std::uint32_t stride = 1;   ///< payloads per key, interleaved key-major
-    bool streaming = false;     ///< chunked letters (plan's chunk_bytes)
+    std::uint32_t window = 4;  ///< max concurrent in-flight streams (lanes)
+    std::uint32_t stride = 1;  ///< payloads per key, interleaved key-major
+    bool streaming = false;    ///< chunked letters (plan's chunk_bytes)
     std::uint64_t chunk_bytes_override = 0;
-    const NetworkModel* network = nullptr;  ///< modeled clock (workers == 1)
+    const NetworkModel* network = nullptr;  ///< modeled clock
     const ComputeModel* compute = nullptr;  ///< per-consume compute charge
     EngineObserver* observer = nullptr;     ///< per-letter message/fault hooks
     obs::FlightRecorder* recorder = nullptr;  ///< stream admit/complete marks
@@ -95,32 +85,18 @@ class AsyncExecutor {
     KYLIX_CHECK_MSG(!plan->hierarchical(),
                     "async replay supports flat plans only (the intra-node "
                     "stage is a round barrier; see DESIGN §13)");
-    KYLIX_CHECK(opts.window >= 1 && opts.workers >= 1 && opts.stride >= 1);
+    KYLIX_CHECK(opts.window >= 1 && opts.stride >= 1);
     KYLIX_CHECK_MSG(active_streams_ == 0, "bind while streams in flight");
     plan_ = std::move(plan);
     opts_ = opts;
     layers_ = plan_->topology().num_layers();
     slots_ = AsyncSlots::count(layers_);
     const rank_t m = plan_->num_ranks();
-    const std::uint64_t chunk_bytes = opts_.chunk_bytes_override != 0
-                                          ? opts_.chunk_bytes_override
-                                          : plan_->chunk_bytes();
-    ctx_.plan = plan_.get();
-    ctx_.stride = opts_.stride;
-    ctx_.chunk_positions =
-        opts_.streaming && chunk_bytes != 0
-            ? std::max<std::size_t>(
-                  1, static_cast<std::size_t>(
-                         chunk_bytes /
-                         (sizeof(V) * std::uint64_t{opts_.stride})))
-            : 0;
-    channel_.configure(m, layers_, opts_.window);
-    channel_.set_network(opts_.workers == 1 ? opts_.network : nullptr);
-    channel_.set_observer(opts_.observer);
+    ctx_ = Ops::context(*plan_, opts_.stride, opts_.streaming,
+                        opts_.chunk_bytes_override);
     // The clean script is shared by every fault-free stream: built once,
     // per-lane fault scripts are only populated on the faulted cold path.
-    build_async_fault_script(*plan_, ctx_.chunk_positions, nullptr,
-                             clean_script_);
+    build_async_fault_script(ctx_, nullptr, clean_script_);
     lanes_.resize(opts_.window);
     for (Lane& lane : lanes_) {
       if (lane.scratch.size() < m) lane.scratch.resize(m);
@@ -133,7 +109,7 @@ class AsyncExecutor {
       lane.stream = kNoStream;
     }
     cpu_busy_.assign(m, 0.0);
-    pace_ = modeled() ? admission_pace() : 0.0;
+    pace_ = opts_.network != nullptr ? admission_pace() : 0.0;
     heap_.reserve(std::size_t{opts_.window} * m * (slots_ + 1));
     reset();
   }
@@ -154,7 +130,7 @@ class AsyncExecutor {
 
   /// The membership epoch stream `tag` was admitted under.
   [[nodiscard]] std::uint64_t stream_epoch(std::uint32_t tag) const {
-    return streams_[tag - stream_base_].epoch;
+    return streams_[live(tag)].epoch;
   }
 
   /// Submit one reduce as a new stream; returns its sequence tag. Admitted
@@ -166,21 +142,14 @@ class AsyncExecutor {
   std::uint32_t submit(std::vector<std::vector<V>> out_values,
                        FaultPlan* faults = nullptr) {
     KYLIX_CHECK(bound());
-    KYLIX_CHECK(out_values.size() == plan_->num_ranks());
-    for (rank_t r = 0; r < plan_->num_ranks(); ++r) {
-      const RankPlan& rp = plan_->rank_plan(r);
-      if (!rp.configured) {
-        // Same contract as the serial executor: a rank the plan does not
-        // cover may only replay while dead.
-        KYLIX_CHECK_MSG(faults != nullptr && faults->failures().is_dead(r),
-                        "alive rank not covered by the bound plan");
-        continue;
-      }
-      KYLIX_CHECK_MSG(out_values[r].size() == rp.out0_size * ctx_.stride,
-                      "contribution length does not match plan out set");
-    }
+    // The serial executor's contract: a rank the plan does not cover may
+    // only replay while dead, here by the stream's own FaultPlan.
+    Ops::check_inputs(*plan_, opts_.stride, out_values, [&](rank_t r) {
+      return faults != nullptr && faults->failures().is_dead(r);
+    });
     const std::uint32_t tag = next_stream_++;
-    Stream& st = stream_at(tag);
+    if (streams_.size() == stream_count_) streams_.resize(stream_count_ + 1);
+    Stream& st = streams_[stream_count_++];
     st.done = false;
     st.taken = false;
     st.admit_time = 0;
@@ -188,9 +157,6 @@ class AsyncExecutor {
     st.stats = StreamStats{};
     st.faults = FaultStats{};
     st.epoch = epoch_;
-    if (st.results.size() != plan_->num_ranks()) {
-      st.results.resize(plan_->num_ranks());
-    }
     ++active_streams_;
     const std::size_t lane_id = free_lane();
     if (lane_id != kNoLane) {
@@ -206,11 +172,11 @@ class AsyncExecutor {
 
   /// Run until every submitted stream has completed.
   void drain() {
-    if (active_streams_ == 0) return;
-    if (opts_.workers == 1) {
-      run_single();
-    } else {
-      run_threaded();
+    while (!heap_.empty()) {
+      std::pop_heap(heap_.begin(), heap_.end(), std::greater<>());
+      const Ready item = heap_.back();
+      heap_.pop_back();
+      step_node(item.lane, item.rank);
     }
     KYLIX_CHECK(active_streams_ == 0);
   }
@@ -218,16 +184,16 @@ class AsyncExecutor {
   /// Move stream `tag`'s per-rank results out (empty vectors for ranks dead
   /// or unconfigured at completion). Valid once after drain().
   [[nodiscard]] std::vector<std::vector<V>> take_result(std::uint32_t tag) {
-    Stream& st = stream_at(tag);
+    Stream& st = streams_[live(tag)];
     KYLIX_CHECK_MSG(st.done && !st.taken, "stream not completed or taken");
     st.taken = true;
     return std::move(st.results);
   }
 
   /// Modeled completion latency of stream `tag` in seconds (admission to
-  /// last node retiring); 0 without a NetworkModel or with workers > 1.
+  /// last node retiring); 0 without a NetworkModel.
   [[nodiscard]] double completion_seconds(std::uint32_t tag) const {
-    const Stream& st = streams_[tag - stream_base_];
+    const Stream& st = streams_[live(tag)];
     return st.finish_time - st.admit_time;
   }
   /// Modeled end of the whole batch (max stream finish time).
@@ -257,12 +223,12 @@ class AsyncExecutor {
   [[nodiscard]] double admission_pace_seconds() const { return pace_; }
 
   [[nodiscard]] const StreamStats& stream_stats(std::uint32_t tag) const {
-    return streams_[tag - stream_base_].stats;
+    return streams_[live(tag)].stats;
   }
   /// The stream's frozen fault-schedule counters (what its FaultPlan
   /// classified during the admission precompute).
   [[nodiscard]] const FaultStats& fault_stats(std::uint32_t tag) const {
-    return streams_[tag - stream_base_].faults;
+    return streams_[live(tag)].faults;
   }
 
   /// Per-stream completion report. Plain-channel semantics, exactly like
@@ -270,7 +236,7 @@ class AsyncExecutor {
   /// individual ranks (empty results), never whole replica groups, so the
   /// run is exact for every surviving rank.
   [[nodiscard]] DegradedReport degraded_report(std::uint32_t tag) const {
-    (void)tag;
+    (void)live(tag);
     return DegradedReport{};
   }
 
@@ -292,9 +258,8 @@ class AsyncExecutor {
       std::fill(lane.parked_slot.begin(), lane.parked_slot.end(), kNotParked);
     }
     std::fill(cpu_busy_.begin(), cpu_busy_.end(), 0.0);
-    channel_.configure(plan_->num_ranks(), layers_, opts_.window);
-    channel_.set_network(opts_.workers == 1 ? opts_.network : nullptr);
-    channel_.set_observer(opts_.observer);
+    channel_.configure(plan_->num_ranks(), layers_, opts_.window,
+                       opts_.network, opts_.observer);
   }
 
  private:
@@ -324,8 +289,7 @@ class AsyncExecutor {
     const AsyncFaultScript* script = nullptr;
     std::uint32_t stream = kNoStream;
     rank_t done_nodes = 0;
-    double admit_time = 0;
-    double finish_time = 0;
+    double finish_time = 0;  ///< latest retired node clock
   };
 
   struct Pending {
@@ -360,26 +324,19 @@ class AsyncExecutor {
       return lane->script->alive(slot, rank);
     }
     void send(std::size_t slot, std::vector<Letter<V>>& letters) {
-      std::unique_lock<std::mutex> lock = ex->maybe_lock();
       ex->channel_.route(
           lane_id, slot, *lane->script, ex->layers_, letters, now,
           [&](rank_t dst, double ready) {
             ex->wake(*lane, lane_id, dst, slot, ready);
           });
     }
-    [[nodiscard]] bool inbox_complete(std::size_t slot) {
-      std::unique_lock<std::mutex> lock = ex->maybe_lock();
-      return ex->channel_.complete(lane_id, rank, slot);
-    }
-    /// Box is complete: no more writers, safe to sort and consume without
-    /// the scheduler lock (the completing push happened-before our pop).
-    [[nodiscard]] std::vector<Letter<V>>& take_inbox(std::size_t slot) {
+    [[nodiscard]] std::vector<Letter<V>>* inbox(std::size_t slot) {
       return ex->channel_.take_inbox(lane_id, rank, slot);
     }
     void consumed(std::size_t slot) {
       ReplayScratch<V>& s = lane->scratch[rank];
       const NodeWork work = std::exchange(s.work, NodeWork{});
-      if (ex->modeled()) {
+      if (ex->opts_.network != nullptr) {
         const double arrived =
             ex->channel_.box_at(lane_id, rank, slot).ready_time;
         // Compute serializes within a stream (the node clock carries it)
@@ -387,40 +344,25 @@ class AsyncExecutor {
         // core, the way a window of concurrent reduces lands on a
         // multicore machine. Only the NIC clocks are shared resources.
         const double start = std::max(now, arrived);
-        const double cost =
-            ex->opts_.compute == nullptr
-                ? 0.0
-                : ex->opts_.compute->merge_time(work.merge_elements,
-                                                work.merge_ways) +
-                      ex->opts_.compute->combine_time(work.combine_elements) +
-                      ex->opts_.compute->gather_time(work.gather_elements);
+        const double cost = ex->opts_.compute == nullptr
+                                ? 0.0
+                                : work.seconds(*ex->opts_.compute);
         now = start + cost;
         ex->cpu_busy_[rank] += cost;
       }
-      if (ex->opts_.workers == 1) {
-        // Immediate sender-pool return; threaded mode defers to stream
-        // completion (the quiescent point needing no cross-rank locking).
-        ex->return_spent(*lane, s);
-      }
+      ex->return_spent(*lane, s);
     }
   };
 
-  [[nodiscard]] bool modeled() const {
-    return opts_.network != nullptr && opts_.workers == 1;
-  }
-  [[nodiscard]] std::unique_lock<std::mutex> maybe_lock() {
-    return opts_.workers == 1 ? std::unique_lock<std::mutex>()
-                              : std::unique_lock<std::mutex>(mu_);
-  }
-
-  [[nodiscard]] Stream& stream_at(std::uint32_t tag) {
+  /// streams_ index of `tag`. Only tags submitted since the last reset()
+  /// are live; bind() resets, so a tag from before a heal is stale.
+  [[nodiscard]] std::size_t live(std::uint32_t tag) const {
     const std::size_t index = tag - stream_base_;
-    KYLIX_CHECK(index < stream_count_ || index == stream_count_);
-    if (index == stream_count_) {
-      ++stream_count_;
-      if (streams_.size() < stream_count_) streams_.resize(stream_count_);
-    }
-    return streams_[index];
+    KYLIX_CHECK_MSG(index < stream_count_,
+                    "stream tag " << tag << " is not live (live tags: ["
+                                  << stream_base_ << ", "
+                                  << stream_base_ + stream_count_ << "))");
+    return index;
   }
   [[nodiscard]] Pending& pending_at(std::size_t index) {
     if (pending_.size() <= index) pending_.resize(index + 1);
@@ -441,47 +383,37 @@ class AsyncExecutor {
   /// leave the NICs idle) at the same time. Pacing admissions by this
   /// interval staggers the lanes into a software pipeline instead.
   [[nodiscard]] double admission_pace() const {
-    const rank_t m = plan_->num_ranks();
+    const NetworkModel& net = *opts_.network;
     double pace = 0;
-    std::vector<double> tx(m, 0.0);
     for (std::size_t t = 0; t < slots_; ++t) {
-      std::fill(tx.begin(), tx.end(), 0.0);
       const Phase phase = AsyncSlots::phase(t, layers_);
       const std::uint16_t layer = AsyncSlots::layer(t, layers_);
-      for (rank_t q = 0; q < m; ++q) {
+      for (rank_t q = 0; q < plan_->num_ranks(); ++q) {
         if (!plan_->rank_plan(q).configured) continue;
         const PlanLayer& cfg = plan_->rank_plan(q).layers[layer - 1];
+        double tx = 0;
         for (std::uint32_t d = 0; d < cfg.group.size(); ++d) {
           if (cfg.group[d] == q) continue;  // loopback never hits the NIC
-          const std::size_t piece =
-              phase == Phase::kReduceDown
-                  ? cfg.out_split[d + 1] - cfg.out_split[d]
-                  : cfg.in_maps[d].size();
-          const std::uint32_t chunks =
-              detail::async_chunks_for(ctx_.chunk_positions, piece);
-          for (std::uint32_t c = 0; c < chunks; ++c) {
-            const std::size_t positions =
-                chunks == 1 ? piece
-                            : std::min(ctx_.chunk_positions,
-                                       piece - c * ctx_.chunk_positions);
+          const std::size_t piece = cfg.piece(phase, d);
+          for (std::uint32_t c = 0; c < ctx_.chunks(piece); ++c) {
             const std::uint64_t payload =
-                sizeof(V) * std::uint64_t{positions} * opts_.stride;
+                sizeof(V) * std::uint64_t{ctx_.chunk_length(piece, c)} *
+                opts_.stride;
             const std::uint64_t bytes =
                 wire_frames(payload) * kPacketHeaderBytes + payload;
-            tx[q] += opts_.network->stack_overhead_s +
-                     static_cast<double>(bytes) /
-                         opts_.network->bandwidth_bytes_per_s;
+            tx += net.stack_overhead_s +
+                  static_cast<double>(bytes) / net.bandwidth_bytes_per_s;
           }
         }
+        pace = std::max(pace, tx);
       }
-      pace = std::max(pace, *std::max_element(tx.begin(), tx.end()));
     }
     return pace;
   }
 
   /// Admit a stream to a free lane at modeled time `now`: freeze its fault
   /// script, reset mailboxes and nodes, load inputs, and schedule every
-  /// participating node. Caller holds the lock in threaded mode.
+  /// participating node.
   void admit(std::size_t lane_id, std::uint32_t tag,
              std::vector<std::vector<V>> values, FaultPlan* faults,
              double now) {
@@ -491,11 +423,9 @@ class AsyncExecutor {
     KYLIX_CHECK(lane.stream == kNoStream);
     lane.stream = tag;
     lane.done_nodes = 0;
-    lane.admit_time = now;
     lane.finish_time = now;
     if (faults != nullptr) {
-      build_async_fault_script(*plan_, ctx_.chunk_positions, faults,
-                               lane.fault_script);
+      build_async_fault_script(ctx_, faults, lane.fault_script);
       lane.script = &lane.fault_script;
     } else {
       lane.script = &clean_script_;
@@ -510,12 +440,9 @@ class AsyncExecutor {
       s.stream = StreamStats{};
       lane.node_clock[r] = now;
       lane.parked_slot[r] = kNotParked;
-      if (!plan_->rank_plan(r).configured) {
-        // Checked dead at submit(); retires on its first step.
-        lane.nodes[r].reset(&ctx_, r, &s);
-        continue;
-      }
-      Ops::load_input(s, values[r]);
+      // A rank the plan does not cover was checked dead at submit(); it
+      // retires on its first step.
+      if (plan_->rank_plan(r).configured) Ops::load_input(s, values[r]);
       lane.nodes[r].reset(&ctx_, r, &s);
     }
     for (rank_t r = 0; r < m; ++r) {
@@ -533,8 +460,7 @@ class AsyncExecutor {
 
   /// A routed batch completed (lane, dst, slot)'s box: if that node is
   /// parked exactly there, reschedule it. Nodes not yet at the slot will
-  /// see the complete box when they arrive. Caller holds the lock in
-  /// threaded mode (route runs under it).
+  /// see the complete box when they arrive.
   void wake(Lane& lane, std::uint32_t lane_id, rank_t dst, std::size_t slot,
             double ready) {
     if (lane.parked_slot[dst] != slot) return;
@@ -545,7 +471,6 @@ class AsyncExecutor {
   void push_ready(Ready item) {
     heap_.push_back(item);
     std::push_heap(heap_.begin(), heap_.end(), std::greater<>());
-    if (opts_.workers > 1) cv_.notify_one();
   }
 
   /// Return one rank's consumed buffers to their senders' pools.
@@ -556,61 +481,35 @@ class AsyncExecutor {
     s.spent.clear();
   }
 
-  /// Step one node; park or retire it. Returns under the lock in threaded
-  /// mode only for the bookkeeping edges (park/retire/admit).
+  /// Step one node; park or retire it.
   void step_node(std::uint32_t lane_id, rank_t rank) {
     Lane& lane = lanes_[lane_id];
     AsyncNode<V, Op>& node = lane.nodes[rank];
-    if (node.done()) return;  // stale wakeup after retirement
+    KYLIX_DCHECK(!node.done());  // one heap entry per unfinished node
     Port port{this, lane_id, &lane, rank, lane.node_clock[rank]};
     const bool finished = node.step(port);
     lane.node_clock[rank] = port.now;
     if (finished) {
       retire_node(lane, lane_id, rank);
-      return;
-    }
-    // Parked. Re-check completion under the lock: a concurrent route may
-    // have completed the box between the node's check and this park (the
-    // classic lost wakeup); single-worker mode cannot race but shares the
-    // code path.
-    const std::size_t slot = node.slot();
-    std::unique_lock<std::mutex> lock = maybe_lock();
-    if (channel_.complete(lane_id, rank, slot)) {
-      const double ready = channel_.box_at(lane_id, rank, slot).ready_time;
-      push_ready({std::max(ready, lane.node_clock[rank]), lane_id, rank});
     } else {
-      lane.parked_slot[rank] = slot;
+      lane.parked_slot[rank] = node.slot();
     }
   }
 
   /// Node finished (or died). When it is the lane's last, finalize the
   /// stream and hand the lane to the next pending submission.
   void retire_node(Lane& lane, std::uint32_t lane_id, rank_t rank) {
-    std::unique_lock<std::mutex> lock = maybe_lock();
     lane.finish_time = std::max(lane.finish_time, lane.node_clock[rank]);
     if (++lane.done_nodes < plan_->num_ranks()) return;
     const std::uint32_t tag = lane.stream;
     Stream& st = streams_[tag - stream_base_];
     st.finish_time = lane.finish_time;
     st.done = true;
-    makespan_ = std::max(makespan_, lane.finish_time);
-    latencies_.push_back(lane.finish_time - lane.admit_time);
-    for (rank_t r = 0; r < plan_->num_ranks(); ++r) {
-      ReplayScratch<V>& s = lane.scratch[r];
-      if (opts_.workers > 1) return_spent(lane, s);
-      const AsyncNode<V, Op>& node = lane.nodes[r];
-      if (!node.dead() && plan_->rank_plan(r).configured) {
-        st.results[r] = std::move(s.vin);
-      } else {
-        st.results[r].clear();
-      }
-      st.stats.merge(s.stream);
-    }
-    st.stats.streamed = ctx_.chunk_positions != 0;
-    st.stats.chunk_bytes =
-        ctx_.chunk_positions == 0
-            ? 0
-            : std::uint64_t{ctx_.chunk_positions} * sizeof(V) * ctx_.stride;
+    makespan_ = std::max(makespan_, st.finish_time);
+    latencies_.push_back(st.finish_time - st.admit_time);
+    Ops::collect(ctx_, lane.scratch,
+                 [&](rank_t r) { return lane.nodes[r].dead(); }, st.results,
+                 st.stats);
     if (opts_.recorder != nullptr) {
       obs::FlightEvent e;
       e.kind = obs::FlightEventKind::kStreamComplete;
@@ -626,44 +525,6 @@ class AsyncExecutor {
       admit(lane_id, p.stream, std::move(p.values), p.faults,
             lane.finish_time);
       p.values.clear();
-    }
-    if (opts_.workers > 1 && active_streams_ == 0) cv_.notify_all();
-  }
-
-  void run_single() {
-    while (!heap_.empty()) {
-      std::pop_heap(heap_.begin(), heap_.end(), std::greater<>());
-      const Ready item = heap_.back();
-      heap_.pop_back();
-      step_node(item.lane, item.rank);
-    }
-  }
-
-  void run_threaded() {
-    std::vector<std::thread> pool;
-    pool.reserve(opts_.workers);
-    for (std::uint32_t w = 0; w < opts_.workers; ++w) {
-      pool.emplace_back([this] { worker_loop(); });
-    }
-    for (std::thread& t : pool) t.join();
-  }
-
-  void worker_loop() {
-    for (;;) {
-      Ready item;
-      {
-        std::unique_lock<std::mutex> lock(mu_);
-        cv_.wait(lock,
-                 [this] { return !heap_.empty() || active_streams_ == 0; });
-        if (heap_.empty()) {
-          if (active_streams_ == 0) return;
-          continue;
-        }
-        std::pop_heap(heap_.begin(), heap_.end(), std::greater<>());
-        item = heap_.back();
-        heap_.pop_back();
-      }
-      step_node(item.lane, item.rank);
     }
   }
 
@@ -693,9 +554,6 @@ class AsyncExecutor {
   double pace_ = 0;        ///< admission initiation interval (modeled s)
   double next_admit_ = 0;  ///< earliest modeled time the next admit may use
   std::uint64_t epoch_ = 0;  ///< membership epoch for new submissions
-
-  std::mutex mu_;  ///< scheduler lock (threaded mode only)
-  std::condition_variable cv_;
 };
 
 }  // namespace kylix

@@ -13,16 +13,8 @@
 #include "cluster/netmodel.hpp"
 #include "core/topology.hpp"
 #include "powerlaw/design.hpp"
-#include "sparse/kernels/kernels.hpp"
 
 namespace kylix {
-
-// The kernel thresholds live next to the kernels
-// (sparse/kernels/kernels.hpp) but are part of the autotune surface: the
-// same workflow that picks degrees owns the kernel tuning.
-using kernels::KernelTuning;
-using kernels::kernel_tuning;
-using kernels::set_kernel_tuning;
 
 struct AutotuneInput {
   std::uint64_t num_features = 0;

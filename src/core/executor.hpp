@@ -80,11 +80,6 @@ class ReduceExecutor {
                     "engine/plan machine count mismatch");
     KYLIX_CHECK_MSG(plan->any_configured(),
                     "plan holds no configured rank to replay");
-    if constexpr (!kHasIntra) {
-      KYLIX_CHECK_MSG(!plan->hierarchical(),
-                      "engine has no intra_round; cannot replay a "
-                      "hierarchical plan");
-    }
     engine_ = engine;
     compute_ = compute;
     net_ = net;
@@ -144,28 +139,16 @@ class ReduceExecutor {
       std::vector<std::vector<V>> out_values, std::uint32_t stride) {
     KYLIX_CHECK(bound());
     KYLIX_CHECK(stride >= 1);
-    KYLIX_CHECK_MSG(out_values.size() == plan_->num_ranks(),
-                    "out_values has " << out_values.size()
-                                      << " entries, expected "
-                                      << plan_->num_ranks()
-                                      << " (one per machine)");
+    Ops::check_inputs(*plan_, stride, out_values,
+                      [&](rank_t r) { return engine_->is_dead(r); });
     begin_replay(stride, streaming_);
     for (rank_t r = 0; r < plan_->num_ranks(); ++r) {
       // Noted for dead and unconfigured ranks too: a dead-from-start
       // group's mass IS the loss.
       note_input_mass(engine_, r, out_values[r]);
-      const RankPlan& rp = plan_->rank_plan(r);
-      if (!rp.configured) {
-        // A rank the plan does not cover died during compilation; it can
-        // only replay if it is still dead (same FaultPlan semantics as the
-        // configuration pass, where an unconfigured node never produces).
-        KYLIX_CHECK_MSG(engine_->is_dead(r),
-                        "alive rank not covered by the bound plan");
-        continue;
+      if (plan_->rank_plan(r).configured) {
+        Ops::load_input(state_[r], out_values[r]);
       }
-      KYLIX_CHECK_MSG(out_values[r].size() == rp.out0_size * ctx_.stride,
-                      "contribution length does not match plan out set");
-      Ops::load_input(state_[r], out_values[r]);
     }
     // Hierarchical plans (DESIGN §13) bracket the inter-node butterfly with
     // the shared-memory tier: leaders fold their co-located members'
@@ -176,7 +159,7 @@ class ReduceExecutor {
     if (plan_->hierarchical()) intra_down();
     for (std::uint16_t layer = 1; layer <= plan_->topology().num_layers();
          ++layer) {
-      run_round(Phase::kReduceDown, layer, /*down=*/true);
+      run_round(Phase::kReduceDown, layer);
       collect_spent();
       record_stream_round(Phase::kReduceDown, layer);
     }
@@ -201,28 +184,10 @@ class ReduceExecutor {
     }
   }
 
-  /// Freeze one replay's context: plan pointer, stride, and the chunk
-  /// schedule (payload bytes -> key positions; one plan serves every value
-  /// type and stride because the conversion happens here, not at compile
-  /// time). Resets the telemetry and opens the flight-recorder marker.
+  /// Freeze one replay's context (ReplayOps::context), reset the per-rank
+  /// telemetry and open the flight-recorder marker.
   void begin_replay(std::uint32_t stride, bool streamed) {
-    const std::uint64_t chunk_bytes = chunk_bytes_override_ != 0
-                                          ? chunk_bytes_override_
-                                          : plan_->chunk_bytes();
-    ctx_.plan = plan_.get();
-    ctx_.stride = stride;
-    ctx_.chunk_positions =
-        streamed && chunk_bytes != 0
-            ? std::max<std::size_t>(
-                  1, static_cast<std::size_t>(
-                         chunk_bytes / (sizeof(V) * std::uint64_t{stride})))
-            : 0;
-    stream_stats_ = StreamStats{};
-    stream_stats_.streamed = ctx_.chunk_positions != 0;
-    stream_stats_.chunk_bytes =
-        ctx_.chunk_positions == 0
-            ? 0
-            : std::uint64_t{ctx_.chunk_positions} * sizeof(V) * stride;
+    ctx_ = Ops::context(*plan_, stride, streamed, chunk_bytes_override_);
     round_blocks_flushed_ = 0;
     round_peak_stream_bytes_ = 0;
     if (recorder_ != nullptr) {
@@ -268,21 +233,14 @@ class ReduceExecutor {
       charge(Phase::kReduceDown, l, r);
     }
     for (std::uint16_t layer = l; layer >= 1; --layer) {
-      run_round(Phase::kReduceUp, layer, /*down=*/false);
+      run_round(Phase::kReduceUp, layer);
       collect_spent();
       record_stream_round(Phase::kReduceUp, layer);
     }
     if (plan_->hierarchical()) intra_up();
-    std::vector<std::vector<V>> results(plan_->num_ranks());
-    for (rank_t r = 0; r < plan_->num_ranks(); ++r) {
-      if (!engine_->is_dead(r) && plan_->rank_plan(r).configured) {
-        results[r] = std::move(state_[r].vin);
-      }
-    }
-    // Per-rank round stats were written by whichever thread consumed that
-    // rank; merging here, after every round barrier, in ascending rank
-    // order keeps the aggregate deterministic across engines.
-    for (const ReplayScratch<V>& s : state_) stream_stats_.merge(s.stream);
+    std::vector<std::vector<V>> results;
+    Ops::collect(ctx_, state_, [&](rank_t r) { return engine_->is_dead(r); },
+                 results, stream_stats_);
     if (recorder_ != nullptr) {
       obs::FlightEvent e;
       e.kind = obs::FlightEventKind::kReplayEnd;
@@ -292,14 +250,6 @@ class ReduceExecutor {
     }
     return results;
   }
-
-  /// Engines that can run the hierarchical shared-memory stage expose
-  /// intra_round/charge_intra (all engines in src/comm do); a foreign
-  /// engine without them can still replay flat plans.
-  static constexpr bool kHasIntra = requires(Engine& e) {
-    e.intra_round(Phase::kReduceDown, rank_t{0}, [](rank_t) {});
-    e.charge_intra(Phase::kReduceDown, rank_t{0}, 0.0);
-  };
 
   /// After each round barrier, diff the summed per-rank stream telemetry
   /// against the reduce-so-far totals and turn the deltas into flight
@@ -340,13 +290,12 @@ class ReduceExecutor {
     return plan_->rank_plan(r).layers.size() < layer;
   }
 
-  void run_round(Phase phase, std::uint16_t layer, bool down) {
+  void run_round(Phase phase, std::uint16_t layer) {
     engine_->round(
         phase, layer,
         [&](rank_t r) -> std::vector<Letter<V>>& {
           if (sits_out(r, layer)) return empty_letters_;
-          return down ? Ops::down_produce(ctx_, state_[r], r, layer)
-                      : Ops::up_produce(ctx_, state_[r], r, layer);
+          return Ops::produce(ctx_, state_[r], r, phase, layer);
         },
         [&](rank_t r) -> const std::vector<rank_t>& {
           if (sits_out(r, layer)) return empty_ranks_;
@@ -354,11 +303,7 @@ class ReduceExecutor {
         },
         [&](rank_t r, std::vector<Letter<V>>&& inbox) {
           if (sits_out(r, layer)) return;
-          if (down) {
-            Ops::down_consume(ctx_, state_[r], r, layer, std::move(inbox));
-          } else {
-            Ops::up_consume(ctx_, state_[r], r, layer, std::move(inbox));
-          }
+          Ops::consume(ctx_, state_[r], r, phase, layer, std::move(inbox));
           charge(phase, layer, r);
         });
   }
@@ -372,31 +317,29 @@ class ReduceExecutor {
   /// degraded in intra_up). Hosts are independent, so engines may fan this
   /// across threads.
   void intra_down() {
-    if constexpr (kHasIntra) {
-      const rank_t hosts = static_cast<rank_t>(plan_->intra_hosts().size());
-      engine_->intra_round(Phase::kReduceDown, hosts, [&](rank_t h) {
-        const IntraHost& ih = plan_->intra_host(h);
-        if (ih.leader == kNoLeader || engine_->is_dead(ih.leader)) return;
-        ReplayScratch<V>& leader = state_[ih.leader];
-        leader.merged.assign(ih.out_union_size * ctx_.stride,
-                             Op::template identity<V>());
-        double elements = 0.0;
-        std::uint32_t peers = 0;
-        for (std::size_t i = 0; i < ih.members.size(); ++i) {
-          const rank_t m = ih.members[i];
-          // A member dead at replay is skipped — its contribution is lost,
-          // exactly as a flat layer-1 crash of the same rank.
-          if (engine_->is_dead(m)) continue;
-          scatter_combine_strided<V, Op>(
-              std::span<V>(leader.merged), std::span<const V>(state_[m].v),
-              std::span<const pos_t>(ih.out_maps[i]), ctx_.stride);
-          elements += static_cast<double>(state_[m].v.size());
-          ++peers;
-        }
-        std::swap(leader.v, leader.merged);
-        charge_intra(Phase::kReduceDown, ih.leader, elements, peers);
-      });
-    }
+    const rank_t hosts = static_cast<rank_t>(plan_->intra_hosts().size());
+    engine_->intra_round(Phase::kReduceDown, hosts, [&](rank_t h) {
+      const IntraHost& ih = plan_->intra_host(h);
+      if (ih.leader == kNoLeader || engine_->is_dead(ih.leader)) return;
+      ReplayScratch<V>& leader = state_[ih.leader];
+      leader.merged.assign(ih.out_union_size * ctx_.stride,
+                           Op::template identity<V>());
+      double elements = 0.0;
+      std::uint32_t peers = 0;
+      for (std::size_t i = 0; i < ih.members.size(); ++i) {
+        const rank_t m = ih.members[i];
+        // A member dead at replay is skipped — its contribution is lost,
+        // exactly as a flat layer-1 crash of the same rank.
+        if (engine_->is_dead(m)) continue;
+        scatter_combine_strided<V, Op>(
+            std::span<V>(leader.merged), std::span<const V>(state_[m].v),
+            std::span<const pos_t>(ih.out_maps[i]), ctx_.stride);
+        elements += static_cast<double>(state_[m].v.size());
+        ++peers;
+      }
+      std::swap(leader.v, leader.merged);
+      charge_intra(Phase::kReduceDown, ih.leader, elements, peers);
+    });
   }
 
   /// Shared-memory allgather retrace: members gather their requested keys
@@ -406,49 +349,47 @@ class ReduceExecutor {
   /// exchange), mirroring the degraded semantics of a dead flat rank's
   /// group peers.
   void intra_up() {
-    if constexpr (kHasIntra) {
-      const rank_t hosts = static_cast<rank_t>(plan_->intra_hosts().size());
-      engine_->intra_round(Phase::kReduceUp, hosts, [&](rank_t h) {
-        const IntraHost& ih = plan_->intra_host(h);
-        const bool leader_alive =
-            ih.leader != kNoLeader && !engine_->is_dead(ih.leader);
-        double elements = 0.0;
-        std::uint32_t peers = 0;
-        for (std::size_t i = 0; i < ih.members.size(); ++i) {
-          const rank_t m = ih.members[i];
-          if (engine_->is_dead(m)) continue;
-          ReplayScratch<V>& s = state_[m];
-          if (!leader_alive) {
-            pool_refill(s.value_pool, s.vin);
-            s.vin.assign(plan_->rank_plan(m).in0.size() * ctx_.stride,
-                         Op::template identity<V>());
-            continue;
-          }
-          if (m == ih.leader) continue;  // last: everyone reads its vin
+    const rank_t hosts = static_cast<rank_t>(plan_->intra_hosts().size());
+    engine_->intra_round(Phase::kReduceUp, hosts, [&](rank_t h) {
+      const IntraHost& ih = plan_->intra_host(h);
+      const bool leader_alive =
+          ih.leader != kNoLeader && !engine_->is_dead(ih.leader);
+      double elements = 0.0;
+      std::uint32_t peers = 0;
+      for (std::size_t i = 0; i < ih.members.size(); ++i) {
+        const rank_t m = ih.members[i];
+        if (engine_->is_dead(m)) continue;
+        ReplayScratch<V>& s = state_[m];
+        if (!leader_alive) {
           pool_refill(s.value_pool, s.vin);
-          gather_strided_into(std::span<const V>(state_[ih.leader].vin),
-                              std::span<const pos_t>(ih.in_maps[i]),
-                              ctx_.stride, s.vin);
-          elements += static_cast<double>(s.vin.size());
-          ++peers;
+          s.vin.assign(plan_->rank_plan(m).in0.size() * ctx_.stride,
+                       Op::template identity<V>());
+          continue;
         }
-        if (leader_alive) {
-          // The canonical leader is the lowest rank of its host, so when
-          // alive at compile it is members[0]; its own member-aligned
-          // result ping-pongs through `merged` to avoid aliasing vin.
-          ReplayScratch<V>& leader = state_[ih.leader];
-          KYLIX_DCHECK(!ih.members.empty() &&
-                       ih.members.front() == ih.leader);
-          gather_strided_into(std::span<const V>(leader.vin),
-                              std::span<const pos_t>(ih.in_maps[0]),
-                              ctx_.stride, leader.merged);
-          std::swap(leader.vin, leader.merged);
-          elements += static_cast<double>(leader.vin.size());
-          ++peers;
-          charge_intra(Phase::kReduceUp, ih.leader, elements, peers);
-        }
-      });
-    }
+        if (m == ih.leader) continue;  // last: everyone reads its vin
+        pool_refill(s.value_pool, s.vin);
+        gather_strided_into(std::span<const V>(state_[ih.leader].vin),
+                            std::span<const pos_t>(ih.in_maps[i]),
+                            ctx_.stride, s.vin);
+        elements += static_cast<double>(s.vin.size());
+        ++peers;
+      }
+      if (leader_alive) {
+        // The canonical leader is the lowest rank of its host, so when
+        // alive at compile it is members[0]; its own member-aligned
+        // result ping-pongs through `merged` to avoid aliasing vin.
+        ReplayScratch<V>& leader = state_[ih.leader];
+        KYLIX_DCHECK(!ih.members.empty() &&
+                     ih.members.front() == ih.leader);
+        gather_strided_into(std::span<const V>(leader.vin),
+                            std::span<const pos_t>(ih.in_maps[0]),
+                            ctx_.stride, leader.merged);
+        std::swap(leader.vin, leader.merged);
+        elements += static_cast<double>(leader.vin.size());
+        ++peers;
+        charge_intra(Phase::kReduceUp, ih.leader, elements, peers);
+      }
+    });
   }
 
   /// Price one host's intra stage on its leader: peer-buffer attaches plus
@@ -457,28 +398,22 @@ class ReduceExecutor {
   /// takes the max over ranks rather than summing.
   void charge_intra(Phase phase, rank_t leader, double elements,
                     std::uint32_t peers) {
-    if constexpr (kHasIntra) {
-      double seconds = 0.0;
-      if (net_ != nullptr) {
-        seconds += net_->intra_copy_time(elements * sizeof(V), peers);
-      }
-      if (compute_ != nullptr) {
-        seconds += phase == Phase::kReduceDown
-                       ? compute_->combine_time(elements)
-                       : compute_->gather_time(elements);
-      }
-      if (seconds > 0.0) engine_->charge_intra(phase, leader, seconds);
+    double seconds = 0.0;
+    if (net_ != nullptr) {
+      seconds += net_->intra_copy_time(elements * sizeof(V), peers);
     }
+    if (compute_ != nullptr) {
+      seconds += phase == Phase::kReduceDown
+                     ? compute_->combine_time(elements)
+                     : compute_->gather_time(elements);
+    }
+    if (seconds > 0.0) engine_->charge_intra(phase, leader, seconds);
   }
 
   void charge(Phase phase, std::uint16_t layer, rank_t r) {
     const NodeWork work = std::exchange(state_[r].work, NodeWork{});
     if (compute_ == nullptr || layer == 0) return;
-    const double seconds =
-        compute_->merge_time(work.merge_elements, work.merge_ways) +
-        compute_->combine_time(work.combine_elements) +
-        compute_->gather_time(work.gather_elements);
-    engine_->charge_compute(phase, layer, r, seconds);
+    engine_->charge_compute(phase, layer, r, work.seconds(*compute_));
   }
 
   /// Chunked schedules are asymmetric — a rank rarely receives as many

@@ -7,43 +7,32 @@ namespace kylix {
 
 std::vector<ScheduledMessage> CollectivePlan::message_schedule() const {
   std::vector<ScheduledMessage> schedule;
-  const std::uint16_t l = topo_.num_layers();
+  const auto round = [&](Phase phase, std::uint16_t layer) {
+    for (rank_t r = 0; r < ranks_.size(); ++r) {
+      const RankPlan& rp = ranks_[r];
+      if (!rp.configured || rp.layers.size() < layer) continue;
+      const PlanLayer& cfg = rp.layers[layer - 1];
+      for (std::size_t q = 0; q < cfg.group.size(); ++q) {
+        const std::size_t elements =
+            phase == Phase::kConfig
+                ? (cfg.in_split[q + 1] - cfg.in_split[q]) +
+                      (cfg.out_split[q + 1] - cfg.out_split[q])
+                : cfg.piece(phase, q);
+        schedule.push_back({phase, layer, r, cfg.group[q], elements});
+      }
+    }
+  };
   // Downward phases in round order, then the upward retrace, matching the
   // order SparseAllreduce/ReduceExecutor drive the engine.
+  const std::uint16_t l = topo_.num_layers();
   for (std::uint16_t layer = 1; layer <= l; ++layer) {
-    for (rank_t r = 0; r < ranks_.size(); ++r) {
-      const RankPlan& rp = ranks_[r];
-      if (!rp.configured || rp.layers.size() < layer) continue;
-      const PlanLayer& cfg = rp.layers[layer - 1];
-      for (std::size_t q = 0; q < cfg.group.size(); ++q) {
-        schedule.push_back(
-            {Phase::kConfig, layer, r, cfg.group[q],
-             (cfg.in_split[q + 1] - cfg.in_split[q]) +
-                 (cfg.out_split[q + 1] - cfg.out_split[q])});
-      }
-    }
+    round(Phase::kConfig, layer);
   }
   for (std::uint16_t layer = 1; layer <= l; ++layer) {
-    for (rank_t r = 0; r < ranks_.size(); ++r) {
-      const RankPlan& rp = ranks_[r];
-      if (!rp.configured || rp.layers.size() < layer) continue;
-      const PlanLayer& cfg = rp.layers[layer - 1];
-      for (std::size_t q = 0; q < cfg.group.size(); ++q) {
-        schedule.push_back({Phase::kReduceDown, layer, r, cfg.group[q],
-                            cfg.out_split[q + 1] - cfg.out_split[q]});
-      }
-    }
+    round(Phase::kReduceDown, layer);
   }
   for (std::uint16_t layer = l; layer >= 1; --layer) {
-    for (rank_t r = 0; r < ranks_.size(); ++r) {
-      const RankPlan& rp = ranks_[r];
-      if (!rp.configured || rp.layers.size() < layer) continue;
-      const PlanLayer& cfg = rp.layers[layer - 1];
-      for (std::size_t q = 0; q < cfg.group.size(); ++q) {
-        schedule.push_back({Phase::kReduceUp, layer, r, cfg.group[q],
-                            cfg.in_maps[q].size()});
-      }
-    }
+    round(Phase::kReduceUp, layer);
   }
   return schedule;
 }
@@ -57,10 +46,10 @@ std::uint64_t CollectivePlan::reduce_wire_bytes(std::size_t value_bytes,
     for (std::uint16_t layer = 1; layer <= l; ++layer) {
       const PlanLayer& cfg = rp.layers[layer - 1];
       for (std::size_t q = 0; q < cfg.group.size(); ++q) {
-        const std::uint64_t down = (cfg.out_split[q + 1] - cfg.out_split[q]) *
+        const std::uint64_t down = cfg.piece(Phase::kReduceDown, q) *
                                    value_bytes * std::uint64_t{stride};
-        const std::uint64_t up =
-            cfg.in_maps[q].size() * value_bytes * std::uint64_t{stride};
+        const std::uint64_t up = cfg.piece(Phase::kReduceUp, q) *
+                                 value_bytes * std::uint64_t{stride};
         // Letter-at-once accounting with per-frame headers: an oversized
         // piece pays one header per wire frame, matching
         // Packet::wire_bytes(). (A streamed replay pays at least this much;

@@ -43,6 +43,13 @@ struct PlanLayer {
   std::vector<std::size_t> recv_out_sizes;  ///< per-sender piece lengths
   std::size_t out_union_size = 0;        ///< |out^i| (scatter target size)
   std::size_t in_prev_size = 0;          ///< |in^{i-1}| (allgather target)
+
+  /// Key positions this rank sends group member `d` in a reduce round: its
+  /// out^{i-1} piece going down, the in-map gather coming back up.
+  [[nodiscard]] std::size_t piece(Phase phase, std::size_t d) const {
+    return phase == Phase::kReduceDown ? out_split[d + 1] - out_split[d]
+                                       : in_maps[d].size();
+  }
 };
 
 /// Everything one rank needs to replay reduces against a compiled plan.

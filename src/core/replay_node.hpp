@@ -5,10 +5,12 @@
 // schedule; this header is the single definition of what one rank does at
 // one layer — slice by out_split, scatter_combine by out_maps in ascending
 // sender digit, bottom gather, gather by in_maps — plus the chunk framing
-// (DESIGN §9) and the buffer economy both drivers share. Because every
-// driver funnels through these kernels with the same (src, chunk)-sorted
-// inboxes, async multi-stream replay is bit-identical to serial replay by
-// construction, not by test alone (the fuzz suite then asserts it anyway).
+// (DESIGN §9), the buffer economy, and the replay setup and close both
+// drivers share: the context, the admission checks, result collection and
+// NodeWork pricing. Because every driver funnels through these kernels with
+// the same (src, chunk)-sorted inboxes, async multi-stream replay is
+// bit-identical to serial replay by construction, not by test alone (the
+// fuzz suite then asserts it anyway).
 //
 // ReplayScratch is every rank's one home for value buffers — combined
 // configure+reduce scatter-reduces into it too (core/node.hpp): letter
@@ -23,6 +25,7 @@
 #include <utility>
 #include <vector>
 
+#include "cluster/netmodel.hpp"
 #include "comm/packet.hpp"
 #include "core/plan.hpp"
 #include "core/stream_stats.hpp"
@@ -37,6 +40,12 @@ struct NodeWork {
   std::uint32_t merge_ways = 1;
   double combine_elements = 0;
   double gather_elements = 0;
+
+  [[nodiscard]] double seconds(const ComputeModel& compute) const {
+    return compute.merge_time(merge_elements, merge_ways) +
+           compute.combine_time(combine_elements) +
+           compute.gather_time(gather_elements);
+  }
 };
 
 /// Hand a recycled buffer to an empty shell so the following assign()
@@ -57,14 +66,31 @@ void pool_recycle(std::vector<std::vector<T>>& pool, std::vector<T>& buf) {
 }
 
 /// Everything a replay kernel needs to know about the reduce in flight.
-/// Frozen at the top of a reduce (serial) or at stream admission (async);
-/// one plan serves every value type and stride because the payload-bytes ->
-/// key-positions conversion happens in the driver, not at compile time.
+/// Frozen at the top of a reduce (serial) or at bind (async) by
+/// ReplayOps::context; one plan serves every value type and stride because
+/// the payload-bytes -> key-positions conversion happens there, not at
+/// compile time.
 struct ReplayContext {
   const CollectivePlan* plan = nullptr;
   std::uint32_t stride = 1;
   /// Chunk length in key positions (0 means letter-at-once).
   std::size_t chunk_positions = 0;
+
+  /// Letters a piece of `positions` key positions is sent as (>= 1: empty
+  /// pieces still send one letter so blocking receives stay balanced).
+  [[nodiscard]] std::uint32_t chunks(std::size_t positions) const {
+    if (chunk_positions == 0 || positions <= chunk_positions) return 1;
+    return static_cast<std::uint32_t>((positions + chunk_positions - 1) /
+                                      chunk_positions);
+  }
+  /// Key positions chunk `c` of a `piece`-position piece carries; it starts
+  /// at piece position c * chunk_positions.
+  [[nodiscard]] std::size_t chunk_length(std::size_t piece,
+                                         std::uint32_t c) const {
+    return chunk_positions == 0
+               ? piece
+               : std::min(chunk_positions, piece - c * chunk_positions);
+  }
 };
 
 /// Mutable per-rank value state: the replay's buffers, and in combined mode
@@ -91,15 +117,48 @@ struct ReplayScratch {
 /// stream lane interchangeably.
 template <typename V, typename Op = OpSum>
 struct ReplayOps {
-  /// Chunks a piece of `positions` key positions splits into (>= 1: empty
-  /// pieces still send one letter so blocking receives stay balanced).
-  [[nodiscard]] static std::uint32_t chunks_for(const ReplayContext& ctx,
-                                                std::size_t positions) {
-    if (ctx.chunk_positions == 0 || positions <= ctx.chunk_positions) {
-      return 1;
+  /// Freeze one replay's context. The chunk size in payload bytes (the
+  /// override when nonzero, else the plan's compiled one) becomes key
+  /// positions for this value type and stride; letter-at-once (0) unless
+  /// `streamed` and some chunk size is known.
+  [[nodiscard]] static ReplayContext context(
+      const CollectivePlan& plan, std::uint32_t stride, bool streamed,
+      std::uint64_t chunk_bytes_override) {
+    const std::uint64_t chunk_bytes = chunk_bytes_override != 0
+                                          ? chunk_bytes_override
+                                          : plan.chunk_bytes();
+    ReplayContext ctx{&plan, stride, 0};
+    if (streamed && chunk_bytes != 0) {
+      ctx.chunk_positions = std::max<std::size_t>(
+          1, static_cast<std::size_t>(
+                 chunk_bytes / (sizeof(V) * std::uint64_t{stride})));
     }
-    return static_cast<std::uint32_t>(
-        (positions + ctx.chunk_positions - 1) / ctx.chunk_positions);
+    return ctx;
+  }
+
+  /// What every driver checks before loading a reduce: one contribution
+  /// per machine, the planned length for each configured rank, and no
+  /// alive rank the plan does not cover — such a rank died during
+  /// compilation and may only replay while still dead (the configuration
+  /// pass's FaultPlan semantics, where an unconfigured node never produces).
+  template <typename DeadFn>
+  static void check_inputs(const CollectivePlan& plan, std::uint32_t stride,
+                           const std::vector<std::vector<V>>& out_values,
+                           DeadFn&& dead) {
+    KYLIX_CHECK_MSG(out_values.size() == plan.num_ranks(),
+                    "out_values has " << out_values.size()
+                                      << " entries, expected "
+                                      << plan.num_ranks()
+                                      << " (one per machine)");
+    for (rank_t r = 0; r < plan.num_ranks(); ++r) {
+      const RankPlan& rp = plan.rank_plan(r);
+      if (!rp.configured) {
+        KYLIX_CHECK_MSG(dead(r), "alive rank not covered by the bound plan");
+        continue;
+      }
+      KYLIX_CHECK_MSG(out_values[r].size() == rp.out0_size * stride,
+                      "contribution length does not match plan out set");
+    }
   }
 
   /// Load one rank's contribution into the downward buffer, recycling the
@@ -123,20 +182,24 @@ struct ReplayOps {
     letters.resize(count);
   }
 
-  static std::vector<Letter<V>>& down_produce(const ReplayContext& ctx,
-                                              ReplayScratch<V>& s, rank_t r,
-                                              std::uint16_t layer) {
+  /// Rank r's letters for one reduce round: for each group member in
+  /// ascending digit, its piece — the out_split slice going down, the
+  /// in_maps gather coming up — cut into ctx.chunks(piece) letters.
+  static std::vector<Letter<V>>& produce(const ReplayContext& ctx,
+                                         ReplayScratch<V>& s, rank_t r,
+                                         Phase phase, std::uint16_t layer) {
     const PlanLayer& cfg = ctx.plan->rank_plan(r).layers[layer - 1];
+    const bool down = phase == Phase::kReduceDown;
     std::vector<Letter<V>>& letters = s.letters[layer - 1];
     std::size_t total = 0;
     for (std::uint32_t q = 0; q < cfg.group.size(); ++q) {
-      total += chunks_for(ctx, cfg.out_split[q + 1] - cfg.out_split[q]);
+      total += ctx.chunks(cfg.piece(phase, q));
     }
     resize_letters(s, letters, total);
     std::size_t slot = 0;
     for (std::uint32_t q = 0; q < cfg.group.size(); ++q) {
-      const std::size_t piece = cfg.out_split[q + 1] - cfg.out_split[q];
-      const std::uint32_t k = chunks_for(ctx, piece);
+      const std::size_t piece = cfg.piece(phase, q);
+      const std::uint32_t k = ctx.chunks(piece);
       for (std::uint32_t c = 0; c < k; ++c) {
         Letter<V>& letter = letters[slot++];
         letter.src = r;
@@ -146,15 +209,21 @@ struct ReplayOps {
         letter.packet.stride = ctx.stride;
         letter.packet.chunk_index = c;
         letter.packet.chunk_count = k;
-        const std::size_t lo =
-            cfg.out_split[q] + std::size_t{c} * ctx.chunk_positions;
-        const std::size_t hi =
-            k == 1 ? cfg.out_split[q + 1]
-                   : std::min(cfg.out_split[q + 1], lo + ctx.chunk_positions);
+        const std::size_t lo = std::size_t{c} * ctx.chunk_positions;
+        const std::size_t n = ctx.chunk_length(piece, c);
         pool_refill(s.value_pool, letter.packet.values);
-        letter.packet.values.assign(
-            s.v.begin() + static_cast<std::ptrdiff_t>(lo * ctx.stride),
-            s.v.begin() + static_cast<std::ptrdiff_t>(hi * ctx.stride));
+        if (down) {
+          const auto first =
+              s.v.begin() +
+              static_cast<std::ptrdiff_t>((cfg.out_split[q] + lo) * ctx.stride);
+          letter.packet.values.assign(
+              first, first + static_cast<std::ptrdiff_t>(n * ctx.stride));
+        } else {
+          gather_strided_into(
+              std::span<const V>(s.vin),
+              std::span<const pos_t>(cfg.in_maps[q]).subspan(lo, n),
+              ctx.stride, letter.packet.values);
+        }
         s.work.gather_elements +=
             static_cast<double>(letter.packet.values.size());
       }
@@ -164,6 +233,17 @@ struct ReplayOps {
           std::max(s.stream.max_chunks_per_letter, k);
     }
     return letters;
+  }
+
+  /// Combine one complete, (src, chunk)-sorted reduce inbox.
+  static void consume(const ReplayContext& ctx, ReplayScratch<V>& s, rank_t r,
+                      Phase phase, std::uint16_t layer,
+                      std::vector<Letter<V>>&& inbox) {
+    if (phase == Phase::kReduceDown) {
+      down_consume(ctx, s, r, layer, std::move(inbox));
+    } else {
+      up_consume(ctx, s, r, layer, std::move(inbox));
+    }
   }
 
   static void down_consume(const ReplayContext& ctx, ReplayScratch<V>& s,
@@ -228,48 +308,6 @@ struct ReplayOps {
     s.work.gather_elements += static_cast<double>(rp.bottom_map.size());
   }
 
-  static std::vector<Letter<V>>& up_produce(const ReplayContext& ctx,
-                                            ReplayScratch<V>& s, rank_t r,
-                                            std::uint16_t layer) {
-    const PlanLayer& cfg = ctx.plan->rank_plan(r).layers[layer - 1];
-    std::vector<Letter<V>>& letters = s.letters[layer - 1];
-    std::size_t total = 0;
-    for (std::uint32_t q = 0; q < cfg.group.size(); ++q) {
-      total += chunks_for(ctx, cfg.in_maps[q].size());
-    }
-    resize_letters(s, letters, total);
-    std::size_t slot = 0;
-    for (std::uint32_t q = 0; q < cfg.group.size(); ++q) {
-      const std::size_t piece = cfg.in_maps[q].size();
-      const std::uint32_t k = chunks_for(ctx, piece);
-      for (std::uint32_t c = 0; c < k; ++c) {
-        Letter<V>& letter = letters[slot++];
-        letter.src = r;
-        letter.dst = cfg.group[q];
-        letter.packet.in_keys.clear();
-        letter.packet.out_keys.clear();
-        letter.packet.stride = ctx.stride;
-        letter.packet.chunk_index = c;
-        letter.packet.chunk_count = k;
-        const std::size_t lo = std::size_t{c} * ctx.chunk_positions;
-        const std::size_t hi =
-            k == 1 ? piece : std::min(piece, lo + ctx.chunk_positions);
-        pool_refill(s.value_pool, letter.packet.values);
-        gather_strided_into(
-            std::span<const V>(s.vin),
-            std::span<const pos_t>(cfg.in_maps[q]).subspan(lo, hi - lo),
-            ctx.stride, letter.packet.values);
-        s.work.gather_elements +=
-            static_cast<double>(letter.packet.values.size());
-      }
-      ++s.stream.letters;
-      s.stream.chunks += k;
-      s.stream.max_chunks_per_letter =
-          std::max(s.stream.max_chunks_per_letter, k);
-    }
-    return letters;
-  }
-
   static void up_consume(const ReplayContext& ctx, ReplayScratch<V>& s,
                          rank_t r, std::uint16_t layer,
                          std::vector<Letter<V>>&& inbox) {
@@ -302,6 +340,32 @@ struct ReplayOps {
     std::swap(s.vin, below);
   }
 
+  /// Close a replay: hand every rank that finished alive its allgather
+  /// result (an empty vector to ranks dead or uncovered at completion) and
+  /// merge the per-rank telemetry into `stats` in ascending rank order,
+  /// which keeps the aggregate deterministic whichever thread consumed
+  /// each rank.
+  template <typename DeadFn>
+  static void collect(const ReplayContext& ctx,
+                      std::vector<ReplayScratch<V>>& scratch, DeadFn&& dead,
+                      std::vector<std::vector<V>>& results,
+                      StreamStats& stats) {
+    const CollectivePlan& plan = *ctx.plan;
+    results.resize(plan.num_ranks());
+    stats = StreamStats{};
+    stats.streamed = ctx.chunk_positions != 0;
+    stats.chunk_bytes =
+        std::uint64_t{ctx.chunk_positions} * sizeof(V) * ctx.stride;
+    for (rank_t r = 0; r < plan.num_ranks(); ++r) {
+      if (!dead(r) && plan.rank_plan(r).configured) {
+        results[r] = std::move(scratch[r].vin);
+      } else {
+        results[r].clear();
+      }
+      stats.merge(scratch[r].stream);
+    }
+  }
+
   /// Validate one letter's chunk framing against the planned piece length
   /// and return its {position offset, position count} within the piece.
   [[nodiscard]] static std::pair<std::size_t, std::size_t> chunk_slice(
@@ -311,11 +375,11 @@ struct ReplayOps {
     std::size_t positions = piece;
     if (packet.chunk_count > 1) {
       KYLIX_CHECK_MSG(ctx.chunk_positions != 0 &&
-                          packet.chunk_count == chunks_for(ctx, piece) &&
+                          packet.chunk_count == ctx.chunks(piece) &&
                           packet.chunk_index < packet.chunk_count,
                       "chunk framing does not match the plan's schedule");
       offset = std::size_t{packet.chunk_index} * ctx.chunk_positions;
-      positions = std::min(ctx.chunk_positions, piece - offset);
+      positions = ctx.chunk_length(piece, packet.chunk_index);
     }
     KYLIX_CHECK_MSG(packet.values.size() == positions * ctx.stride, what);
     return {offset, positions};

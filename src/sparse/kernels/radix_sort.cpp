@@ -6,8 +6,6 @@
 #include <cstring>
 #include <span>
 
-#include "sparse/kernels/kernels.hpp"
-
 namespace kylix::kernels {
 
 namespace {
@@ -129,16 +127,15 @@ std::size_t distribute_dedup(const key_t* src, key_t* dst, std::size_t n,
 }  // namespace
 
 void radix_sort_dedup(std::vector<key_t>& keys, std::vector<key_t>& scratch) {
-  const std::size_t min_keys = kernel_tuning().radix_min_keys;
   std::size_t n = keys.size();
-  if (n >= min_keys) {
+  if (n >= kRadixMinKeys) {
     if (scratch.size() < n) scratch.resize(n);
     // The filter table lives in the ping-pong buffer, which the passes
     // below overwrite anyway. `keys` keeps its size until the end, so a
     // swapped-in scratch stays full-sized for the next call.
     n = drop_repeats(keys.data(), n, scratch.data());
   }
-  if (n < min_keys) {
+  if (n < kRadixMinKeys) {
     keys.resize(n);
     std::sort(keys.begin(), keys.end());
     keys.erase(std::unique(keys.begin(), keys.end()), keys.end());

@@ -35,10 +35,14 @@ namespace kylix::kernels {
 /// of the input repeats enough to be worth filtering.
 inline constexpr std::size_t kRepeatProbeKeys = 1024;
 
+/// Below this many keys std::sort beats the 8-pass radix sort (histogram
+/// and ping-pong setup dominate at small n); measured by bench/micro_kernels.
+inline constexpr std::size_t kRadixMinKeys = 512;
+
 /// Sort `keys` ascending and remove duplicates, using `scratch` as the
 /// repeat-filter table and ping-pong buffer (grown as needed, never shrunk —
-/// steady-state reuse is allocation-free). Inputs below the radix_min_keys
-/// tuning threshold, before or after the filter, go through std::sort +
+/// steady-state reuse is allocation-free). Inputs below kRadixMinKeys,
+/// before or after the filter, go through std::sort +
 /// std::unique. Equivalent to
 /// `std::sort(keys); keys.erase(std::unique(keys), keys.end());`.
 void radix_sort_dedup(std::vector<key_t>& keys, std::vector<key_t>& scratch);

@@ -36,9 +36,7 @@ namespace kylix::kernels {
 /// of lookahead keep ~1 cache line of map reads in flight while covering the
 /// ~100 ns DRAM latency of the value-line fetch at typical combine rates.
 /// KYLIX_NATIVE builds vectorize the body and consume map entries faster,
-/// so the lookahead doubles. (kernels.hpp KernelTuning::prefetch_distance
-/// documents the default for tuning reports; this constant is compiled into
-/// the loop.)
+/// so the lookahead doubles.
 #if defined(KYLIX_NATIVE)
 inline constexpr std::size_t kPrefetchAhead = 32;
 #else

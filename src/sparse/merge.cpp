@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "common/check.hpp"
-#include "sparse/kernels/kernels.hpp"
 
 namespace kylix {
 
@@ -110,11 +109,10 @@ void merge_union_into(std::span<const key_t> a, std::span<const key_t> b,
   map_a.resize(a.size());
   map_b.resize(b.size());
 
-  const std::size_t ratio = kernels::kernel_tuning().gallop_ratio;
   std::size_t size = 0;
-  if (a.size() >= ratio * b.size()) {
+  if (a.size() >= kGallopRatio * b.size()) {
     size = gallop_union(a, b, keys.data(), map_a, map_b);
-  } else if (b.size() >= ratio * a.size()) {
+  } else if (b.size() >= kGallopRatio * a.size()) {
     size = gallop_union(b, a, keys.data(), map_b, map_a);
   } else {
     size = interleave_union(a, b, keys.data(), map_a, map_b);

@@ -14,11 +14,12 @@
 //    unions of same-shaped inputs (minibatch SGD, one union per node per
 //    layer per step) stop touching the allocator once capacities warm up.
 //    Every level is merge_union_into, a branch-free two-way union (galloping
-//    when one side is gallop_ratio times the other).
+//    when one side is kGallopRatio times the other).
 //  * hash_union — the hash-table alternative, kept as a measurable baseline
 //    for bench/micro_merge and bench/micro_kernels.
 #pragma once
 
+#include <cstddef>
 #include <span>
 #include <vector>
 
@@ -47,11 +48,16 @@ struct MergeScratch {
   PosMap map_b;
 };
 
+/// merge_union_into gallops (exponential search plus a bulk copy) when one
+/// input is at least this many times the other; measured by
+/// bench/micro_kernels.
+inline constexpr std::size_t kGallopRatio = 8;
+
 /// Union of two strictly-sorted sequences into caller-owned buffers:
 /// `keys` receives the union, `map_a`/`map_b` the positional maps of `a`/`b`
 /// within it. Buffers are overwritten (capacity reused). Linear time, with
 /// no data-dependent branch per element on balanced sizes; galloping when
-/// one side is at least kernel_tuning().gallop_ratio times the other.
+/// one side is at least kGallopRatio times the other.
 void merge_union_into(std::span<const key_t> a, std::span<const key_t> b,
                       std::vector<key_t>& keys, PosMap& map_a, PosMap& map_b);
 

@@ -165,22 +165,17 @@ TEST(AllocHotPath, SteadyStateReduceRoundsAreAllocationFree) {
   const ReplayContext ctx{plan.get(), /*stride=*/1, /*chunk_positions=*/0};
   std::vector<ReplayScratch<float>> state(m);
   for (ReplayScratch<float>& s : state) s.letters.resize(topo.num_layers());
-  const auto run_round = [&](Phase phase, std::uint16_t layer, bool down) {
+  const auto run_round = [&](Phase phase, std::uint16_t layer) {
     engine.round(
         phase, layer,
         [&](rank_t r) -> std::vector<Letter<float>>& {
-          return down ? Ops::down_produce(ctx, state[r], r, layer)
-                      : Ops::up_produce(ctx, state[r], r, layer);
+          return Ops::produce(ctx, state[r], r, phase, layer);
         },
         [&](rank_t r) -> const std::vector<rank_t>& {
           return plan->rank_plan(r).layers[layer - 1].group;
         },
         [&](rank_t r, std::vector<Letter<float>>&& inbox) {
-          if (down) {
-            Ops::down_consume(ctx, state[r], r, layer, std::move(inbox));
-          } else {
-            Ops::up_consume(ctx, state[r], r, layer, std::move(inbox));
-          }
+          Ops::consume(ctx, state[r], r, phase, layer, std::move(inbox));
         });
     // Spent buffers go back to their sender's pool at the round barrier.
     for (ReplayScratch<float>& s : state) {
@@ -196,7 +191,7 @@ TEST(AllocHotPath, SteadyStateReduceRoundsAreAllocationFree) {
     {
       AllocGauge gauge;
       for (std::uint16_t layer = 1; layer <= topo.num_layers(); ++layer) {
-        run_round(Phase::kReduceDown, layer, /*down=*/true);
+        run_round(Phase::kReduceDown, layer);
       }
       if (down_allocs != nullptr) *down_allocs = gauge.count();
     }
@@ -204,7 +199,7 @@ TEST(AllocHotPath, SteadyStateReduceRoundsAreAllocationFree) {
     {
       AllocGauge gauge;
       for (std::uint16_t layer = topo.num_layers(); layer >= 1; --layer) {
-        run_round(Phase::kReduceUp, layer, /*down=*/false);
+        run_round(Phase::kReduceUp, layer);
       }
       if (up_allocs != nullptr) *up_allocs = gauge.count();
     }

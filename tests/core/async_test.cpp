@@ -4,15 +4,15 @@
 // lanes), strided and chunked-streaming replays, modeled-clock latency
 // accounting (overlap must beat the serialized schedule), fault-script
 // replays against the one-thread engine + FaultChannel oracle,
-// flight-recorder stream events, reset()/resubmit reuse, and the
-// multi-worker scheduler (the tsan lane: values must not depend on thread
-// interleaving).
+// flight-recorder stream events, reset()/resubmit reuse, and API misuse:
+// stale stream tags and the serial executor's contribution checks.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <optional>
 #include <vector>
 
+#include "cluster/failure.hpp"
 #include "cluster/fault_plan.hpp"
 #include "cluster/netmodel.hpp"
 #include "comm/fault_channel.hpp"
@@ -26,6 +26,7 @@ namespace kylix {
 namespace {
 
 using testing::Workload;
+using testing::expect_check_message;
 using testing::random_workload;
 
 /// Compile one plan for the workload through a throwaway allreduce.
@@ -266,41 +267,73 @@ TEST(AsyncExecutor, ResetReplaysNextBatchIdentically) {
   }
 }
 
-TEST(AsyncExecutor, MultiWorkerSchedulerIsBitIdenticalToSingleWorker) {
-  // The tsan lane: real threads drive the same nodes behind the scheduler
-  // lock. Stream values depend only on sorted complete inboxes, so any
-  // interleaving must reproduce the single-worker results exactly.
-  const Topology topo({4, 2});
+TEST(AsyncExecutor, PreResetTagThrowsNamingTheLiveRange) {
+  // reset() (and so bind(), as after a heal) retires every earlier tag;
+  // each per-tag accessor must refuse a stale one instead of reading a
+  // reused or missing slot.
+  const Topology topo({4});
   const rank_t m = topo.num_machines();
-  auto w = random_workload<float>(m, 250, 0.25, 0.45, 907);
+  auto w = random_workload<float>(m, 80, 0.3, 0.5, 908);
   const auto plan = compile_plan(topo, w);
 
-  constexpr int kStreams = 6;
-  auto run = [&](std::uint32_t workers) {
-    AsyncExecutor<float> ax;
-    typename AsyncExecutor<float>::Options opts;
-    opts.window = 4;
-    opts.workers = workers;
-    ax.bind(plan, opts);
-    std::vector<std::uint32_t> tags;
-    for (int i = 0; i < kStreams; ++i) {
-      auto values = w.out_values;
-      for (auto& v : values[0]) v += static_cast<float>(i);
-      tags.push_back(ax.submit(std::move(values)));
-    }
-    ax.drain();
-    std::vector<std::vector<std::vector<float>>> results;
-    for (const std::uint32_t tag : tags) {
-      results.push_back(ax.take_result(tag));
-    }
-    return results;
-  };
-  const auto single = run(1);
-  const auto threaded = run(4);
-  ASSERT_EQ(single.size(), threaded.size());
-  for (std::size_t i = 0; i < single.size(); ++i) {
-    EXPECT_EQ(single[i], threaded[i]) << "stream " << i;
-  }
+  AsyncExecutor<float> ax;
+  typename AsyncExecutor<float>::Options opts;
+  opts.window = 2;
+  ax.bind(plan, opts);
+  const std::uint32_t old_tag = ax.submit(w.out_values);
+  ax.drain();
+  (void)ax.take_result(old_tag);
+  ax.reset();
+  const std::uint32_t tag = ax.submit(w.out_values);
+  ax.drain();
+  EXPECT_NO_THROW((void)ax.stream_stats(tag));
+
+  const std::string needle = "stream tag " + std::to_string(old_tag) +
+                             " is not live (live tags: [" +
+                             std::to_string(tag) + ", " +
+                             std::to_string(tag + 1) + "))";
+  expect_check_message([&] { (void)ax.completion_seconds(old_tag); }, needle);
+  expect_check_message([&] { (void)ax.stream_stats(old_tag); }, needle);
+  expect_check_message([&] { (void)ax.fault_stats(old_tag); }, needle);
+  expect_check_message([&] { (void)ax.stream_epoch(old_tag); }, needle);
+  expect_check_message([&] { (void)ax.degraded_report(old_tag); }, needle);
+  expect_check_message([&] { (void)ax.take_result(old_tag); }, needle);
+  expect_check_message([&] { (void)ax.stream_stats(tag + 1); },
+                       "stream tag " + std::to_string(tag + 1));
+}
+
+TEST(AsyncExecutor, SubmitMisuseThrowsTheSerialExecutorsMessages) {
+  const Topology topo({2, 2});
+  const rank_t m = topo.num_machines();
+  auto w = random_workload<float>(m, 90, 0.3, 0.5, 909);
+  AsyncExecutor<float> ax;
+  ax.bind(compile_plan(topo, w), {});
+
+  auto values = w.out_values;
+  values.pop_back();
+  expect_check_message([&] { (void)ax.submit(values); },
+                       "out_values has 3 entries, expected 4");
+  values = w.out_values;
+  values[1].push_back(1.0f);
+  expect_check_message([&] { (void)ax.submit(values); },
+                       "contribution length does not match plan out set");
+
+  // Rank 2 died during compilation, so the plan does not cover it: it may
+  // only be submitted dead (by the stream's FaultPlan), as in
+  // reduce_strided.
+  FailureModel failures(m);
+  failures.kill(2);
+  ParallelBspEngine<float> engine(m, 1, &failures);
+  SparseAllreduce<float, OpSum, ParallelBspEngine<float>> compiler(&engine,
+                                                                    topo);
+  ax.bind(compiler.compile(w.in_sets, w.out_sets), {});
+  expect_check_message([&] { (void)ax.submit(w.out_values); },
+                       "alive rank not covered by the bound plan");
+  FaultPlan dead(m);
+  dead.failures().kill(2);
+  const std::uint32_t tag = ax.submit(w.out_values, &dead);
+  ax.drain();
+  EXPECT_TRUE(ax.take_result(tag)[2].empty());
 }
 
 }  // namespace

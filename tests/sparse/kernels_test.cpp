@@ -11,7 +11,6 @@
 
 #include "common/rng.hpp"
 #include "powerlaw/zipf.hpp"
-#include "sparse/kernels/kernels.hpp"
 #include "sparse/kernels/radix_sort.hpp"
 #include "sparse/kernels/scatter_gather.hpp"
 #include "sparse/merge.hpp"
@@ -112,7 +111,7 @@ TEST(RadixSort, FilterSentinelKeysAtBothEndsSurvive) {
 
 TEST(RadixSort, SizesAtTheProbeLengthAndTheStdSortCutoff) {
   const std::size_t probe = kernels::kRepeatProbeKeys;
-  const std::size_t cutoff = kernels::kernel_tuning().radix_min_keys;
+  const std::size_t cutoff = kernels::kRadixMinKeys;
   Rng rng(108);
   for (const std::size_t n : {probe - 1, probe, probe + 1, cutoff - 1,
                               cutoff, cutoff + 1}) {

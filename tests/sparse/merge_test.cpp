@@ -6,7 +6,6 @@
 #include <set>
 
 #include "common/rng.hpp"
-#include "sparse/kernels/kernels.hpp"
 
 namespace kylix {
 namespace {
@@ -206,7 +205,7 @@ void expect_pairwise_matches_oracle(const std::vector<key_t>& a,
 }
 
 TEST(MergeUnionInto, SizesAroundTheGallopRatioBothWays) {
-  const std::size_t ratio = kernels::kernel_tuning().gallop_ratio;
+  const std::size_t ratio = kGallopRatio;
   Rng rng(301);
   for (const std::size_t big_n : {ratio * 4, ratio * 300}) {
     const auto big = random_sorted_unique(rng, big_n, key_t{1} << 20);
