@@ -253,10 +253,9 @@ constexpr std::uint32_t kAsyncStreams = 16; ///< reduces pushed through it
 /// gap-filling NIC model (DESIGN §11) let it run the bottleneck NIC at
 /// ~95%+ occupancy. Aggregate reduces/sec is gated >= 1.3x by
 /// tools/bench_check.sh; the window=1 results double as the per-stream
-/// bit-identity oracle (the async fuzz suite separately proves both equal
-/// the barriered ReduceExecutor replay), and per-stream completion
-/// latencies feed the histogram quantile machinery for the p50/p99
-/// columns.
+/// bit-identity check (both sides replay through ReduceExecutor, so it
+/// holds by construction), and per-stream completion latencies feed the
+/// histogram quantile machinery for the p50/p99 columns.
 AsyncStats run_async(const bench::Dataset& data, const Topology& topology) {
   const NetworkModel net = bench::scaled_network();
   const ComputeModel compute{};

@@ -10,8 +10,9 @@
 //     round with the same {phase, layer}, or count it stale.
 //
 // ReplicatedBsp's per-copy transmit (race accounting, split send/receive
-// charges) and AsyncChannel's frozen per-letter fates stay separate:
-// sharing either would make Wire branch on its caller.
+// charges) stays separate: sharing it would make Wire branch on its caller.
+// The async executor needs no path of its own: its streams replay through
+// this Wire, and it reads each letter's fate off the observer hooks.
 #pragma once
 
 #include <algorithm>

@@ -17,10 +17,11 @@
 //      plans coexist in the PlanCache and a full-membership rejoin hits the
 //      original epoch-0 entry;
 //   3. atomically swap: the allreduce is left configured against the new
-//      plan, and an attached AsyncExecutor is drained (in-flight old-epoch
-//      streams complete against the old plan, which its shared_ptr keeps
-//      alive even if the cache evicted it), rebound, and stamped with the
-//      new epoch for subsequent admissions.
+//      plan, and an attached AsyncExecutor is drained, rebound, and stamped
+//      with the new epoch for subsequent submissions. Old-epoch streams
+//      replayed their values on the old plan at submit; the drain prices
+//      their timeline on that plan's letter schedule, which the executor's
+//      shared_ptr keeps alive even if the cache evicted the plan.
 //
 // The epoch timeline (one entry per re-plan, with wall re-plan cost and a
 // cache-hit flag) powers `kylix_cli heal` and the bench healing gate.

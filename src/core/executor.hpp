@@ -10,12 +10,13 @@
 // configuration letters and then runs this class's up half (reduce_up), so
 // its up pass is the same code as every replay's.
 //
-// The per-rank kernels live in core/replay_node.hpp (ReplayOps), shared
-// with the async resumable path (core/async_executor.hpp): this class is
-// only the round-barriered *driver* — it owns the per-rank ReplayScratch
+// The per-rank kernels live in core/replay_node.hpp (ReplayOps): this class
+// is only the round-barriered *driver* — it owns the per-rank ReplayScratch
 // slots, walks {down 1..l, up l..1} through the engine's round(), and keeps
 // the telemetry/recycling that needs a barrier (stream-stats merge,
-// spent-buffer return, flight events).
+// spent-buffer return, flight events). The async executor
+// (core/async_executor.hpp) replays every stream's values through this
+// class too; only its modeled timeline is its own.
 //
 // Multi-payload: reduce_strided() pushes `stride` value vectors, interleaved
 // key-major, through one replay. Every piece carries stride x the configured

@@ -1,16 +1,14 @@
 // Shared per-rank replay kernels for compiled CollectivePlans.
 //
-// ReduceExecutor (core/executor.hpp) and the async resumable path
-// (core/async_node.hpp + core/async_executor.hpp) replay the same frozen
-// schedule; this header is the single definition of what one rank does at
-// one layer — slice by out_split, scatter_combine by out_maps in ascending
-// sender digit, bottom gather, gather by in_maps — plus the chunk framing
-// (DESIGN §9), the buffer economy, and the replay setup and close both
-// drivers share: the context, the admission checks, result collection and
-// NodeWork pricing. Because every driver funnels through these kernels with
-// the same (src, chunk)-sorted inboxes, async multi-stream replay is
-// bit-identical to serial replay by construction, not by test alone (the
-// fuzz suite then asserts it anyway).
+// ReduceExecutor (core/executor.hpp) drives these kernels for every replay,
+// the async executor's streams included (core/async_executor.hpp). This
+// header is the single definition of what one rank does at one layer —
+// slice by out_split, scatter_combine by out_maps in ascending sender
+// digit, bottom gather, gather by in_maps — plus the chunk framing
+// (DESIGN §9), the buffer economy, and the replay setup and close: the
+// context, the admission checks, result collection and NodeWork, whose
+// element counts the async timeline pricer charges without running a
+// kernel.
 //
 // ReplayScratch is every rank's one home for value buffers — combined
 // configure+reduce scatter-reduces into it too (core/node.hpp): letter
@@ -66,10 +64,10 @@ void pool_recycle(std::vector<std::vector<T>>& pool, std::vector<T>& buf) {
 }
 
 /// Everything a replay kernel needs to know about the reduce in flight.
-/// Frozen at the top of a reduce (serial) or at bind (async) by
-/// ReplayOps::context; one plan serves every value type and stride because
-/// the payload-bytes -> key-positions conversion happens there, not at
-/// compile time.
+/// Frozen at the top of a reduce (and at bind for the async executor's
+/// letter schedule) by ReplayOps::context; one plan serves every value type
+/// and stride because the payload-bytes -> key-positions conversion happens
+/// there, not at compile time.
 struct ReplayContext {
   const CollectivePlan* plan = nullptr;
   std::uint32_t stride = 1;
@@ -111,10 +109,9 @@ struct ReplayScratch {
   StreamStats stream;  ///< this rank's round-local telemetry
 };
 
-/// The per-rank replay kernels, shared verbatim by every driver. All
-/// methods are static and take the context + scratch explicitly so one
-/// rank's state can belong to a serial executor slot or to an async
-/// stream lane interchangeably.
+/// The per-rank replay kernels. All methods are static and take the
+/// context + scratch explicitly, so the combined configure+reduce pass can
+/// load its inputs into the same per-rank slots the executor replays.
 template <typename V, typename Op = OpSum>
 struct ReplayOps {
   /// Freeze one replay's context. The chunk size in payload bytes (the

@@ -23,6 +23,7 @@
 #include "cluster/fault_plan.hpp"   // IWYU pragma: export
 #include "cluster/membership.hpp"   // IWYU pragma: export
 #include "cluster/netmodel.hpp"     // IWYU pragma: export
+#include "cluster/nic_timeline.hpp"  // IWYU pragma: export
 #include "cluster/timing.hpp"       // IWYU pragma: export
 #include "cluster/trace.hpp"        // IWYU pragma: export
 #include "comm/fault_channel.hpp"   // IWYU pragma: export
@@ -34,10 +35,8 @@
 #include "comm/parallel.hpp"        // IWYU pragma: export
 #include "comm/replicated.hpp"      // IWYU pragma: export
 #include "comm/threaded.hpp"        // IWYU pragma: export
-#include "comm/async_engine.hpp"    // IWYU pragma: export
 #include "core/allreduce.hpp"       // IWYU pragma: export
 #include "core/async_executor.hpp"  // IWYU pragma: export
-#include "core/async_node.hpp"      // IWYU pragma: export
 #include "core/autotune.hpp"        // IWYU pragma: export
 #include "core/degraded.hpp"        // IWYU pragma: export
 #include "core/epoch_manager.hpp"   // IWYU pragma: export

@@ -605,14 +605,13 @@ TEST(AllocHotPath, StreamedStridedReplayStaysWithinBudget) {
   EXPECT_EQ(first, second) << "streamed strided replay is not steady";
 }
 
-// Async steady state: k in-flight streams multiplexed over the shared
-// channel obey the per-stream API-boundary budget. Every lane pools its
-// scratch and recycles spent value buffers to their senders (the async
-// analogue of the executor's collect_spent), mailbox shells are reserved to
-// the frozen expected counts, and reset() keeps every warmed buffer — so a
-// warm submit/drain/take_result/reset batch allocates only what leaves with
-// the caller: per stream, the m result buffers grown in begin_up plus the
-// outer results vector (re-grown because take_result moved it out).
+// Async steady state: k in-flight streams obey the per-stream API-boundary
+// budget. Each stream replays through the executor's own ReduceExecutor
+// (the pools of the serial cases above), the timeline pricer reuses its
+// lanes, heap and NIC timelines, and reset() keeps every warmed buffer — so
+// a warm submit/drain/take_result/reset batch allocates only what leaves
+// with the caller: per stream, the m result buffers grown in begin_up plus
+// the outer results vector (re-grown because take_result moved it out).
 TEST(AllocHotPath, AsyncSteadyStateStreamsStayWithinBudget) {
   const Topology topo({2, 2, 2});
   const rank_t m = topo.num_machines();
@@ -654,7 +653,7 @@ TEST(AllocHotPath, AsyncSteadyStateStreamsStayWithinBudget) {
     return gauge.count();
   };
 
-  // Warm until pools, mailboxes, the scheduler heap, and the stream table
+  // Warm until pools, lanes, the scheduler heap, and the stream table
   // reach their steady-state capacities (buffer rotation, as above).
   for (int iter = 0; iter < 10; ++iter) {
     (void)batch();
@@ -666,8 +665,8 @@ TEST(AllocHotPath, AsyncSteadyStateStreamsStayWithinBudget) {
   const std::uint64_t second = batch();
 #ifdef NDEBUG
   // Per stream: the m result buffers that leave with the caller plus the
-  // outer results vector. Everything else — letters, mailboxes, pools,
-  // fault scripts, heap entries — must recycle across batches.
+  // outer results vector. Everything else — letters, pools, lanes, NIC
+  // timelines, heap entries — must recycle across batches.
   EXPECT_LE(first, static_cast<std::uint64_t>(streams) * (m + 1));
 #endif
   EXPECT_EQ(first, second) << "async steady state is not steady";

@@ -1,18 +1,23 @@
-// Bit-identity fuzz: k in-flight async streams must equal k serialized
+// Async fuzz: k in-flight async streams must equal k serialized
 // ReduceExecutor replays — float and double, strided and chunked-streaming,
 // clean and under per-stream seeded FaultPlans (identical results,
 // FaultStats, and DegradedReports). Each serialized oracle stream gets a
-// fresh engine + FaultChannel + identically-configured FaultPlan, exactly
-// the isolation the async executor's per-stream fault scripts provide (a
-// shared serial channel would leak delayed letters across reduces, which
-// no per-stream schedule can represent).
+// fresh engine + FaultChannel + identically-configured FaultPlan, the
+// isolation the executor gives every stream (a shared serial channel would
+// leak delayed letters across reduces). The executor's values come from
+// that same serial replay, so the check that is not true by construction
+// is the last one: the timeline pricer's NIC occupancy for a stream alone
+// against the serial replay's Trace.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "cluster/fault_plan.hpp"
+#include "cluster/netmodel.hpp"
+#include "cluster/trace.hpp"
 #include "comm/fault_channel.hpp"
 #include "comm/parallel.hpp"
 #include "core/allreduce.hpp"
@@ -123,9 +128,16 @@ void run_case(std::uint64_t seed) {
   }
   ax.drain();
 
+  // Each stream again, alone in a window-1 executor on the modeled clock.
+  const NetworkModel net;
+  typename AsyncExecutor<V>::Options alone_opts = opts;
+  alone_opts.window = 1;
+  alone_opts.network = &net;
+
   for (int i = 0; i < streams; ++i) {
     SCOPED_TRACE("stream " + std::to_string(i));
-    ParallelBspEngine<V> engine(m, 1);
+    Trace trace;
+    ParallelBspEngine<V> engine(m, 1, nullptr, &trace);
     std::optional<FaultPlan> oracle_faults;
     std::optional<FaultChannel<V>> channel;
     if (faulted) {
@@ -153,6 +165,27 @@ void run_case(std::uint64_t seed) {
       EXPECT_EQ(got.duplicated, want.duplicated);
       EXPECT_EQ(got.delayed, want.delayed);
     }
+
+    // Results and FaultStats above come from the serial replay on both
+    // sides. The NIC occupancy does not: alone on the timeline, the
+    // stream's busiest sender must carry exactly the letters the serial
+    // replay traced, each for stack overhead plus bytes over bandwidth
+    // (a duplicate is traced twice; loopback never touches the NIC).
+    AsyncExecutor<V> alone;
+    alone.bind(plan, alone_opts);
+    std::optional<FaultPlan> alone_faults;
+    if (faulted) alone_faults.emplace(configs[i].build(m));
+    (void)alone.submit(inputs[i], faulted ? &*alone_faults : nullptr);
+    alone.drain();
+    std::vector<double> busy(m, 0.0);
+    for (const MsgEvent& e : trace.events()) {
+      if (e.phase == Phase::kConfig || e.src == e.dst) continue;
+      busy[e.src] += net.stack_overhead_s +
+                     static_cast<double>(e.bytes) / net.bandwidth_bytes_per_s;
+    }
+    const double traced = *std::max_element(busy.begin(), busy.end());
+    EXPECT_GT(traced, 0.0);
+    EXPECT_NEAR(alone.max_tx_busy_seconds(), traced, 1e-9 * traced);
   }
 }
 

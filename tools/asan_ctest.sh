@@ -48,11 +48,11 @@ ctest --test-dir "${build_dir}" --output-on-failure -j "$(nproc)" -L stream
 # postmortem JSON round-trip — so it gets its own labeled lane.
 ctest --test-dir "${build_dir}" --output-on-failure -j "$(nproc)" -L obs
 
-# Focused async pass: the overlapped executor multiplexes many in-flight
-# streams over one shared channel — pooled letter shells migrating between
-# lanes, value buffers recycled to their senders mid-drain, the threaded
-# scheduler's park/wake edges — exactly where use-after-recycle and lost
-# wakeups hide (the tsan tree runs the same label for the race half).
+# Focused async pass: each stream replays through ReduceExecutor's warm
+# pools with its own short-lived FaultChannel and observer attached to the
+# executor's engine — a rejected stream must detach both before they die —
+# and the timeline pricer indexes per-lane boxes and schedule ranges by
+# (rank, slot), where an off-by-one read surfaces.
 ctest --test-dir "${build_dir}" --output-on-failure -j "$(nproc)" -L async
 
 # Focused hierarchy pass: the two-tier replay reads peer value buffers

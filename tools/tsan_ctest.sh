@@ -5,10 +5,11 @@
 # tools/asan_ctest.sh).
 #
 # Only the labeled lanes run — TSan's ~10x slowdown makes the full suite
-# wasteful when most tests are single-threaded by construction:
+# wasteful when most tests are single-threaded by construction (the async
+# executor among them: it replays on a one-thread engine and prices on one
+# event loop, so its lane runs under ASan only):
 #   chaos       fault injection over the real-thread engines
 #   membership  epoch swaps + heal/rejoin over threaded engines
-#   async       the overlapped executor's scheduler park/wake edges
 #   hierarchy   the intra-node single-copy stage over sharded pool workers
 #   tsan        everything else that spawns real host threads
 #
@@ -33,8 +34,6 @@ ctest --test-dir "${build_dir}" --output-on-failure -j "$(nproc)" \
   -L chaos "$@"
 ctest --test-dir "${build_dir}" --output-on-failure -j "$(nproc)" \
   -L membership "$@"
-ctest --test-dir "${build_dir}" --output-on-failure -j "$(nproc)" \
-  -L async "$@"
 ctest --test-dir "${build_dir}" --output-on-failure -j "$(nproc)" \
   -L hierarchy "$@"
 ctest --test-dir "${build_dir}" --output-on-failure -j "$(nproc)" \
