@@ -11,7 +11,9 @@
 //   * tree_merge_into vs hash_union at fan-in 16 and 64 over overlapping
 //     Zipf sets — the paper's §VI-A "tree merge ~5x faster than hashing";
 //   * prefetched scatter_combine / gather vs their scalar forms — random
-//     (cache-hostile) and strictly-increasing (cache-friendly) maps.
+//     (cache-hostile) and strictly-increasing (cache-friendly) maps;
+//   * fingerprint_key_sets (per-set 8-lane digests) vs the one mix64 chain
+//     over every key that it replaced, over 64 ranks' {in, out} sets.
 //
 // Output rows carry elements/s for kernel and baseline plus the ratio;
 // tools/bench_check.sh diffs kernel_eps against the committed JSON with a
@@ -30,6 +32,7 @@
 #endif
 
 #include "bench_common.hpp"
+#include "core/plan.hpp"
 #include "obs/json_writer.hpp"
 #include "powerlaw/zipf.hpp"
 #include "sparse/kernels/radix_sort.hpp"
@@ -274,6 +277,60 @@ void bench_scatter_gather(obs::JsonWriter& json) {
   }
 }
 
+/// The fingerprint fingerprint_key_sets replaced: one mix64 chain over
+/// every rank's lengths and keys, so each key waits on the one before it.
+/// Kept only as this bench's baseline.
+std::uint64_t chained_fingerprint(std::span<const KeySet> in_sets,
+                                  std::span<const KeySet> out_sets) {
+  std::uint64_t h = mix64(0x6b796c6978ULL ^ (in_sets.size() << 1) ^
+                          out_sets.size());
+  for (const KeySet& set : in_sets) {
+    h = mix64(h ^ set.size());
+    for (const key_t key : set) h = mix64(h ^ key);
+  }
+  h = mix64(h ^ 0x9e3779b97f4a7c15ULL);
+  for (const KeySet& set : out_sets) {
+    h = mix64(h ^ set.size());
+    for (const key_t key : set) h = mix64(h ^ key);
+  }
+  return h == 0 ? 1 : h;
+}
+
+void bench_fingerprint(obs::JsonWriter& json) {
+  constexpr std::size_t kRanks = 64;
+  for (const std::size_t total : kSizes) {
+    // `total` hashed keys over 64 ranks' in and out sets, as compile() and
+    // configure_cached() hash them before every lookup.
+    Rng rng(total * 17);
+    std::vector<KeySet> in_sets;
+    std::vector<KeySet> out_sets;
+    for (auto* sets : {&in_sets, &out_sets}) {
+      for (std::size_t r = 0; r < kRanks; ++r) {
+        std::vector<key_t> keys(total / (2 * kRanks));
+        for (auto& k : keys) k = rng();
+        sets->push_back(KeySet::from_keys(std::move(keys)));
+      }
+    }
+    Row row{"fingerprint", "mix64_chain", total, "64-ranks"};
+    // Both digests are pure functions of unchanged sets: the empty asm's
+    // memory clobber keeps the compiler from hoisting one call out of the
+    // repetitions, and folding every result into the printed `sink` keeps
+    // it from dropping them.
+    std::uint64_t sink = 0;
+    row.kernel_eps = static_cast<double>(total) / time_per_call(total, [&] {
+      asm volatile("" ::: "memory");
+      sink ^= fingerprint_key_sets(in_sets, out_sets);
+    });
+    row.baseline_eps = static_cast<double>(total) / time_per_call(total, [&] {
+      asm volatile("" ::: "memory");
+      sink ^= chained_fingerprint(in_sets, out_sets);
+    });
+    emit(json, row);
+    std::printf("  (fingerprint sink %016llx)\n",
+                static_cast<unsigned long long>(sink));
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -310,6 +367,7 @@ int main(int argc, char** argv) {
   bench_pairwise(json);
   bench_tree_vs_hash(json);
   bench_scatter_gather(json);
+  bench_fingerprint(json);
   json.end_array();
   json.end_object();
   out << '\n';

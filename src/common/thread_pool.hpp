@@ -6,8 +6,11 @@
 // contiguous *shards* — one atomic fetch_add per shard instead of per index
 // — so a round over m ranks costs O(threads) synchronization, not O(m), and
 // consecutive indices (whose node state is adjacent in memory) run on the
-// same worker. Dynamic shard claiming still balances skewed per-rank costs:
-// a worker that finishes its shard early claims another.
+// same worker. The grain is ⌈n/threads⌉, so a batch has at most `threads`
+// shards: a thread that finishes early finds another shard only if some
+// thread has not yet woken to claim it. Skewed per-index costs are not
+// rebalanced, and a batch with fewer shards than threads leaves threads
+// idle (4 hosts on 3 threads are two shards of two, run on 2 threads).
 //
 // Batch protocol: the caller publishes the loop body under the mutex, bumps
 // a generation counter, and wakes every worker. Each worker checks in

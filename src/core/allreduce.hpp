@@ -101,18 +101,13 @@ class SparseAllreduce {
   /// Run the configuration pass and freeze its result into a shareable
   /// CollectivePlan; this allreduce is left configured against it (nodes
   /// are retained for introspection). The plan is keyed by a fingerprint of
-  /// the input sets, so PlanCache can serve it to later iterations.
+  /// the input sets salted with this allreduce's topology and dead ranks,
+  /// so PlanCache can serve it to later iterations.
   [[nodiscard]] std::shared_ptr<const CollectivePlan> compile(
       std::vector<KeySet> in_sets, std::vector<KeySet> out_sets) {
-    if (topo_.hierarchical()) {
-      return compile_hierarchical(std::move(in_sets), std::move(out_sets));
-    }
     const std::uint64_t fp =
         salt_fingerprint(fingerprint_key_sets(in_sets, out_sets));
-    configure_pass(std::move(in_sets), std::move(out_sets), fp,
-                   /*values=*/nullptr);
-    bind_plan();
-    return plan_;
+    return compile_keyed(std::move(in_sets), std::move(out_sets), fp);
   }
 
   /// Adopt a previously compiled plan (e.g. a PlanCache hit), skipping the
@@ -144,7 +139,7 @@ class SparseAllreduce {
       configure(std::move(plan));
       return true;
     }
-    cache.insert(compile(std::move(in_sets), std::move(out_sets)));
+    cache.insert(compile_keyed(std::move(in_sets), std::move(out_sets), fp));
     return false;
   }
 
@@ -319,33 +314,49 @@ class SparseAllreduce {
  private:
   using Node = KylixNode<V, Op>;
 
+  /// compile() with the salted key already computed (configure_cached
+  /// looked it up), so a cache miss hashes the key sets once.
+  [[nodiscard]] std::shared_ptr<const CollectivePlan> compile_keyed(
+      std::vector<KeySet> in_sets, std::vector<KeySet> out_sets,
+      std::uint64_t fp) {
+    if (topo_.hierarchical()) {
+      return compile_hierarchical(std::move(in_sets), std::move(out_sets),
+                                  fp);
+    }
+    configure_pass(std::move(in_sets), std::move(out_sets), fp,
+                   /*values=*/nullptr);
+    bind_plan();
+    return plan_;
+  }
+
   /// Hierarchical compile (DESIGN §13). The shared-memory tier is compiled
   /// here: per-host unions of the alive members' {in, out} sets, whose
   /// piece->union positional maps from tree_merge_into ARE the intra-stage
-  /// scatter/gather maps. The inter-node butterfly is then the ordinary
-  /// flat configuration pass over host leaders (canonical rank host*c)
-  /// holding those unions — config rounds are gated to leaders, so the wire
-  /// schedule is exactly the flat schedule over one rank per host. Members
-  /// get API-surface RankPlans (in0, out0_size, missing_bottom; no layers);
-  /// leaders keep host-level replay state but member-level in0/out0_size,
-  /// since contributions and results align with each rank's own sets.
+  /// scatter/gather maps. The unions are the intra tier's config stage, so
+  /// they run inside intra_round(kConfig): hosts are independent (each
+  /// writes only its own IntraHost and its leader's node sets, and charges
+  /// only its leader), so engines may fan them across threads and the plan
+  /// is the same at every thread count. The inter-node butterfly is then
+  /// the ordinary flat configuration pass over host leaders (canonical
+  /// rank host*c) holding those unions — config rounds are gated to
+  /// leaders, so the wire schedule is exactly the flat schedule over one
+  /// rank per host. Members get API-surface RankPlans (in0, out0_size,
+  /// missing_bottom; no layers); leaders keep host-level replay state but
+  /// member-level in0/out0_size, since contributions and results align
+  /// with each rank's own sets.
   [[nodiscard]] std::shared_ptr<const CollectivePlan> compile_hierarchical(
-      std::vector<KeySet> in_sets, std::vector<KeySet> out_sets) {
+      std::vector<KeySet> in_sets, std::vector<KeySet> out_sets,
+      std::uint64_t fp) {
     const rank_t m = topo_.num_machines();
     check_per_machine("in_sets", in_sets.size());
     check_per_machine("out_sets", out_sets.size());
-    const std::uint64_t fp =
-        salt_fingerprint(fingerprint_key_sets(in_sets, out_sets));
     const rank_t hosts = topo_.num_hosts();
     const std::uint32_t c = topo_.cores_per_machine();
 
     std::vector<IntraHost> intra(hosts);
     std::vector<KeySet> node_in(m);
     std::vector<KeySet> node_out(m);
-    UnionResult host_union;
-    MergeScratch merge_scratch;
-    std::vector<std::span<const key_t>> member_keys;
-    for (rank_t h = 0; h < hosts; ++h) {
+    engine_->intra_round(Phase::kConfig, hosts, [&](rank_t h) {
       IntraHost& ih = intra[h];
       const rank_t canonical = topo_.leader_rank(h);
       for (std::uint32_t k = 0; k < c; ++k) {
@@ -356,9 +367,11 @@ class SparseAllreduce {
       // whose canonical leader is dead at compile time contributes nothing
       // to the inter-node exchange; its surviving members complete
       // degraded (every requested key resolves to identity, filled below).
-      if (ih.members.empty() || engine_->is_dead(canonical)) continue;
+      if (ih.members.empty() || engine_->is_dead(canonical)) return;
       ih.leader = canonical;
-      member_keys.clear();
+      UnionResult host_union;
+      MergeScratch merge_scratch;
+      std::vector<std::span<const key_t>> member_keys;
       for (const rank_t r : ih.members) {
         member_keys.push_back(out_sets[r].keys());
       }
@@ -392,7 +405,7 @@ class SparseAllreduce {
       if (seconds > 0.0) {
         engine_->charge_intra(Phase::kConfig, ih.leader, seconds);
       }
-    }
+    });
 
     std::shared_ptr<CollectivePlan> plan = configure_pass(
         std::move(node_in), std::move(node_out), fp, /*values=*/nullptr);
@@ -588,6 +601,11 @@ class SparseAllreduce {
         fp ^= mix64(0x6d656d62ULL ^ static_cast<std::uint64_t>(r));
       }
     }
+    // Two degree vectors over the same ranks and sets compile different
+    // plans, and configure(plan) refuses a plan of another topology, so
+    // allreduces sharing one PlanCache must miss, not collide.
+    fp = mix64(fp ^ (0x64656772ULL << 8) ^ topo_.num_layers());
+    for (const std::uint32_t degree : topo_.degrees()) fp = mix64(fp ^ degree);
     // The intra tier reshapes the whole schedule, so hierarchical and flat
     // plans over the same key sets must coexist in a PlanCache. Salted only
     // when cores > 1: a one-core "hierarchical" topology compiles the exact
@@ -596,9 +614,8 @@ class SparseAllreduce {
     if (topo_.hierarchical()) {
       fp = mix64(fp ^ (0x686f7374ULL << 8) ^
                  static_cast<std::uint64_t>(topo_.cores_per_machine()));
-      if (fp == 0) fp = 1;
     }
-    return fp;
+    return fp == 0 ? 1 : fp;
   }
 
   /// True iff `inner` ⊆ `outer` (hi == 0 with lo != 0 means "up to 2^64").

@@ -63,22 +63,50 @@ std::uint64_t CollectivePlan::reduce_wire_bytes(std::size_t value_bytes,
   return bytes;
 }
 
+namespace {
+
+/// Digest of one key set. Key p feeds lane p mod kLanes with one
+/// xor-multiply-xorshift step, so the lanes are independent dependency
+/// chains the core overlaps, not one mix64 chain through every key. Keys
+/// are already well-mixed (splitmix64 outputs), so one step per key is
+/// enough; the shift folds the product's high bits back down, so a
+/// difference in the top bit cannot cancel across two keys of a lane.
+/// Each step is a bijection of both the lane and the key, so changing any
+/// single key always changes its lane. The lanes are folded, in lane
+/// order, with the set's length through mix64.
+std::uint64_t set_digest(std::span<const key_t> keys) {
+  constexpr std::size_t kLanes = 8;
+  constexpr std::uint64_t kMul = 0x9e3779b97f4a7c15ULL;  // odd
+  std::uint64_t lanes[kLanes];
+  for (std::size_t j = 0; j < kLanes; ++j) lanes[j] = mix64(j);
+  const auto step = [](std::uint64_t lane, key_t key) {
+    lane = (lane ^ key) * kMul;
+    return lane ^ (lane >> 32);
+  };
+  const std::size_t n = keys.size();
+  std::size_t p = 0;
+  for (; p + kLanes <= n; p += kLanes) {
+    for (std::size_t j = 0; j < kLanes; ++j) {
+      lanes[j] = step(lanes[j], keys[p + j]);
+    }
+  }
+  for (std::size_t j = 0; p < n; ++j, ++p) lanes[j] = step(lanes[j], keys[p]);
+  std::uint64_t h = mix64(n);
+  for (const std::uint64_t lane : lanes) h = mix64(h ^ lane);
+  return h;
+}
+
+}  // namespace
+
 std::uint64_t fingerprint_key_sets(std::span<const KeySet> in_sets,
                                    std::span<const KeySet> out_sets) {
   // Seed separates role and shape: a workload where some rank's in and out
-  // sets swap must not collide. Keys are already well-mixed (splitmix64
-  // outputs), so one mix per key suffices to make the chain order-sensitive.
+  // sets swap must not collide. Per-set digests are chained in rank order.
   std::uint64_t h = mix64(0x6b796c6978ULL ^ (in_sets.size() << 1) ^
                           out_sets.size());
-  for (const KeySet& set : in_sets) {
-    h = mix64(h ^ set.size());
-    for (const key_t key : set) h = mix64(h ^ key);
-  }
+  for (const KeySet& set : in_sets) h = mix64(h ^ set_digest(set.keys()));
   h = mix64(h ^ 0x9e3779b97f4a7c15ULL);
-  for (const KeySet& set : out_sets) {
-    h = mix64(h ^ set.size());
-    for (const key_t key : set) h = mix64(h ^ key);
-  }
+  for (const KeySet& set : out_sets) h = mix64(h ^ set_digest(set.keys()));
   return h == 0 ? 1 : h;  // reserve 0 for "no fingerprint"
 }
 

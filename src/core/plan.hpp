@@ -96,7 +96,8 @@ struct ScheduledMessage {
 class CollectivePlan {
  public:
   /// `fingerprint` identifies the {in, out} key sets this plan was compiled
-  /// from (PlanCache::fingerprint); 0 is allowed for anonymous plans.
+  /// from (PlanCache::fingerprint, salted by SparseAllreduce with its
+  /// topology and dead ranks); 0 is allowed for anonymous plans.
   CollectivePlan(Topology topology, std::uint64_t fingerprint)
       : topo_(std::move(topology)), fingerprint_(fingerprint) {
     ranks_.resize(topo_.num_machines());
@@ -182,8 +183,10 @@ class CollectivePlan {
 
 /// Order- and role-sensitive fingerprint of per-rank {in, out} key sets:
 /// two workloads collide only if every rank requests and contributes the
-/// same keys. Chained mix64 over lengths and keys (common/hash.hpp);
-/// allocation-free, O(total keys).
+/// same keys. Each set gets its own digest over 8 independent lanes (key p
+/// feeds lane p mod 8), folded with its length through mix64
+/// (common/hash.hpp); the digests are chained in rank order, in sets
+/// first. Allocation-free, O(total keys).
 [[nodiscard]] std::uint64_t fingerprint_key_sets(
     std::span<const KeySet> in_sets, std::span<const KeySet> out_sets);
 

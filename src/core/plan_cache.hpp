@@ -3,9 +3,11 @@
 // Minibatch workloads (§VI: SGD, LDA) revisit sparsity patterns: a recurring
 // batch means recurring {in, out} key sets, and the expensive part of the
 // step — the downward configuration pass — depends on nothing else. The
-// cache keys plans by fingerprint_key_sets (chained mix64 over every rank's
-// keys, common/hash.hpp), so a hit replaces configuration with one hash of
-// the inputs plus a pointer copy.
+// cache keys plans by fingerprint_key_sets (per-set 8-lane digests of every
+// rank's keys, chained in rank order — core/plan.hpp), salted by the
+// compiling SparseAllreduce with its degree vector, cores and dead ranks,
+// so a hit replaces configuration with one hash of the inputs plus a
+// pointer copy.
 //
 // Hit/miss/evict counts feed both local counters (always on, for tests) and
 // the obs::MetricsRegistry (plan_cache.hits / plan_cache.misses /
@@ -38,7 +40,9 @@ class PlanCache {
                      obs::MetricsRegistry* metrics =
                          &obs::MetricsRegistry::global());
 
-  /// Fingerprint of per-rank {in, out} key sets — the cache key.
+  /// Fingerprint of per-rank {in, out} key sets. SparseAllreduce salts it
+  /// with its topology and dead ranks into the cache key, which the plan it
+  /// compiles carries as CollectivePlan::fingerprint().
   [[nodiscard]] static std::uint64_t fingerprint(
       std::span<const KeySet> in_sets, std::span<const KeySet> out_sets) {
     return fingerprint_key_sets(in_sets, out_sets);

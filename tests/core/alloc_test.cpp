@@ -684,8 +684,9 @@ TEST(AllocHotPath, PlanCacheHitsAllocateNothing) {
   PlanCache cache(4);
   SparseAllreduce<float, OpSum, ParallelBspEngine<float>> allreduce(
       &engine, topo);
-  const std::uint64_t fp = PlanCache::fingerprint(w.in_sets, w.out_sets);
-  cache.insert(allreduce.compile(w.in_sets, w.out_sets));
+  auto compiled = allreduce.compile(w.in_sets, w.out_sets);
+  const std::uint64_t fp = compiled->fingerprint();
+  cache.insert(std::move(compiled));
 
   AllocGauge gauge;
   for (int iter = 0; iter < 100; ++iter) {

@@ -9,11 +9,15 @@
 // engines (float, double, strided), the c == 1 degeneration (results,
 // traces, and fingerprint all equal the flat run), PlanCache coexistence
 // of hierarchical and flat plans over the same key sets, the intra/inter
-// timing split, and canonical-leader degraded semantics.
+// timing split, canonical-leader degraded semantics, and that the host
+// unions compile the same plan at every thread count.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <map>
+#include <memory>
+#include <string>
+#include <type_traits>
 #include <vector>
 
 #include "cluster/failure.hpp"
@@ -450,6 +454,105 @@ TEST(HierarchyDegraded, DeadMemberAtCompileIsExactOverSurvivors) {
   // The flat run really is more degraded on this workload: some keys
   // routed through the dead butterfly node and came back wrong.
   EXPECT_GT(flat_divergences, 0u);
+}
+
+// ---- The intra config stage across the engine pool ----
+
+void expect_same_layer(const PlanLayer& a, const PlanLayer& b) {
+  EXPECT_EQ(a.group, b.group);
+  EXPECT_EQ(a.in_split, b.in_split);
+  EXPECT_EQ(a.out_split, b.out_split);
+  EXPECT_EQ(a.in_maps, b.in_maps);
+  EXPECT_EQ(a.out_maps, b.out_maps);
+  EXPECT_EQ(a.recv_out_sizes, b.recv_out_sizes);
+  EXPECT_EQ(a.out_union_size, b.out_union_size);
+  EXPECT_EQ(a.in_prev_size, b.in_prev_size);
+}
+
+void expect_same_plan(const CollectivePlan& a, const CollectivePlan& b) {
+  EXPECT_EQ(a.fingerprint(), b.fingerprint());
+  ASSERT_EQ(a.num_ranks(), b.num_ranks());
+  for (rank_t r = 0; r < a.num_ranks(); ++r) {
+    SCOPED_TRACE("rank " + std::to_string(r));
+    const RankPlan& x = a.rank_plan(r);
+    const RankPlan& y = b.rank_plan(r);
+    EXPECT_EQ(x.configured, y.configured);
+    EXPECT_EQ(x.in0, y.in0);
+    EXPECT_EQ(x.out0_size, y.out0_size);
+    EXPECT_EQ(x.in_sizes, y.in_sizes);
+    EXPECT_EQ(x.out_sizes, y.out_sizes);
+    ASSERT_EQ(x.layers.size(), y.layers.size());
+    for (std::size_t i = 0; i < x.layers.size(); ++i) {
+      expect_same_layer(x.layers[i], y.layers[i]);
+    }
+    EXPECT_EQ(x.bottom_map, y.bottom_map);
+    EXPECT_EQ(x.missing_bottom, y.missing_bottom);
+    EXPECT_EQ(x.up_capacity, y.up_capacity);
+  }
+  ASSERT_EQ(a.intra_hosts().size(), b.intra_hosts().size());
+  for (rank_t h = 0; h < a.intra_hosts().size(); ++h) {
+    SCOPED_TRACE("host " + std::to_string(h));
+    const IntraHost& x = a.intra_host(h);
+    const IntraHost& y = b.intra_host(h);
+    EXPECT_EQ(x.leader, y.leader);
+    EXPECT_EQ(x.members, y.members);
+    EXPECT_EQ(x.out_maps, y.out_maps);
+    EXPECT_EQ(x.in_maps, y.in_maps);
+    EXPECT_EQ(x.out_union_size, y.out_union_size);
+  }
+}
+
+TEST(HierarchyCompile, PlanIsIdenticalAtEveryThreadCount) {
+  // Host unions run inside intra_round(kConfig): across the pool on a
+  // 4-thread ParallelBspEngine, inline at one thread and on ThreadedBsp.
+  // 8 hosts x 3 cores, with a dead member (rank 4) and a dead canonical
+  // leader (rank 9), so skipped and leaderless hosts run in the batch too.
+  const Topology hier({4, 2}, 3);
+  const rank_t m = hier.num_machines();
+  ASSERT_FALSE(hier.is_leader(4));
+  ASSERT_TRUE(hier.is_leader(9));
+  const auto w = random_workload<float>(m, 400, 0.2, 0.3, 1400);
+  const NetworkModel net;
+  const ComputeModel compute;
+  FailureModel failures(m);
+  failures.kill(4);
+  failures.kill(9);
+
+  struct Compiled {
+    std::shared_ptr<const CollectivePlan> plan;
+    double intra_config = 0.0;
+  };
+  const auto compile_on = [&](auto& engine, TimingAccumulator& timing) {
+    using Engine = std::remove_reference_t<decltype(engine)>;
+    SparseAllreduce<float, OpSum, Engine> allreduce(&engine, hier, &compute);
+    allreduce.set_network(&net);
+    Compiled out;
+    out.plan = allreduce.compile(w.in_sets, w.out_sets);
+    out.intra_config = timing.times().intra_config;
+    return out;
+  };
+
+  TimingAccumulator one_timing(m, net, compute);
+  ParallelBspEngine<float> one(m, 1, &failures, nullptr, &one_timing);
+  const Compiled reference = compile_on(one, one_timing);
+  ASSERT_EQ(one.num_threads(), 1u);
+  ASSERT_TRUE(reference.plan->hierarchical());
+  EXPECT_EQ(reference.plan->intra_host(3).leader, kNoLeader);
+  EXPECT_GT(reference.intra_config, 0.0);
+
+  TimingAccumulator pool_timing(m, net, compute);
+  ParallelBspEngine<float> pool(m, 4, &failures, nullptr, &pool_timing);
+  const Compiled pooled = compile_on(pool, pool_timing);
+  ASSERT_EQ(pool.num_threads(), 4u);
+
+  TimingAccumulator threaded_timing(m, net, compute);
+  ThreadedBsp<float> threaded(m, &failures, nullptr, &threaded_timing);
+  const Compiled inline_threaded = compile_on(threaded, threaded_timing);
+
+  for (const Compiled* other : {&pooled, &inline_threaded}) {
+    expect_same_plan(*reference.plan, *other->plan);
+    EXPECT_EQ(reference.intra_config, other->intra_config);
+  }
 }
 
 // ---- Guard rails ----

@@ -13,8 +13,11 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
 #include <vector>
 
+#include "cluster/failure.hpp"
 #include "cluster/fault_plan.hpp"
 #include "comm/fault_channel.hpp"
 #include "comm/parallel.hpp"
@@ -23,6 +26,7 @@
 #include "common/check.hpp"
 #include "core/allreduce.hpp"
 #include "core/plan_cache.hpp"
+#include "obs/flight_recorder.hpp"
 #include "test_util.hpp"
 
 namespace kylix {
@@ -297,6 +301,117 @@ TEST(PlanFingerprint, IsDeterministicRoleAndSetSensitive) {
   EXPECT_NE(base, fingerprint_key_sets(other, w.out_sets));
 }
 
+/// fingerprint_key_sets of one rank requesting `in` and contributing `out`.
+std::uint64_t fingerprint_of(const KeySet& in, const KeySet& out) {
+  const std::vector<KeySet> ins{in};
+  const std::vector<KeySet> outs{out};
+  return fingerprint_key_sets(ins, outs);
+}
+
+/// The strictly increasing key set {first, first + step, ...} of `n` keys.
+KeySet arithmetic_keys(std::size_t n, key_t first, key_t step) {
+  std::vector<key_t> keys(n);
+  for (std::size_t p = 0; p < n; ++p) keys[p] = first + p * step;
+  return KeySet::from_sorted_keys(std::move(keys));
+}
+
+// Keys feed 8 lanes by position, so prefixes around a multiple of 8 (full
+// lane rounds plus a short tail) exercise the tail loop and the length
+// fold.
+TEST(PlanFingerprint, EveryPrefixOfOneSortedSetIsDistinct) {
+  std::vector<index_t> indices(40);
+  for (index_t i = 0; i < indices.size(); ++i) indices[i] = i;
+  const KeySet full = KeySet::from_indices(indices);
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n <= 17; ++n) lengths.push_back(n);
+  for (std::size_t k = 3; k <= 4; ++k) {
+    lengths.push_back(8 * k - 1);
+    lengths.push_back(8 * k + 1);
+  }
+  std::set<std::uint64_t> seen;
+  for (const std::size_t n : lengths) {
+    const KeySet prefix = KeySet::from_sorted_keys(
+        std::vector<key_t>(full.begin(), full.begin() + n));
+    const std::uint64_t as_in = fingerprint_of(prefix, full);
+    const std::uint64_t as_out = fingerprint_of(full, prefix);
+    EXPECT_TRUE(seen.insert(as_in).second) << "in prefix of length " << n;
+    EXPECT_TRUE(seen.insert(as_out).second) << "out prefix of length " << n;
+  }
+}
+
+TEST(PlanFingerprint, ChangingAnySingleKeyChangesIt) {
+  // Keys 100 apart, so position p can move to 100p + 1 and stay sorted.
+  const KeySet base = arithmetic_keys(17, 100, 100);
+  const std::uint64_t fp = fingerprint_of(base, base);
+  for (std::size_t p = 0; p < base.size(); ++p) {
+    std::vector<key_t> keys(base.begin(), base.end());
+    keys[p] += 1;
+    const KeySet changed = KeySet::from_sorted_keys(std::move(keys));
+    EXPECT_NE(fingerprint_of(changed, base), fp) << "in position " << p;
+    EXPECT_NE(fingerprint_of(base, changed), fp) << "out position " << p;
+  }
+}
+
+TEST(PlanFingerprint, MovingALastKeyToTheNextRankChangesIt) {
+  const std::vector<KeySet> in = {arithmetic_keys(9, 1, 1),
+                                  arithmetic_keys(8, 10, 1)};
+  // Rank 0's last key (9) moves to the front of rank 1: the concatenation
+  // of the two sets is unchanged, only the boundary moves.
+  const std::vector<KeySet> moved = {arithmetic_keys(8, 1, 1),
+                                     arithmetic_keys(9, 9, 1)};
+  EXPECT_NE(fingerprint_key_sets(in, in), fingerprint_key_sets(moved, in));
+  EXPECT_NE(fingerprint_key_sets(in, in), fingerprint_key_sets(in, moved));
+}
+
+TEST(PlanFingerprint, ConsecutiveSmallIntegerKeysStayDistinct) {
+  // Raw small integers, not splitmix64 outputs: every window {s, ..., s+n-1}
+  // for n <= 33 and s <= 16 is a different set, so every fingerprint differs.
+  std::set<std::uint64_t> seen;
+  std::size_t sets = 0;
+  for (std::size_t n = 0; n <= 33; ++n) {
+    const key_t last_start = n == 0 ? 0 : 16;
+    for (key_t s = 0; s <= last_start; ++s) {
+      const KeySet window = arithmetic_keys(n, s, 1);
+      EXPECT_TRUE(seen.insert(fingerprint_of(window, window)).second)
+          << "window start " << s << " length " << n;
+      ++sets;
+    }
+  }
+  EXPECT_EQ(seen.size(), sets);
+}
+
+TEST(PlanFingerprint, RandomSmallWorkloadsNeverCollide) {
+  // 1e5 small workloads (1-3 ranks, sets drawn from 24 indices, so lengths
+  // cross the 8-lane boundaries). Equal fingerprints must mean equal sets.
+  Rng rng(77);
+  std::map<std::uint64_t, std::vector<std::vector<key_t>>> by_fingerprint;
+  std::size_t repeats = 0;
+  for (int trial = 0; trial < 100000; ++trial) {
+    const rank_t m = 1 + static_cast<rank_t>(rng.below(3));
+    std::vector<KeySet> in(m);
+    std::vector<KeySet> out(m);
+    std::vector<std::vector<key_t>> flat;
+    for (auto* sets : {&in, &out}) {
+      for (KeySet& set : *sets) {
+        const std::uint64_t mask = rng.below(std::uint64_t{1} << 24);
+        std::vector<index_t> indices;
+        for (index_t i = 0; i < 24; ++i) {
+          if ((mask >> i) & 1) indices.push_back(i);
+        }
+        set = KeySet::from_indices(indices);
+        flat.emplace_back(set.begin(), set.end());
+      }
+    }
+    const auto [it, inserted] =
+        by_fingerprint.emplace(fingerprint_key_sets(in, out), flat);
+    if (!inserted) {
+      ASSERT_EQ(it->second, flat) << "collision at trial " << trial;
+      ++repeats;
+    }
+  }
+  EXPECT_EQ(by_fingerprint.size() + repeats, 100000u);
+}
+
 TEST(PlanCacheTest, ConfigureCachedHitsAfterMissAndTracksCounters) {
   const Topology topo({4, 2});
   const rank_t m = topo.num_machines();
@@ -333,18 +448,96 @@ TEST(PlanCacheTest, EvictsLeastRecentlyUsed) {
   for (std::uint64_t seed = 0; seed < 3; ++seed) {
     const auto w = random_workload<float>(2, 40, 0.4, 0.5, 40 + seed);
     SparseAllreduce<float, OpSum, ParallelBspEngine<float>> ar(&engine, topo);
-    fps.push_back(PlanCache::fingerprint(w.in_sets, w.out_sets));
+    auto plan = ar.compile(w.in_sets, w.out_sets);
+    fps.push_back(plan->fingerprint());
     if (seed == 2) {
       // Touch the oldest entry first so the middle one becomes LRU.
       EXPECT_NE(cache.find(fps[0]), nullptr);
     }
-    cache.insert(ar.compile(w.in_sets, w.out_sets));
+    cache.insert(std::move(plan));
   }
   EXPECT_EQ(cache.size(), 2u);
   EXPECT_EQ(cache.evictions(), 1u);
   EXPECT_NE(cache.find(fps[0]), nullptr) << "recently-touched entry evicted";
   EXPECT_EQ(cache.find(fps[1]), nullptr) << "LRU entry survived";
   EXPECT_NE(cache.find(fps[2]), nullptr);
+}
+
+// Two degree vectors over the same 64 ranks and sets compile different
+// plans; sharing one cache, the second allreduce must compile its own plan
+// rather than be served the first one (which configure(plan) refuses).
+TEST(PlanCacheTest, DistinctDegreesOverTheSameSetsMissInsteadOfThrowing) {
+  const Topology wide({8, 4, 2});
+  const Topology even({4, 4, 4});
+  const rank_t m = wide.num_machines();
+  ASSERT_EQ(even.num_machines(), m);
+  const auto w = random_workload<float>(m, 200, 0.1, 0.3, 34);
+  ParallelBspEngine<float> engine(m, 1);
+  PlanCache cache(4);
+
+  SparseAllreduce<float, OpSum, ParallelBspEngine<float>> a(&engine, wide);
+  SparseAllreduce<float, OpSum, ParallelBspEngine<float>> b(&engine, even);
+  EXPECT_FALSE(a.configure_cached(cache, w.in_sets, w.out_sets));
+  EXPECT_FALSE(b.configure_cached(cache, w.in_sets, w.out_sets));
+  EXPECT_EQ(cache.misses(), 2u);
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_NE(a.plan()->fingerprint(), b.plan()->fingerprint());
+
+  // Each now hits its own plan and replays it exactly.
+  EXPECT_TRUE(a.configure_cached(cache, w.in_sets, w.out_sets));
+  EXPECT_TRUE(b.configure_cached(cache, w.in_sets, w.out_sets));
+  EXPECT_EQ(a.plan()->topology().to_string(), wide.to_string());
+  EXPECT_EQ(b.plan()->topology().to_string(), even.to_string());
+  testing::expect_matches_oracle<float>(w, a.reduce(w.out_values));
+  testing::expect_matches_oracle<float>(w, b.reduce(w.out_values));
+}
+
+/// configure_cached on an empty cache; returns the key its lookup missed
+/// under, read off the cache's flight recorder.
+template <typename Allreduce>
+std::uint64_t missed_key(Allreduce& ar, const Workload<float>& w) {
+  obs::FlightRecorder recorder(1);
+  recorder.set_enabled(true);
+  PlanCache cache(2);
+  cache.set_flight_recorder(&recorder);
+  EXPECT_FALSE(ar.configure_cached(cache, w.in_sets, w.out_sets));
+  const auto events = recorder.merged_events();
+  EXPECT_EQ(events.size(), 1u);
+  if (events.empty()) return 0;
+  EXPECT_EQ(events[0].kind, obs::FlightEventKind::kPlanCacheMiss);
+  EXPECT_EQ(cache.find(ar.plan()->fingerprint()), ar.plan());
+  return events[0].bytes;
+}
+
+// A miss compiles under the key it looked up (the sets are hashed once):
+// the inserted plan's fingerprint() is that key, for flat, hierarchical and
+// dead-rank salts alike.
+TEST(PlanCacheTest, MissInsertsThePlanUnderTheLookedUpKey) {
+  const Topology flat({4, 2});
+  const Topology hier({2, 2}, 2);
+  const rank_t m = flat.num_machines();
+  const auto w = random_workload<float>(m, 120, 0.25, 0.4, 35);
+
+  ParallelBspEngine<float> engine(m, 1);
+  SparseAllreduce<float, OpSum, ParallelBspEngine<float>> flat_ar(&engine,
+                                                                  flat);
+  const std::uint64_t flat_key = missed_key(flat_ar, w);
+  EXPECT_EQ(flat_key, flat_ar.plan()->fingerprint());
+
+  SparseAllreduce<float, OpSum, ParallelBspEngine<float>> hier_ar(&engine,
+                                                                  hier);
+  const std::uint64_t hier_key = missed_key(hier_ar, w);
+  EXPECT_EQ(hier_key, hier_ar.plan()->fingerprint());
+  EXPECT_TRUE(hier_ar.plan()->hierarchical());
+
+  FailureModel failures(m);
+  failures.kill(5);
+  ParallelBspEngine<float> dead_engine(m, 1, &failures);
+  SparseAllreduce<float, OpSum, ParallelBspEngine<float>> dead_ar(
+      &dead_engine, flat);
+  const std::uint64_t dead_key = missed_key(dead_ar, w);
+  EXPECT_EQ(dead_key, dead_ar.plan()->fingerprint());
+  EXPECT_NE(dead_key, flat_ar.plan()->fingerprint());
 }
 
 TEST(PlanCacheTest, AnonymousPlansAreNotCached) {
@@ -363,8 +556,12 @@ TEST(Plan, ExposesScheduleAndAmortizedWireBytes) {
   SparseAllreduce<float, OpSum, ParallelBspEngine<float>> ar(&engine, topo);
   const auto plan = ar.compile(w.in_sets, w.out_sets);
 
+  // Keyed by the sets and the topology: a fresh compile of the same sets
+  // over the same topology carries the same fingerprint.
+  SparseAllreduce<float, OpSum, ParallelBspEngine<float>> twin(&engine, topo);
+  EXPECT_NE(plan->fingerprint(), 0u);
   EXPECT_EQ(plan->fingerprint(),
-            fingerprint_key_sets(w.in_sets, w.out_sets));
+            twin.compile(w.in_sets, w.out_sets)->fingerprint());
   EXPECT_FALSE(plan->degraded());
   ASSERT_TRUE(plan->any_configured());
 
