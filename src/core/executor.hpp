@@ -36,10 +36,15 @@
 // letter/stream buffer envelopes are accumulated into StreamStats; the
 // pipelining payoff is priced by TimingAccumulator::pipelined_reduce_time.
 //
-// Allocation discipline: per-rank ReplayScratch pools its letter shells per
-// layer, value buffers, ping-pong merge/below buffers and block-watermark
-// scratch, so warm replays — streamed or not — allocate nothing in the
-// rounds and stay within an m+1 API-boundary budget (tests/core/alloc_test).
+// Allocation discipline: the caller's contributions are read in place and
+// each one's buffer becomes its rank's result buffer (ReplayOps::load_input,
+// hand_off_input), so no value is copied on the driving thread before round
+// 1. Per-rank ReplayScratch pools its letter shells per layer, value
+// buffers, ping-pong merge/below buffers and block-watermark scratch, so
+// warm replays — flat or hierarchical, streamed or not — allocate nothing
+// in the rounds and stay within an m+1 API-boundary budget: at most one
+// result-buffer growth per rank plus the outer results vector
+// (tests/core/alloc_test).
 #pragma once
 
 #include <algorithm>
@@ -226,8 +231,10 @@ class ReduceExecutor {
     for (rank_t r = 0; r < plan_->num_ranks(); ++r) {
       const RankPlan& rp = plan_->rank_plan(r);
       // Hierarchical members hold no per-layer state: only union-holding
-      // ranks (flat ranks, host leaders) run the bottom gather.
-      if (engine_->is_dead(r) || !rp.configured || rp.layers.size() < l) {
+      // ranks (flat ranks, host leaders) run the bottom gather, also when
+      // there is no inter-node layer (one host).
+      if (engine_->is_dead(r) || !rp.configured ||
+          (plan_->hierarchical() && !plan_->topology().is_leader(r))) {
         continue;
       }
       Ops::begin_up(ctx_, state_[r], r);
@@ -310,10 +317,12 @@ class ReduceExecutor {
   }
 
   /// Shared-memory scatter-reduce (DESIGN §13): each host's leader folds
-  /// its alive members' contributions directly from their buffers into the
-  /// host out-union — single copy, no Packet serialization — in ascending
-  /// member rank, the same per-position op order a flat layer over the host
-  /// would produce (the c=1 / flat-expansion bit-identity argument). A host
+  /// its alive members' contributions straight out of the callers' vectors
+  /// into the host out-union — single copy, no Packet serialization — in
+  /// ascending member rank, the same per-position op order a flat layer
+  /// over the host would produce (the c=1 / flat-expansion bit-identity
+  /// argument). The fold is each contribution's first read, so every
+  /// folded member then hands its input buffer to its result slot. A host
   /// whose leader is dead contributes nothing (its members complete
   /// degraded in intra_up). Hosts are independent, so engines may fan this
   /// across threads.
@@ -332,11 +341,13 @@ class ReduceExecutor {
         // A member dead at replay is skipped — its contribution is lost,
         // exactly as a flat layer-1 crash of the same rank.
         if (engine_->is_dead(m)) continue;
+        ReplayScratch<V>& member = state_[m];
         scatter_combine_strided<V, Op>(
-            std::span<V>(leader.merged), std::span<const V>(state_[m].v),
+            std::span<V>(leader.merged), std::span<const V>(member.in),
             std::span<const pos_t>(ih.out_maps[i]), ctx_.stride);
-        elements += static_cast<double>(state_[m].v.size());
+        elements += static_cast<double>(member.in.size());
         ++peers;
+        Ops::hand_off_input(member);
       }
       std::swap(leader.v, leader.merged);
       charge_intra(Phase::kReduceDown, ih.leader, elements, peers);

@@ -18,7 +18,9 @@
 // and config_consume scatter-combines them into one down buffer — the
 // executor's own per-rank buffer (ReplayScratch), so the configuration pass
 // doubles as the scatter-reduce and the executor's up half finishes the
-// reduction in place.
+// reduction in place. The contribution is moved into the lane, not copied:
+// the layer-1 config_produce slices its letters straight out of the
+// caller's vector and then hands that buffer to the lane's result slot.
 //
 // Allocation discipline: all transient key storage (letter shells, piece
 // vectors, merge workspaces) lives in a caller-owned NodeScratch that
@@ -98,11 +100,10 @@ class KylixNode {
   }
 
   /// Combined configure+reduce: configuration letters carry this machine's
-  /// contribution (aligned with out_set(0)), loaded into `lane` — the
-  /// rank's replay buffers (not owned; used until the last config round),
-  /// whose down buffer holds the fully reduced bottom out-values after the
-  /// last round, ready for the executor's up half. Call before the first
-  /// round.
+  /// contribution (aligned with out_set(0)), moved into `lane` — the rank's
+  /// replay buffers (not owned; used until the last config round), whose
+  /// down buffer holds the fully reduced bottom out-values after the last
+  /// round, ready for the executor's up half. Call before the first round.
   void set_combined(ReplayScratch<V>& lane, std::vector<V>& out_values) {
     KYLIX_CHECK_MSG(out_values.size() == out_sets_[0].size(),
                     "machine " << rank_ << " contributes "
@@ -137,10 +138,13 @@ class KylixNode {
       out_prev.extract_into(cfg.out_split[q], cfg.out_split[q + 1],
                             letter.packet.out_keys);
       if (lane_ != nullptr) {
+        // Layer 1 reads the caller's contribution in place (combined mode
+        // is flat only); deeper layers read the lane's down buffer.
+        const std::vector<V>& source = layer == 1 ? lane_->in : lane_->v;
         pool_refill(lane_->value_pool, letter.packet.values);
         letter.packet.values.assign(
-            lane_->v.begin() + static_cast<std::ptrdiff_t>(cfg.out_split[q]),
-            lane_->v.begin() +
+            source.begin() + static_cast<std::ptrdiff_t>(cfg.out_split[q]),
+            source.begin() +
                 static_cast<std::ptrdiff_t>(cfg.out_split[q + 1]));
       } else {
         letter.packet.values.clear();
@@ -149,6 +153,9 @@ class KylixNode {
           static_cast<double>(letter.packet.in_keys.size() +
                               letter.packet.out_keys.size() +
                               letter.packet.values.size());
+    }
+    if (lane_ != nullptr && layer == 1) {
+      ReplayOps<V, Op>::hand_off_input(*lane_);
     }
     return letters;
   }

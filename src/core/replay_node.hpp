@@ -11,11 +11,18 @@
 // kernel.
 //
 // ReplayScratch is every rank's one home for value buffers — combined
-// configure+reduce scatter-reduces into it too (core/node.hpp): letter
-// shells per layer, recycled value pools, ping-pong merge/below buffers,
-// pooled block-watermark scratch, and the spent list that returns consumed
-// buffers to their sender's pool at a quiescent point. Warm replays
-// allocate nothing inside the rounds (tests/core/alloc_test).
+// configure+reduce scatter-reduces into it too (core/node.hpp): the
+// caller's contribution, letter shells per layer, recycled value pools,
+// ping-pong merge/below buffers, pooled block-watermark scratch, and the
+// spent list that returns consumed buffers to their sender's pool at a
+// quiescent point. The contribution is never copied: load_input moves the
+// caller's vector into `in`, the first stage that needs it reads it there
+// (layer-1 produce on flat plans, intra_down on hierarchical ones, layer-1
+// config_produce in combined mode, begin_up when there is no layer), and
+// hand_off_input then moves that buffer into the rank's empty result slot
+// — one buffer in and one out per rank and reduce, none of them parked in
+// a pool. Warm replays allocate nothing inside the rounds
+// (tests/core/alloc_test).
 #pragma once
 
 #include <algorithm>
@@ -97,6 +104,10 @@ template <typename V>
 struct ReplayScratch {
   std::vector<std::vector<Letter<V>>> letters;  ///< per comm layer shells
   std::vector<std::vector<V>> value_pool;       ///< recycled packet buffers
+  /// The caller's contribution, read in place by the replay's first stage.
+  /// A rank that never reads it (dead at replay, or a member of a host
+  /// whose leader is dead) keeps it until the next load_input replaces it.
+  std::vector<V> in;
   std::vector<V> v;       ///< downward (scatter-reduce) buffer
   std::vector<V> vin;     ///< upward (allgather) buffer
   std::vector<V> merged;  ///< ping-pong partner
@@ -158,13 +169,29 @@ struct ReplayOps {
     }
   }
 
-  /// Load one rank's contribution into the downward buffer, recycling the
-  /// caller's vector into the pool (the API-boundary buffer exchange that
-  /// keeps warm replays allocation-free).
+  /// Take one rank's contribution: the caller's vector moves into `in`,
+  /// no value is copied. Its first reader hands the buffer on to the
+  /// result slot (hand_off_input), so each reduce takes one buffer in per
+  /// rank and gives one back as the result, and no pool grows.
   static void load_input(ReplayScratch<V>& s, std::vector<V>& out_values) {
-    pool_refill(s.value_pool, s.v);
-    s.v.assign(out_values.begin(), out_values.end());
-    pool_recycle(s.value_pool, out_values);
+    s.in = std::move(out_values);
+  }
+
+  /// True where the down pass meets the caller's contribution itself: the
+  /// values entering comm layer 1 of a flat plan (hierarchical plans fold
+  /// it in intra_down first).
+  [[nodiscard]] static bool reads_input(const ReplayContext& ctx,
+                                        std::uint16_t layer) {
+    return layer == 1 && !ctx.plan->hierarchical();
+  }
+
+  /// After the first reader: the read contribution becomes the rank's
+  /// result buffer. The slot is empty — the last result left with the
+  /// caller — unless the rank was dead at the last collect, whose stale
+  /// buffer this frees. Never pooled: a pooled input grows the pools by
+  /// one contribution per rank.
+  static void hand_off_input(ReplayScratch<V>& s) {
+    s.vin = std::exchange(s.in, {});
   }
 
   /// Resize a letter-shell vector, recycling the value buffers of shells
@@ -187,6 +214,8 @@ struct ReplayOps {
                                          Phase phase, std::uint16_t layer) {
     const PlanLayer& cfg = ctx.plan->rank_plan(r).layers[layer - 1];
     const bool down = phase == Phase::kReduceDown;
+    const bool input = down && reads_input(ctx, layer);
+    const std::vector<V>& source = input ? s.in : s.v;
     std::vector<Letter<V>>& letters = s.letters[layer - 1];
     std::size_t total = 0;
     for (std::uint32_t q = 0; q < cfg.group.size(); ++q) {
@@ -211,7 +240,7 @@ struct ReplayOps {
         pool_refill(s.value_pool, letter.packet.values);
         if (down) {
           const auto first =
-              s.v.begin() +
+              source.begin() +
               static_cast<std::ptrdiff_t>((cfg.out_split[q] + lo) * ctx.stride);
           letter.packet.values.assign(
               first, first + static_cast<std::ptrdiff_t>(n * ctx.stride));
@@ -229,6 +258,7 @@ struct ReplayOps {
       s.stream.max_chunks_per_letter =
           std::max(s.stream.max_chunks_per_letter, k);
     }
+    if (input) hand_off_input(s);
     return letters;
   }
 
@@ -281,26 +311,37 @@ struct ReplayOps {
     std::swap(s.v, merged);
   }
 
+  /// Bottom gather: the fully reduced out-values of node layer l, picked by
+  /// bottom_map into the up buffer. With no comm layer (m = 1) the bottom
+  /// is the contribution itself, read here in place: the gather lands in
+  /// `merged`, the input becomes the result buffer, and the two swap — the
+  /// up rounds' ping-pong.
   static void begin_up(const ReplayContext& ctx, ReplayScratch<V>& s,
                        rank_t r) {
     const RankPlan& rp = ctx.plan->rank_plan(r);
-    KYLIX_DCHECK(s.v.size() ==
-                 rp.out_sizes[ctx.plan->topology().num_layers()] * ctx.stride);
-    pool_refill(s.value_pool, s.vin);
-    s.vin.reserve(std::max(rp.up_capacity, rp.bottom_map.size()) * ctx.stride);
+    const std::uint16_t l = ctx.plan->topology().num_layers();
+    const bool input = reads_input(ctx, l + 1);
+    const std::vector<V>& bottom = input ? s.in : s.v;
+    std::vector<V>& up = input ? s.merged : s.vin;
+    KYLIX_DCHECK(bottom.size() == rp.out_sizes[l] * ctx.stride);
+    pool_refill(s.value_pool, up);
+    up.reserve(std::max(rp.up_capacity, rp.bottom_map.size()) * ctx.stride);
     if (rp.missing_bottom.empty()) {
-      gather_strided_into(std::span<const V>(s.v), rp.bottom_map, ctx.stride,
-                          s.vin);
+      gather_strided_into(std::span<const V>(bottom), rp.bottom_map,
+                          ctx.stride, up);
     } else {
       // Degraded cold path: kMissingPos entries resolve to identity.
-      s.vin.clear();
+      up.clear();
       for (const pos_t pos : rp.bottom_map) {
         for (std::uint32_t c = 0; c < ctx.stride; ++c) {
-          s.vin.push_back(pos == kMissingPos
-                              ? Op::template identity<V>()
-                              : s.v[pos * ctx.stride + c]);
+          up.push_back(pos == kMissingPos ? Op::template identity<V>()
+                                          : bottom[pos * ctx.stride + c]);
         }
       }
+    }
+    if (input) {
+      hand_off_input(s);
+      std::swap(s.vin, s.merged);
     }
     s.work.gather_elements += static_cast<double>(rp.bottom_map.size());
   }

@@ -11,6 +11,7 @@
 
 #include <cstdlib>
 #include <new>
+#include <string>
 #include <vector>
 
 #include "comm/parallel.hpp"
@@ -64,6 +65,22 @@ namespace kylix {
 namespace {
 
 using kylix::testing::random_workload;
+
+/// `stride` payloads per contributed key, interleaved key-major: payload c
+/// of key p is the stride-1 value plus c.
+std::vector<std::vector<float>> interleave(
+    const std::vector<std::vector<float>>& values, std::uint32_t stride) {
+  std::vector<std::vector<float>> interleaved(values.size());
+  for (std::size_t r = 0; r < values.size(); ++r) {
+    interleaved[r].resize(values[r].size() * stride);
+    for (std::size_t p = 0; p < values[r].size(); ++p) {
+      for (std::uint32_t c = 0; c < stride; ++c) {
+        interleaved[r][p * stride + c] = values[r][p] + static_cast<float>(c);
+      }
+    }
+  }
+  return interleaved;
+}
 
 TEST(AllocGauge, CountsThisBinarysAllocations) {
   AllocGauge gauge;
@@ -150,8 +167,10 @@ TEST(AllocHotPath, WarmRepeatFilteredSortIsAllocationFree) {
 // reduction: after warm-up, the down rounds and up rounds (the per-iteration
 // hot path, spent-buffer return included) must not allocate at all.
 // load_input, begin_up and the result hand-off are the accepted API
-// boundary: the result buffer leaves the system with the caller each
-// iteration.
+// boundary: load_input moves the caller's vector in without copying it,
+// the layer-1 produce reads it in place and hands its buffer to the result
+// slot, begin_up may grow that buffer, and the result leaves the system
+// with the caller each iteration.
 TEST(AllocHotPath, SteadyStateReduceRoundsAreAllocationFree) {
   using Ops = ReplayOps<float, OpSum>;
   const Topology topo({4, 2});
@@ -522,16 +541,7 @@ TEST(AllocHotPath, StridedPlanReplayStaysWithinBudget) {
   const rank_t m = topo.num_machines();
   const std::uint32_t stride = 3;
   const auto w = random_workload<float>(m, 3000, 0.06, 0.12, 19);
-  std::vector<std::vector<float>> interleaved(m);
-  for (rank_t r = 0; r < m; ++r) {
-    interleaved[r].resize(w.out_values[r].size() * stride);
-    for (std::size_t p = 0; p < w.out_values[r].size(); ++p) {
-      for (std::uint32_t c = 0; c < stride; ++c) {
-        interleaved[r][p * stride + c] =
-            w.out_values[r][p] + static_cast<float>(c);
-      }
-    }
-  }
+  const auto interleaved = interleave(w.out_values, stride);
 
   ParallelBspEngine<float> engine(m, 1);
   SparseAllreduce<float, OpSum, ParallelBspEngine<float>> allreduce(
@@ -566,16 +576,7 @@ TEST(AllocHotPath, StreamedStridedReplayStaysWithinBudget) {
   const rank_t m = topo.num_machines();
   const std::uint32_t stride = 3;
   const auto w = random_workload<float>(m, 3000, 0.06, 0.12, 29);
-  std::vector<std::vector<float>> interleaved(m);
-  for (rank_t r = 0; r < m; ++r) {
-    interleaved[r].resize(w.out_values[r].size() * stride);
-    for (std::size_t p = 0; p < w.out_values[r].size(); ++p) {
-      for (std::uint32_t c = 0; c < stride; ++c) {
-        interleaved[r][p * stride + c] =
-            w.out_values[r][p] + static_cast<float>(c);
-      }
-    }
-  }
+  const auto interleaved = interleave(w.out_values, stride);
 
   ParallelBspEngine<float> engine(m, 1);
   SparseAllreduce<float, OpSum, ParallelBspEngine<float>> allreduce(
@@ -603,6 +604,63 @@ TEST(AllocHotPath, StreamedStridedReplayStaysWithinBudget) {
   EXPECT_LE(first, static_cast<std::uint64_t>(m) + 1);
 #endif
   EXPECT_EQ(first, second) << "streamed strided replay is not steady";
+}
+
+// Hierarchical replays obey the same budget. Each member's contribution is
+// read in place by its leader's fold and its buffer becomes the member's
+// result buffer, so a warm reduce allocates at most one result-buffer
+// growth per rank plus the outer results vector, whatever the host width,
+// stride or chunking.
+TEST(AllocHotPath, HierarchicalReplayStaysWithinBudget) {
+  struct Shape {
+    std::vector<std::uint32_t> degrees;
+    std::uint32_t cores;
+    std::uint32_t stride;
+  };
+  const std::vector<Shape> shapes = {
+      {{2, 2}, 4, 3}, {{4}, 4, 8}, {{2}, 8, 1}, {{4, 2}, 2, 1}};
+  for (const Shape& shape : shapes) {
+    for (const bool streamed : {false, true}) {
+      const Topology topo(shape.degrees, shape.cores);
+      const rank_t m = topo.num_machines();
+      SCOPED_TRACE(topo.to_string() + " stride " +
+                   std::to_string(shape.stride) +
+                   (streamed ? " streamed" : " letter-at-once"));
+      const auto w = random_workload<float>(m, 3000, 0.06, 0.12, 37);
+      const auto interleaved = interleave(w.out_values, shape.stride);
+
+      ParallelBspEngine<float> engine(m, 1);
+      SparseAllreduce<float, OpSum, ParallelBspEngine<float>> allreduce(
+          &engine, topo);
+      allreduce.set_streaming(streamed);
+      allreduce.set_chunk_bytes(512);  // streamed: every letter splits
+      allreduce.configure(w.in_sets, w.out_sets);
+      for (int iter = 0; iter < 8; ++iter) {
+        (void)allreduce.reduce_strided(interleaved, shape.stride);  // warm
+      }
+      if (streamed) {
+        EXPECT_GT(allreduce.stream_stats().max_chunks_per_letter, 1u);
+      }
+
+      const auto measure = [&] {
+        auto values = interleaved;  // copied outside the gauge
+        AllocGauge gauge;
+        const auto results =
+            allreduce.reduce_strided(std::move(values), shape.stride);
+        const std::uint64_t count = gauge.count();
+        EXPECT_EQ(results.size(), m);
+        return count;
+      };
+      const std::uint64_t first = measure();
+      const std::uint64_t second = measure();
+      const std::uint64_t third = measure();
+#ifdef NDEBUG
+      EXPECT_LE(first, static_cast<std::uint64_t>(m) + 1);
+#endif
+      EXPECT_EQ(first, second) << "hierarchical replay is not steady";
+      EXPECT_EQ(second, third) << "hierarchical replay is not steady";
+    }
+  }
 }
 
 // Async steady state: k in-flight streams obey the per-stream API-boundary
