@@ -208,7 +208,7 @@ void bench_tree_vs_hash(obs::JsonWriter& json) {
   for (const std::size_t total : kSizes) {
     for (const std::size_t ways : {std::size_t{16}, std::size_t{64}}) {
       // Overlapping sets with a shared hot head, as one node's configure
-      // union sees them (bench/micro_merge's shape).
+      // union sees them.
       Rng rng(total * 11 + ways);
       std::vector<std::vector<key_t>> inputs;
       for (std::size_t i = 0; i < ways; ++i) {

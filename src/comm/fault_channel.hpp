@@ -1,12 +1,14 @@
-// FaultChannel — the one delivery hook every engine shares (chaos engine).
+// FaultChannel — the one fault hook every delivery policy shares (chaos
+// engine).
 //
 // Wraps a FaultPlan for a single engine instance: begin_round() fires the
 // plan's scripted crash/revive events and collects previously-delayed
 // letters that are due again, route() classifies one letter (stashing it on
-// kDelay), classify_copy() classifies one physical copy for engines that
-// account per copy (ReplicatedBsp). The barriered engines reach route()
-// through their one Wire, and every engine calls these entry points at the
-// same protocol positions, so fault semantics are identical everywhere:
+// kDelay), classify_copy() classifies one physical copy for the policy that
+// accounts per copy (ReplicaWire). The plain engine reaches route() through
+// Wire, and both policies call these entry points at the same protocol
+// positions of the one round loop, so fault semantics are identical
+// everywhere:
 //
 //   kDrop      — the letter is lost; the sender already paid for it.
 //   kDuplicate — delivered once, but the wire carried it twice (the engine
@@ -20,8 +22,8 @@
 //                replication layer instead treats a delayed copy as a lost
 //                race (late copies are canceled) and recovers total losses.
 //
-// One channel serves one engine; it is not thread-safe by itself
-// (ThreadedBsp serializes its Wire calls under the engine's observer mutex).
+// One channel serves one engine; it is not thread-safe by itself, and the
+// engine calls it only from its sequential delivery stage.
 #pragma once
 
 #include <cstdint>

@@ -10,8 +10,8 @@
 //
 // Streaming (DESIGN §9): a letter may be one chunk of a larger logical
 // letter. chunk_index/chunk_count frame the split; every chunk is its own
-// Packet and therefore pays its own header(s). Engines order inboxes by
-// (src, chunk_index), never by arrival, so eager per-chunk combining stays
+// Packet and therefore pays its own header(s). The engine orders inboxes
+// by (src, chunk_index), never by arrival, so eager per-chunk combining stays
 // bit-identical to letter-at-once delivery.
 #pragma once
 
@@ -76,19 +76,13 @@ template <typename V>
 struct Letter {
   rank_t src = 0;
   rank_t dst = 0;
-  /// Tombstone flag: the payload was lost to an injected fault. Engines
-  /// with blocking receives (ThreadedBsp) deliver an empty tombstone so
-  /// the receiver unblocks, then discard it before consume. Tombstones keep
-  /// the lost packet's chunk framing so receivers still know how many
-  /// letters the edge carries.
-  bool faulted = false;
   Packet<V> packet;
 };
 
-/// Canonical inbox order: ascending (src, chunk_index). Every engine sorts
+/// Canonical inbox order: ascending (src, chunk_index). The engine sorts
 /// with this before consume, so the per-position combine order — and hence
-/// every floating-point sum — is independent of delivery interleaving and
-/// of whether letters were chunked at all.
+/// every floating-point sum — is independent of delivery order and of
+/// whether letters were chunked at all.
 template <typename V>
 [[nodiscard]] inline bool letter_before(const Letter<V>& a,
                                         const Letter<V>& b) {

@@ -1,20 +1,34 @@
-// The barriered simulation engine, sequential or host-parallel.
+// The barriered simulation engine, sequential or host-parallel — the one
+// round loop every engine runs.
 //
-// One round = one communication layer of one phase, in three stages:
+// One round = one communication layer of one phase, in four stages:
 //
-//   1. Parallel produce: rank r's letters are staged into outboxes_[r] in
-//      production order. Workers touch only their own rank's node.
-//   2. Sequential delivery: outboxes are drained in (rank, production) order
-//      through Wire::send, then due delayed letters through
-//      Wire::redeliver, so trace events, modeled timing, observer hooks and
-//      fault-plan RNG draws keep one order at every thread count.
-//   3. Parallel consume: each rank sorts its inbox by source (results never
+//   1. Pooled produce: rank r's letters are staged into outboxes_[r] in
+//      production order. Workers touch only their own rank's node. While an
+//      observer is attached, each alive rank's callback is timed into its
+//      preallocated slot.
+//   2. Sequential delivery in (rank, production) order through the delivery
+//      policy: each rank's produce time goes to the observer's on_produce,
+//      then its letters go out; settle() closes the stage. Trace events,
+//      modeled timing, observer hooks and fault-plan RNG draws keep one
+//      order at every thread count.
+//   3. Pooled consume: each rank sorts its inbox by source (results never
 //      depend on delivery order) and consumes it. charge_compute() calls
-//      land in per-rank buffers, flushed in ascending rank order after the
-//      batch, so even floating-point accumulation order is fixed.
+//      land in per-rank buffers.
+//   4. Flush: the buffered charges reach the accumulator in ascending rank
+//      order, so even floating-point accumulation order is fixed. A round
+//      that throws drops its buffered charges instead.
+//
+// Only the delivery policy — the engine's base class — varies: Wire
+// (comm/wire.hpp) for the plain engine, ReplicaWire for ReplicatedBsp
+// (comm/replicated.hpp). A policy provides Wire's slots and stage hooks:
+// begin_round/end_round, sync (rebuild what derives from the FailureModel
+// before workers read it), for_each_machine (the machines that run a rank;
+// compute, intra and produce times fan out to them), reserve_trace,
+// deliver and settle. Every hook runs on the driving thread.
 //
 // Results, traces and timing reports are therefore bit-identical at every
-// thread count; with one thread the pool runs both parallel stages inline
+// thread count; with one thread the pool runs both pooled stages inline
 // and this is the sequential engine. Inboxes and outboxes persist across
 // rounds, so letter shells keep their capacity and warm rounds allocate
 // nothing.
@@ -28,20 +42,18 @@
 // members' buffers, and the timing accumulator preallocates distinct
 // per-rank slots), so no buffering or locking is needed there.
 //
-// Node algorithms are expressed as produce/expected/consume callbacks, which
-// lets this engine, the replication wrapper, and the threaded engine drive
-// the *same* algorithm code (DESIGN.md decision 3). Engine concept shared by
-// ParallelBspEngine / ReplicatedBsp / ThreadedBsp:
-//   rank_t num_ranks() const;
-//   round(phase, layer, produce, expected, consume);
-// where, for each alive rank r,
+// Node algorithms are produce/expected/consume callbacks (DESIGN.md
+// decision 3); round(phase, layer, produce, expected, consume) calls, for
+// each alive rank r,
 //   produce(r)  -> std::vector<Letter<V>>   letters to send (self allowed)
 //   expected(r) -> std::vector<rank_t>      ranks r awaits a letter from
 //   consume(r, std::vector<Letter<V>>&&)    inbox sorted by src
 #pragma once
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "comm/wire.hpp"
@@ -50,8 +62,8 @@
 
 namespace kylix {
 
-template <typename V>
-class ParallelBspEngine : protected Wire<V> {
+template <typename V, typename Delivery = Wire<V>>
+class ParallelBspEngine : public Delivery {
  public:
   /// `threads` counts the calling thread (0 = hardware concurrency; 1 =
   /// sequential); all observer pointers are optional and not owned.
@@ -59,20 +71,8 @@ class ParallelBspEngine : protected Wire<V> {
                              const FailureModel* failures = nullptr,
                              Trace* trace = nullptr,
                              TimingAccumulator* timing = nullptr)
-      : Wire<V>(num_nodes, failures, trace, timing),
-        pool_(threads),
-        outboxes_(num_nodes),
-        inboxes_(num_nodes),
-        pending_compute_(num_nodes),
-        debug_senders_(pool_.num_threads()) {}
-
-  using Wire<V>::num_ranks;
-  using Wire<V>::is_dead;
-  using Wire<V>::has_failed;
-  using Wire<V>::degraded_allowed;
-  using Wire<V>::set_observer;
-  using Wire<V>::set_fault_channel;
-  using Wire<V>::dropped_messages;
+      : ParallelBspEngine(Delivery(num_nodes, failures, trace, timing),
+                          threads) {}
 
   [[nodiscard]] unsigned num_threads() const { return pool_.num_threads(); }
 
@@ -81,15 +81,14 @@ class ParallelBspEngine : protected Wire<V> {
   void pin_workers() { pool_.pin_workers(); }
 
   /// Outside a round (e.g. the begin_up charge) this forwards directly to
-  /// the accumulator; during the parallel consume half it buffers per rank.
+  /// the accumulator; during the pooled consume it buffers per rank.
   void charge_compute(Phase phase, std::uint16_t layer, rank_t rank,
                       double seconds) {
-    TimingAccumulator* timing = this->timing();
-    if (timing == nullptr) return;
+    if (this->timing() == nullptr) return;
     if (collecting_) {
       pending_compute_[rank].push_back(ComputeEvent{phase, layer, seconds});
     } else {
-      timing->on_compute(phase, layer, rank, seconds);
+      compute_now(phase, layer, rank, seconds);
     }
   }
 
@@ -97,7 +96,11 @@ class ParallelBspEngine : protected Wire<V> {
   /// preallocated per-rank slots and each host's ranks are charged by
   /// exactly one intra_round worker, so concurrent charges never alias.
   void charge_intra(Phase phase, rank_t rank, double seconds) {
-    if (auto* timing = this->timing()) timing->on_intra(phase, rank, seconds);
+    TimingAccumulator* timing = this->timing();
+    if (timing == nullptr) return;
+    this->for_each_machine(rank, [&](rank_t machine) {
+      timing->on_intra(phase, machine, seconds);
+    });
   }
 
   /// Intra-node stage of a hierarchical topology: hosts are mutually
@@ -109,6 +112,7 @@ class ParallelBspEngine : protected Wire<V> {
   template <typename Fn>
   void intra_round(Phase phase, rank_t num_hosts, Fn&& fn) {
     (void)phase;
+    this->sync();
     pool_.parallel_for(num_hosts,
                        [&](std::size_t h) { fn(static_cast<rank_t>(h)); });
   }
@@ -116,17 +120,24 @@ class ParallelBspEngine : protected Wire<V> {
   template <typename ProduceFn, typename ExpectedFn, typename ConsumeFn>
   void round(Phase phase, std::uint16_t layer, ProduceFn&& produce,
              ExpectedFn&& expected, ConsumeFn&& consume) {
-    const rank_t m = num_ranks();
+    const rank_t m = this->num_ranks();
     this->begin_round(phase, layer);
-    // 1. Parallel produce into per-rank staging outboxes.
+    EngineObserver* const observer = this->observer();
+    // 1. Pooled produce into per-rank staging outboxes.
     pool_.parallel_for(m, [&](std::size_t r) {
       const rank_t rank = static_cast<rank_t>(r);
       auto& outbox = outboxes_[rank];
       outbox.clear();
-      if (is_dead(rank)) return;
+      if (this->is_dead(rank)) return;
+      const Clock::time_point start =
+          observer != nullptr ? Clock::now() : Clock::time_point{};
       for (Letter<V>& letter : produce(rank)) {
         KYLIX_DCHECK(letter.src == rank);
         outbox.push_back(std::move(letter));
+      }
+      if (observer != nullptr) {
+        produce_seconds_[rank] =
+            std::chrono::duration<double>(Clock::now() - start).count();
       }
     });
 
@@ -137,53 +148,58 @@ class ParallelBspEngine : protected Wire<V> {
     for (const auto& outbox : outboxes_) staged += outbox.size();
     this->reserve_trace(staged);
     for (auto& inbox : inboxes_) inbox.clear();
-    for (auto& outbox : outboxes_) {
-      for (Letter<V>& letter : outbox) {
-        if (this->send(phase, layer, letter)) {
-          inboxes_[letter.dst].push_back(std::move(letter));
-        }
+    for (rank_t rank = 0; rank < m; ++rank) {
+      if (observer != nullptr && !this->is_dead(rank)) {
+        this->for_each_machine(rank, [&](rank_t machine) {
+          observer->on_produce(machine, produce_seconds_[rank]);
+        });
+      }
+      for (Letter<V>& letter : outboxes_[rank]) {
+        this->deliver(phase, layer, letter, inboxes_);
       }
     }
-    this->take_due(phase, layer, [&](Letter<V>&& letter) {
-      auto& inbox = inboxes_[letter.dst];
-      this->redeliver(phase, layer, std::move(letter), inbox);
-    });
+    this->settle(phase, layer, inboxes_, expected);
 
-    // 3. Parallel consume; compute charges buffer per rank (one consumer
-    // per rank, so the buffers are contention-free).
-    TimingAccumulator* timing = this->timing();
+    // 3. Pooled consume; compute charges buffer per rank (one consumer per
+    // rank, so the buffers are contention-free).
+    TimingAccumulator* const timing = this->timing();
     collecting_ = timing != nullptr;
-    pool_.parallel_for(m, [&](std::size_t r) {
-      const rank_t rank = static_cast<rank_t>(r);
-      if (is_dead(rank)) return;
-      auto& inbox = inboxes_[rank];
-      std::sort(inbox.begin(), inbox.end(), letter_before<V>);
+    try {
+      pool_.parallel_for(m, [&](std::size_t r) {
+        const rank_t rank = static_cast<rank_t>(r);
+        if (this->is_dead(rank)) return;
+        auto& inbox = inboxes_[rank];
+        std::sort(inbox.begin(), inbox.end(), letter_before<V>);
 #ifndef NDEBUG
-      if (!inbox.empty()) {
-        // Sanity: only expected senders may appear (sorted + binary
-        // search). Per-worker scratch: no allocation once warm, no locks.
-        const auto& want = expected(rank);  // may be a by-value temporary
-        auto& senders = debug_senders_[ThreadPool::worker_id()];
-        senders.assign(want.begin(), want.end());
-        std::sort(senders.begin(), senders.end());
-        for (const Letter<V>& letter : inbox) {
-          KYLIX_DCHECK(
-              std::binary_search(senders.begin(), senders.end(), letter.src));
+        if (!inbox.empty()) {
+          // Sanity: only expected senders may appear (sorted + binary
+          // search). Per-worker scratch: no allocation once warm, no locks.
+          const auto& want = expected(rank);  // may be a by-value temporary
+          auto& senders = debug_senders_[ThreadPool::worker_id()];
+          senders.assign(want.begin(), want.end());
+          std::sort(senders.begin(), senders.end());
+          for (const Letter<V>& letter : inbox) {
+            KYLIX_DCHECK(std::binary_search(senders.begin(), senders.end(),
+                                            letter.src));
+          }
         }
-      }
-#else
-      (void)expected;
 #endif
-      consume(rank, std::move(inbox));
-    });
+        consume(rank, std::move(inbox));
+      });
+    } catch (...) {
+      // A failed round charges nothing, and later charges land at once.
+      collecting_ = false;
+      for (auto& pending : pending_compute_) pending.clear();
+      throw;
+    }
     collecting_ = false;
 
-    // Flush buffered charges in ascending rank order: the per-slot
+    // 4. Flush buffered charges in ascending rank order: the per-slot
     // accumulation order of a sequential consume loop.
     if (timing != nullptr) {
       for (rank_t rank = 0; rank < m; ++rank) {
         for (const ComputeEvent& e : pending_compute_[rank]) {
-          timing->on_compute(e.phase, e.layer, rank, e.seconds);
+          compute_now(e.phase, e.layer, rank, e.seconds);
         }
         pending_compute_[rank].clear();
       }
@@ -191,17 +207,40 @@ class ParallelBspEngine : protected Wire<V> {
     this->end_round(phase, layer);
   }
 
+ protected:
+  /// For engines on another delivery policy (ReplicatedBsp), which build
+  /// the policy from their own constructor arguments.
+  ParallelBspEngine(Delivery&& delivery, unsigned threads)
+      : Delivery(std::move(delivery)),
+        pool_(threads),
+        outboxes_(this->num_ranks()),
+        inboxes_(this->num_ranks()),
+        pending_compute_(this->num_ranks()),
+        produce_seconds_(this->num_ranks(), 0.0),
+        debug_senders_(pool_.num_threads()) {}
+
  private:
+  using Clock = std::chrono::steady_clock;
+
   struct ComputeEvent {
     Phase phase;
     std::uint16_t layer;
     double seconds;
   };
 
+  void compute_now(Phase phase, std::uint16_t layer, rank_t rank,
+                   double seconds) {
+    TimingAccumulator* timing = this->timing();
+    this->for_each_machine(rank, [&](rank_t machine) {
+      timing->on_compute(phase, layer, machine, seconds);
+    });
+  }
+
   ThreadPool pool_;
   std::vector<std::vector<Letter<V>>> outboxes_;  ///< staged by produce
   std::vector<std::vector<Letter<V>>> inboxes_;   ///< reused across rounds
   std::vector<std::vector<ComputeEvent>> pending_compute_;
+  std::vector<double> produce_seconds_;  ///< per rank; observer attached
   std::vector<std::vector<rank_t>> debug_senders_;  ///< per-worker scratch
   bool collecting_ = false;  ///< true only during the consume batch
 };

@@ -26,48 +26,39 @@
 // group, and the allreduce completes in degraded mode over surviving key
 // ranges (core/degraded.hpp) instead of aborting.
 //
-// Exposes the same round() interface as ParallelBspEngine, addressed in
-// *logical* ranks, so the identical node algorithm runs unmodified on top.
-// Alive-replica lookups are cached and revalidated against
-// FailureModel::version(), so steady-state rounds allocate nothing
-// (tests/core/alloc_test).
+// Replication changes only how each letter is delivered, so it is a
+// delivery policy: ReplicaWire is a Wire over the s·m physical machines
+// whose stage hooks transmit, race, recover and detect group deaths, and
+// ReplicatedBsp runs ParallelBspEngine's one round loop on it, addressed in
+// *logical* ranks — the identical node algorithm runs unmodified on top,
+// across the engine's pool. Compute, intra and produce times fan out to a
+// logical rank's alive replicas. Alive-replica lookups are cached and
+// revalidated against FailureModel::version(), so steady-state rounds
+// allocate nothing (tests/core/alloc_test); the cache is rebuilt on the
+// driving thread before each pooled stage, so workers only read it.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <vector>
 
-#include "cluster/failure.hpp"
-#include "cluster/timing.hpp"
-#include "cluster/trace.hpp"
-#include "comm/fault_channel.hpp"
-#include "comm/packet.hpp"
+#include "comm/parallel.hpp"
 #include "comm/recovery.hpp"
+#include "comm/wire.hpp"
 #include "common/check.hpp"
-#include "common/hash.hpp"
-#include "obs/observer.hpp"
 
 namespace kylix {
 
 template <typename V>
-class ReplicatedBsp {
+class ReplicaWire : public Wire<V> {
  public:
   /// `failures`, `trace`, `timing` all address *physical* ranks in
   /// [0, logical_nodes * replication). Observers optional, not owned.
-  ReplicatedBsp(rank_t logical_nodes, std::uint32_t replication,
-                const FailureModel* failures = nullptr,
-                Trace* trace = nullptr, TimingAccumulator* timing = nullptr)
-      : logical_(logical_nodes),
-        replication_(replication),
-        failures_(failures),
-        trace_(trace),
-        timing_(timing) {
-    KYLIX_CHECK(logical_nodes >= 1);
-    KYLIX_CHECK(replication >= 1);
-    KYLIX_CHECK_MSG(
-        failures == nullptr || failures->num_nodes() >= num_physical(),
-        "FailureModel covers fewer ranks than the physical network");
-  }
+  ReplicaWire(rank_t logical_nodes, std::uint32_t replication,
+              const FailureModel* failures, Trace* trace,
+              TimingAccumulator* timing)
+      : Wire<V>(logical_nodes * replication, failures, trace, timing),
+        logical_(logical_nodes),
+        replication_(replication) {}
 
   [[nodiscard]] rank_t num_ranks() const { return logical_; }
   [[nodiscard]] rank_t num_physical() const {
@@ -112,22 +103,10 @@ class ReplicatedBsp {
     return dead;
   }
 
-  /// Telemetry hook (src/obs); optional, not owned. Sees one on_message per
-  /// transmitted copy, in physical ranks, mirroring the trace.
-  void set_observer(EngineObserver* observer) { observer_ = observer; }
-
-  /// Attach a chaos-engine fault channel (optional, not owned). The plan
-  /// must cover all num_physical() ranks; when the engine has no
-  /// FailureModel of its own it adopts the plan's — re-adopted on every
-  /// attach and dropped on detach, as in Wire::set_fault_channel.
+  /// As Wire::set_fault_channel, over all num_physical() ranks; the alive
+  /// cache follows an adopted model.
   void set_fault_channel(FaultChannel<V>* channel) {
-    KYLIX_CHECK_MSG(
-        channel == nullptr || channel->plan().num_nodes() >= num_physical(),
-        "FaultPlan covers fewer ranks than the physical network");
-    channel_ = channel;
-    if (adopted_) failures_ = nullptr;
-    adopted_ = channel != nullptr && failures_ == nullptr;
-    if (adopted_) failures_ = &channel->plan().failures();
+    Wire<V>::set_fault_channel(channel);
     cache_built_ = false;
   }
 
@@ -213,84 +192,32 @@ class ReplicatedBsp {
     return dead_groups_ > 0 ? 1.0 : 0.0;
   }
 
-  /// Modeled compute runs on every alive replica of the logical rank.
-  void charge_compute(Phase phase, std::uint16_t layer, rank_t logical,
-                      double seconds) {
-    if (timing_ == nullptr) return;
-    for (rank_t p : alive_replicas(logical)) {
-      timing_->on_compute(phase, layer, p, seconds);
-    }
-  }
+ protected:
+  // ---- Stage hooks (see comm/parallel.hpp), all on the driving thread ----
 
-  /// Intra-node (shared-memory tier) time runs on every alive replica of
-  /// the logical rank, like charge_compute: replicas execute the same
-  /// intra-host schedule against their own copies of the member buffers.
-  void charge_intra(Phase phase, rank_t logical, double seconds) {
-    if (timing_ == nullptr) return;
-    for (rank_t p : alive_replicas(logical)) {
-      timing_->on_intra(phase, p, seconds);
-    }
-  }
-
-  /// Intra-node stage of a hierarchical topology, over *logical* hosts:
-  /// runs sequentially on the calling thread (no wire traffic to race, so
-  /// replication adds nothing to observe here).
-  template <typename Fn>
-  void intra_round(Phase phase, rank_t num_hosts, Fn&& fn) {
-    (void)phase;
-    for (rank_t h = 0; h < num_hosts; ++h) fn(h);
-  }
-
-  template <typename ProduceFn, typename ExpectedFn, typename ConsumeFn>
-  void round(Phase phase, std::uint16_t layer, ProduceFn&& produce,
-             ExpectedFn&& expected, ConsumeFn&& consume) {
-    // Groups dead before any round ran contribute nothing to the reduction;
-    // the snapshot lets the degraded report price them exactly. Taken
-    // before scripted crashes fire, so a crash at round 1 is mid-run.
+  /// Groups dead before any round ran contribute nothing to the reduction;
+  /// the snapshot lets the degraded report price them exactly. Taken before
+  /// scripted crashes fire, so a crash at round 1 is mid-run.
+  void begin_round(Phase phase, std::uint16_t layer) {
     if (!snapshot_taken_) snapshot_dead_at_start();
-    if (channel_ != nullptr) channel_->begin_round(phase, layer);
-    if (observer_ != nullptr) observer_->on_round_begin(phase, layer);
+    Wire<V>::begin_round(phase, layer);
     refresh_alive();
-    // Inboxes and the undelivered stash persist across rounds: clear()
-    // keeps capacity, so steady-state rounds allocate nothing.
-    if (inboxes_.size() < static_cast<std::size_t>(logical_)) {
-      inboxes_.resize(logical_);
-    }
-    for (auto& inbox : inboxes_) inbox.clear();
     undelivered_.clear();
-    for (rank_t j = 0; j < logical_; ++j) {
-      if (alive_count_[j] == 0) continue;
-      for (Letter<V>& letter : produce(j)) {
-        KYLIX_DCHECK(letter.src == j);
-        KYLIX_CHECK_MSG(letter.dst < logical_, "letter to invalid rank");
-        transmit(phase, layer, std::move(letter));
-      }
-    }
-    if (!undelivered_.empty()) recover(phase, layer);
-    detect_group_deaths(phase, layer, expected);
-    for (rank_t j = 0; j < logical_; ++j) {
-      if (alive_count_[j] == 0) continue;
-      auto& inbox = inboxes_[j];
-      std::sort(inbox.begin(), inbox.end(), letter_before<V>);
-#ifndef NDEBUG
-      if (!inbox.empty()) {
-        // Sanity: only expected senders may appear (sorted + binary search).
-        const auto& want = expected(j);  // may be a by-value temporary
-        std::vector<rank_t> senders(want.begin(), want.end());
-        std::sort(senders.begin(), senders.end());
-        for (const Letter<V>& letter : inbox) {
-          KYLIX_DCHECK(
-              std::binary_search(senders.begin(), senders.end(), letter.src));
-        }
-      }
-#endif
-      consume(j, std::move(inbox));
-    }
-    if (observer_ != nullptr) observer_->on_round_end(phase, layer);
   }
 
- private:
-  void transmit(Phase phase, std::uint16_t layer, Letter<V>&& letter) {
+  void sync() const { refresh_alive(); }
+
+  /// Modeled work runs on every alive replica of the logical rank.
+  template <typename Fn>
+  void for_each_machine(rank_t logical, Fn&& fn) const {
+    for (rank_t p : alive_replicas(logical)) fn(p);
+  }
+
+  /// §V transmit: every alive replica of the sender sends a copy to every
+  /// replica of the receiver, and each receiver races what arrives.
+  void deliver(Phase phase, std::uint16_t layer, Letter<V>& letter,
+               std::vector<std::vector<Letter<V>>>& inboxes) {
+    KYLIX_CHECK_MSG(letter.dst < logical_, "letter to invalid rank");
     const std::uint64_t bytes = letter.packet.wire_bytes();
     const std::vector<rank_t>& senders = alive_phys_[letter.src];
     KYLIX_DCHECK(!senders.empty());
@@ -298,64 +225,58 @@ class ReplicatedBsp {
     if (letter.src == letter.dst) {
       // Replicas run identical programs, so each already has its own copy
       // of a self-message: no wire traffic, and nothing to fault.
-      inboxes_[letter.dst].push_back(std::move(letter));
+      inboxes[letter.dst].push_back(std::move(letter));
       return;
     }
 
+    TimingAccumulator* const timing = this->timing();
+    EngineObserver* const observer = this->observer();
+    FaultChannel<V>* const channel = this->channel();
     bool delivered_anywhere = false;
     for (std::uint32_t r = 0; r < replication_; ++r) {
       const rank_t dst_phys = physical(letter.dst, r);
-      const bool dst_dead =
-          failures_ != nullptr && failures_->is_dead(dst_phys);
+      const bool dst_dead = Wire<V>::is_dead(dst_phys);
       // Every alive sender replica transmits a copy (charged to it), even
       // to dead destinations. With a fault channel each copy is classified
       // independently; `arrived` counts copies that reach this receiver.
       std::uint64_t arrived = 0;
       for (rank_t src_phys : senders) {
         const MsgEvent event{phase, layer, src_phys, dst_phys, bytes};
-        if (trace_ != nullptr) trace_->add(event);
-        if (timing_ != nullptr) {
-          timing_->on_send(phase, layer, src_phys, bytes);
-        }
-        if (observer_ != nullptr) observer_->on_message(event);
+        send_copy(event);
         if (dst_dead) {
           ++races_.drops;
-          if (observer_ != nullptr) observer_->on_drop(event);
+          if (observer != nullptr) observer->on_drop(event);
           continue;
         }
-        if (channel_ == nullptr) {
+        if (channel == nullptr) {
           ++arrived;
           continue;
         }
-        switch (channel_->classify_copy(src_phys, dst_phys)) {
+        switch (channel->classify_copy(src_phys, dst_phys)) {
           case FaultAction::kDeliver:
             ++arrived;
             break;
           case FaultAction::kDuplicate:
             // Arrives once, but the wire carried it twice.
             ++arrived;
-            if (observer_ != nullptr) {
-              observer_->on_fault(event, FaultAction::kDuplicate);
+            if (observer != nullptr) {
+              observer->on_fault(event, FaultAction::kDuplicate);
             }
-            if (trace_ != nullptr) trace_->add(event);
-            if (timing_ != nullptr) {
-              timing_->on_send(phase, layer, src_phys, bytes);
-            }
-            if (observer_ != nullptr) observer_->on_message(event);
+            send_copy(event);
             break;
           case FaultAction::kDrop:
             ++races_.drops;
-            if (observer_ != nullptr) {
-              observer_->on_fault(event, FaultAction::kDrop);
-              observer_->on_drop(event);
+            if (observer != nullptr) {
+              observer->on_fault(event, FaultAction::kDrop);
+              observer->on_drop(event);
             }
             break;
           case FaultAction::kDelay:
             // A late copy loses its race and is canceled, never redelivered
             // (the §V receiver has moved on); recovery handles total loss.
             ++races_.losses;
-            if (observer_ != nullptr) {
-              observer_->on_fault(event, FaultAction::kDelay);
+            if (observer != nullptr) {
+              observer->on_fault(event, FaultAction::kDelay);
             }
             break;
         }
@@ -365,19 +286,40 @@ class ReplicatedBsp {
       races_.wins += 1;
       races_.losses += arrived - 1;
       delivered_anywhere = true;
-      if (timing_ != nullptr) {
-        timing_->on_recv(phase, layer, dst_phys, bytes);
-      }
+      if (timing != nullptr) timing->on_recv(phase, layer, dst_phys, bytes);
     }
     if (delivered_anywhere) {
-      inboxes_[letter.dst].push_back(std::move(letter));
+      inboxes[letter.dst].push_back(std::move(letter));
     } else if (alive_count_[letter.dst] != 0) {
       // Every copy faulted away but the destination group lives: the
       // receivers noticed nothing arrived and will re-request (recover()).
       undelivered_.push_back(std::move(letter));
     }
-    // A fully dead destination group behaves as before: all copies paid
-    // for and dropped, nothing to recover.
+    // A fully dead destination group: every copy was paid for and
+    // dropped, and there is nothing to recover.
+  }
+
+  /// Recover the round's totally-lost letters, then record the dead groups
+  /// an alive node expected a letter from.
+  template <typename ExpectedFn>
+  void settle(Phase phase, std::uint16_t layer,
+              std::vector<std::vector<Letter<V>>>& inboxes,
+              ExpectedFn&& expected) {
+    if (!undelivered_.empty()) recover(phase, layer, inboxes);
+    detect_group_deaths(phase, layer, expected);
+  }
+
+ private:
+  /// One physical copy on the wire: traced, charged to its sender only (a
+  /// racing receiver pays for its winning copy alone), and observed.
+  void send_copy(const MsgEvent& event) {
+    if (Trace* trace = this->trace()) trace->add(event);
+    if (TimingAccumulator* timing = this->timing()) {
+      timing->on_send(event.phase, event.layer, event.src, event.bytes);
+    }
+    if (EngineObserver* observer = this->observer()) {
+      observer->on_message(event);
+    }
   }
 
   /// Re-request each totally-lost letter from surviving sender replicas:
@@ -385,7 +327,12 @@ class ReplicatedBsp {
   /// the stalled receiver), reliable-path fallback on the last attempt.
   /// Sender groups are always alive here — crashes only fire at round
   /// begins, so whoever produced a letter survives the round.
-  void recover(Phase phase, std::uint16_t layer) {
+  void recover(Phase phase, std::uint16_t layer,
+               std::vector<std::vector<Letter<V>>>& inboxes) {
+    Trace* const trace = this->trace();
+    TimingAccumulator* const timing = this->timing();
+    EngineObserver* const observer = this->observer();
+    FaultChannel<V>* const channel = this->channel();
     for (Letter<V>& letter : undelivered_) {
       const std::vector<rank_t>& senders = alive_phys_[letter.src];
       const std::vector<rank_t>& receivers = alive_phys_[letter.dst];
@@ -394,37 +341,36 @@ class ReplicatedBsp {
       const rank_t dst_phys = receivers.front();
       const std::uint64_t bytes = letter.packet.wire_bytes();
       ++recovery_.detections;
-      if (observer_ != nullptr) {
-        observer_->on_recovery(RecoveryEvent{
+      if (observer != nullptr) {
+        observer->on_recovery(RecoveryEvent{
             phase, layer, letter.src, letter.dst, RecoveryAction::kDetect, 0});
       }
       for (std::uint32_t attempt = 1; attempt <= policy_.max_attempts;
            ++attempt) {
-        const rank_t src_phys =
-            senders[(attempt - 1) % senders.size()];
+        const rank_t src_phys = senders[(attempt - 1) % senders.size()];
         ++recovery_.retries;
-        if (timing_ != nullptr) {
-          timing_->on_send(phase, layer, dst_phys, policy_.request_bytes);
-          timing_->on_recv(phase, layer, src_phys, policy_.request_bytes);
-          timing_->on_compute(phase, layer, dst_phys,
-                              policy_.backoff.delay(attempt));
+        if (timing != nullptr) {
+          timing->on_send(phase, layer, dst_phys, policy_.request_bytes);
+          timing->on_recv(phase, layer, src_phys, policy_.request_bytes);
+          timing->on_compute(phase, layer, dst_phys,
+                             policy_.backoff.delay(attempt));
         }
-        if (observer_ != nullptr) {
-          observer_->on_recovery(RecoveryEvent{phase, layer, letter.src,
-                                               letter.dst,
-                                               RecoveryAction::kRetry,
-                                               attempt});
+        if (observer != nullptr) {
+          observer->on_recovery(RecoveryEvent{phase, layer, letter.src,
+                                              letter.dst,
+                                              RecoveryAction::kRetry,
+                                              attempt});
         }
         bool ok = true;
-        if (channel_ != nullptr) {
-          const FaultAction a = channel_->classify_copy(src_phys, dst_phys);
+        if (channel != nullptr) {
+          const FaultAction a = channel->classify_copy(src_phys, dst_phys);
           ok = a == FaultAction::kDeliver || a == FaultAction::kDuplicate;
-          if (!ok && observer_ != nullptr) {
+          if (!ok && observer != nullptr) {
             // A fault ate this retry copy too — without this hook the
             // black box would show retries that silently went nowhere.
-            observer_->on_fault(MsgEvent{phase, layer, src_phys, dst_phys,
-                                         bytes},
-                                a);
+            observer->on_fault(MsgEvent{phase, layer, src_phys, dst_phys,
+                                        bytes},
+                               a);
           }
         }
         if (!ok && attempt == policy_.max_attempts) {
@@ -433,29 +379,29 @@ class ReplicatedBsp {
           // recovery cannot fail while any replica lives.
           ok = true;
           ++recovery_.forced;
-          if (observer_ != nullptr) {
-            observer_->on_recovery(RecoveryEvent{phase, layer, letter.src,
-                                                 letter.dst,
-                                                 RecoveryAction::kForce,
-                                                 attempt});
+          if (observer != nullptr) {
+            observer->on_recovery(RecoveryEvent{phase, layer, letter.src,
+                                                letter.dst,
+                                                RecoveryAction::kForce,
+                                                attempt});
           }
         }
         if (!ok) continue;
         ++recovery_.promotions;
         const MsgEvent event{phase, layer, src_phys, dst_phys, bytes};
-        if (trace_ != nullptr) trace_->add(event);
-        if (timing_ != nullptr) {
-          timing_->on_send(phase, layer, src_phys, bytes);
-          timing_->on_recv(phase, layer, dst_phys, bytes);
+        if (trace != nullptr) trace->add(event);
+        if (timing != nullptr) {
+          timing->on_send(phase, layer, src_phys, bytes);
+          timing->on_recv(phase, layer, dst_phys, bytes);
         }
-        if (observer_ != nullptr) {
-          observer_->on_message(event);
-          observer_->on_recovery(RecoveryEvent{phase, layer, letter.src,
-                                               letter.dst,
-                                               RecoveryAction::kPromote,
-                                               attempt});
+        if (observer != nullptr) {
+          observer->on_message(event);
+          observer->on_recovery(RecoveryEvent{phase, layer, letter.src,
+                                              letter.dst,
+                                              RecoveryAction::kPromote,
+                                              attempt});
         }
-        inboxes_[letter.dst].push_back(std::move(letter));
+        inboxes[letter.dst].push_back(std::move(letter));
         break;
       }
     }
@@ -487,8 +433,8 @@ class ReplicatedBsp {
                     "disabled (RecoveryPolicy)");
     deaths_.push_back(DeathRecord{phase, layer, dead});
     ++recovery_.group_deaths;
-    if (observer_ != nullptr) {
-      observer_->on_recovery(RecoveryEvent{
+    if (EngineObserver* observer = this->observer()) {
+      observer->on_recovery(RecoveryEvent{
           phase, layer, dead, requester, RecoveryAction::kGroupDeath, 0});
     }
   }
@@ -506,8 +452,9 @@ class ReplicatedBsp {
   /// version() bumps on every kill/revive). clear()+push_back keeps each
   /// vector's capacity, so even rebuilds stop allocating once warm.
   void refresh_alive() const {
+    const FailureModel* failures = this->failures();
     const std::uint64_t version =
-        failures_ == nullptr ? 0 : failures_->version();
+        failures == nullptr ? 0 : failures->version();
     if (cache_built_ && version == cache_version_) return;
     if (alive_phys_.size() != static_cast<std::size_t>(logical_)) {
       alive_phys_.resize(logical_);
@@ -519,9 +466,7 @@ class ReplicatedBsp {
       alive.clear();
       for (std::uint32_t r = 0; r < replication_; ++r) {
         const rank_t p = physical(j, r);
-        if (failures_ == nullptr || !failures_->is_dead(p)) {
-          alive.push_back(p);
-        }
+        if (!Wire<V>::is_dead(p)) alive.push_back(p);
       }
       alive_count_[j] = static_cast<std::uint32_t>(alive.size());
       if (alive.empty()) ++dead_groups_;
@@ -532,12 +477,6 @@ class ReplicatedBsp {
 
   rank_t logical_;
   std::uint32_t replication_;
-  const FailureModel* failures_;
-  Trace* trace_;
-  TimingAccumulator* timing_;
-  EngineObserver* observer_ = nullptr;
-  FaultChannel<V>* channel_ = nullptr;
-  bool adopted_ = false;  ///< failures_ is the channel plan's model
   RecoveryPolicy policy_;
   RaceStats races_;
   RecoveryStats recovery_;
@@ -553,8 +492,22 @@ class ReplicatedBsp {
   mutable std::uint64_t cache_version_ = 0;
   mutable bool cache_built_ = false;
 
-  std::vector<std::vector<Letter<V>>> inboxes_;  ///< reused across rounds
-  std::vector<Letter<V>> undelivered_;           ///< reused across rounds
+  std::vector<Letter<V>> undelivered_;  ///< reused across rounds
+};
+
+/// The §V engine: ParallelBspEngine's round on the replica policy.
+/// `threads` means what it means there (0 = hardware concurrency).
+template <typename V>
+class ReplicatedBsp : public ParallelBspEngine<V, ReplicaWire<V>> {
+ public:
+  ReplicatedBsp(rank_t logical_nodes, std::uint32_t replication,
+                const FailureModel* failures = nullptr,
+                Trace* trace = nullptr, TimingAccumulator* timing = nullptr,
+                unsigned threads = 0)
+      : ParallelBspEngine<V, ReplicaWire<V>>(
+            ReplicaWire<V>(logical_nodes, replication, failures, trace,
+                           timing),
+            threads) {}
 };
 
 }  // namespace kylix

@@ -1,18 +1,23 @@
-// Wire — the per-letter delivery policy of the barriered engines, written
-// once after mccl's single sendrecv layer under every collective.
-// ParallelBspEngine calls it from its sequential delivery stage, ThreadedBsp
-// from its workers under the observer mutex; it is not thread-safe itself.
+// Wire — the plain engine's delivery policy, and the slots every delivery
+// policy shares, written once after mccl's single sendrecv layer under
+// every collective. ParallelBspEngine calls the stage hooks below from its
+// driving thread only; Wire is not thread-safe itself.
 //
-//   * send() charges a letter to trace, timing and observer, drops it if its
-//     destination is dead, else routes it through the FaultChannel (whose
-//     header explains the fault actions); a duplicate is charged twice.
-//   * take_due() and redeliver() bring a delayed letter back at the next
-//     round with the same {phase, layer}, or count it stale.
+//   * The slots: the FailureModel, Trace, TimingAccumulator, EngineObserver
+//     and FaultChannel an engine reports to, and the one rule by which an
+//     engine without a FailureModel adopts its fault channel's.
+//   * deliver() charges a letter to trace, timing and observer, drops it if
+//     its destination is dead, else routes it through the FaultChannel
+//     (whose header explains the fault actions); a duplicate is charged
+//     twice.
+//   * settle() brings delayed letters back at the next round with the same
+//     {phase, layer}, or counts them stale.
 //
-// ReplicatedBsp's per-copy transmit (race accounting, split send/receive
-// charges) stays separate: sharing it would make Wire branch on its caller.
-// The async executor needs no path of its own: its streams replay through
-// this Wire, and it reads each letter's fate off the observer hooks.
+// ReplicaWire (comm/replicated.hpp) derives from Wire for the slots and
+// replaces the stage hooks with §V's per-copy transmit: sharing deliver()
+// would make it branch on its caller. The async executor needs no path of
+// its own: its streams replay through this Wire, and it reads each letter's
+// fate off the observer hooks.
 #pragma once
 
 #include <algorithm>
@@ -82,7 +87,11 @@ class Wire {
   [[nodiscard]] std::uint64_t dropped_messages() const { return dropped_; }
 
  protected:
+  [[nodiscard]] const FailureModel* failures() const { return failures_; }
+  [[nodiscard]] Trace* trace() const { return trace_; }
   [[nodiscard]] TimingAccumulator* timing() const { return timing_; }
+  [[nodiscard]] EngineObserver* observer() const { return observer_; }
+  [[nodiscard]] FaultChannel<V>* channel() const { return channel_; }
 
   /// Round begin: the fault plan's scripted crashes fire first, so a node
   /// killed "at" this round neither produces nor receives in it.
@@ -95,14 +104,59 @@ class Wire {
     if (observer_ != nullptr) observer_->on_round_end(phase, layer);
   }
 
+  /// Nothing derived from the FailureModel to rebuild before a parallel
+  /// stage: is_dead() reads the model itself.
+  void sync() const {}
+
+  /// The machines that run rank `rank`: just itself on a plain wire.
+  template <typename Fn>
+  void for_each_machine(rank_t rank, Fn&& fn) const {
+    fn(rank);
+  }
+
   /// Room in the trace for `letters` more sends.
   void reserve_trace(std::size_t letters) {
     if (trace_ != nullptr) trace_->reserve(letters);
   }
 
-  /// Put one letter on the wire; returns whether it arrives. On false the
-  /// letter went to a dead destination or was dropped, or it was delayed
-  /// and now sits in the fault channel (moved out of `letter`).
+  /// Put one letter on the wire and into its destination's inbox if it
+  /// arrives. It does not when its destination is dead or it was dropped,
+  /// or it was delayed and now sits in the fault channel.
+  void deliver(Phase phase, std::uint16_t layer, Letter<V>& letter,
+               std::vector<std::vector<Letter<V>>>& inboxes) {
+    if (send(phase, layer, letter)) {
+      inboxes[letter.dst].push_back(std::move(letter));
+    }
+  }
+
+  /// After fresh delivery, move every delayed letter due this round out of
+  /// the channel. One whose destination is invalid or dead is stale, and so
+  /// is one whose (sender, chunk) slot a fresh letter already filled this
+  /// round — sibling chunks never supersede each other. The rest join
+  /// their destination's inbox.
+  template <typename ExpectedFn>
+  void settle(Phase phase, std::uint16_t layer,
+              std::vector<std::vector<Letter<V>>>& inboxes,
+              ExpectedFn&& /*expected*/) {
+    if (channel_ == nullptr) return;
+    for (Letter<V>& letter : channel_->due()) {
+      if (letter.dst >= num_nodes_ || is_dead(letter.dst)) {
+        note_redelivery(phase, layer, letter, true);
+        continue;
+      }
+      auto& inbox = inboxes[letter.dst];
+      const bool stale =
+          std::any_of(inbox.begin(), inbox.end(), [&](const Letter<V>& l) {
+            return same_slot(l, letter);
+          });
+      note_redelivery(phase, layer, letter, stale);
+      if (!stale) inbox.push_back(std::move(letter));
+    }
+    channel_->due().clear();
+  }
+
+ private:
+  /// Charge one letter and decide whether it arrives (see deliver()).
   [[nodiscard]] bool send(Phase phase, std::uint16_t layer,
                           Letter<V>& letter) {
     KYLIX_CHECK_MSG(letter.dst < num_nodes_, "letter to invalid rank");
@@ -123,36 +177,6 @@ class Wire {
     return true;
   }
 
-  /// Move every delayed letter due this round out of the channel: those
-  /// whose destination is invalid or dead are counted stale, the rest go to
-  /// `stage(Letter<V>&&)`, which must end in redeliver() within the round.
-  template <typename StageFn>
-  void take_due(Phase phase, std::uint16_t layer, StageFn&& stage) {
-    if (channel_ == nullptr) return;
-    for (Letter<V>& letter : channel_->due()) {
-      if (letter.dst >= num_nodes_ || is_dead(letter.dst)) {
-        note_redelivery(phase, layer, letter, true);
-      } else {
-        stage(std::move(letter));
-      }
-    }
-    channel_->due().clear();
-  }
-
-  /// Append a due letter to its destination's inbox, unless a fresh letter
-  /// for the same (sender, chunk) slot already arrived this round: then the
-  /// delayed copy is stale. Sibling chunks never supersede each other.
-  void redeliver(Phase phase, std::uint16_t layer, Letter<V>&& letter,
-                 std::vector<Letter<V>>& inbox) {
-    const bool stale =
-        std::any_of(inbox.begin(), inbox.end(), [&](const Letter<V>& l) {
-          return same_slot(l, letter);
-        });
-    note_redelivery(phase, layer, letter, stale);
-    if (!stale) inbox.push_back(std::move(letter));
-  }
-
- private:
   void charge(const MsgEvent& event) {
     if (trace_ != nullptr) trace_->add(event);
     if (timing_ != nullptr) timing_->on_message(event);

@@ -233,7 +233,7 @@ class SparseAllreduce {
   }
 
   /// What the last completed run lost, if anything (core/degraded.hpp).
-  /// Engines without recovery support (ParallelBspEngine, ThreadedBsp)
+  /// Engines without recovery support (ParallelBspEngine on Wire)
   /// always report an exact run. Call after reduce() / reduce_with_config()
   /// returns.
   [[nodiscard]] DegradedReport degraded_report() const {

@@ -34,7 +34,6 @@
 #include "common/units.hpp"         // IWYU pragma: export
 #include "comm/parallel.hpp"        // IWYU pragma: export
 #include "comm/replicated.hpp"      // IWYU pragma: export
-#include "comm/threaded.hpp"        // IWYU pragma: export
 #include "core/allreduce.hpp"       // IWYU pragma: export
 #include "core/async_executor.hpp"  // IWYU pragma: export
 #include "core/autotune.hpp"        // IWYU pragma: export

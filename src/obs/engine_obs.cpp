@@ -21,7 +21,7 @@ TelemetryObserver::TelemetryObserver(SpanTracer* tracer, rank_t num_ranks,
       send_bytes_(num_ranks, 0),
       send_msgs_(num_ranks, 0),
       recv_bytes_(num_ranks, 0),
-      last_send_us_(num_ranks, 0),
+      produce_us_(num_ranks, 0),
       offsets_us_(num_ranks, 0) {
   KYLIX_CHECK(num_ranks >= 1);
   if (tracer_ != nullptr) {
@@ -59,7 +59,7 @@ void TelemetryObserver::on_round_begin(Phase phase, std::uint16_t layer) {
   std::fill(send_bytes_.begin(), send_bytes_.end(), 0);
   std::fill(send_msgs_.begin(), send_msgs_.end(), 0);
   std::fill(recv_bytes_.begin(), recv_bytes_.end(), 0);
-  std::fill(last_send_us_.begin(), last_send_us_.end(), 0.0);
+  std::fill(produce_us_.begin(), produce_us_.end(), 0.0);
   round_start_us_ = now_us();
   if (opts_.recorder != nullptr) {
     FlightEvent e;
@@ -70,6 +70,10 @@ void TelemetryObserver::on_round_begin(Phase phase, std::uint16_t layer) {
   }
 }
 
+void TelemetryObserver::on_produce(rank_t rank, double seconds) {
+  if (rank < num_ranks_) produce_us_[rank] = seconds * 1e6;
+}
+
 void TelemetryObserver::on_message(const MsgEvent& event) {
   round_bytes_ += event.bytes;
   ++round_msgs_;
@@ -78,7 +82,6 @@ void TelemetryObserver::on_message(const MsgEvent& event) {
   if (event.src < num_ranks_) {
     send_bytes_[event.src] += event.bytes;
     send_msgs_[event.src] += 1;
-    if (opts_.watchdog != nullptr) last_send_us_[event.src] = now_us();
   }
   if (event.dst < num_ranks_) recv_bytes_[event.dst] += event.bytes;
   if (msg_counter_ != nullptr) {
@@ -204,9 +207,10 @@ void TelemetryObserver::on_round_end(Phase phase, std::uint16_t layer) {
     opts_.recorder->record(e);
   }
   if (opts_.watchdog != nullptr) {
+    // A rank's produce time is when its letters left; ranks that sent
+    // nothing stay silent.
     for (rank_t r = 0; r < num_ranks_; ++r) {
-      offsets_us_[r] =
-          last_send_us_[r] > 0 ? last_send_us_[r] - round_start_us_ : 0.0;
+      offsets_us_[r] = send_msgs_[r] > 0 ? produce_us_[r] : 0.0;
     }
     opts_.watchdog->observe_round(phase, layer, dur_us * 1e-6, offsets_us_,
                                   send_bytes_);

@@ -15,9 +15,8 @@
 // Metrics (optional): message/drop/byte counters and a packet-size
 // histogram, all registered once at construction.
 //
-// Thread safety matches the engine contract: hooks are serialized by the
-// calling engine (ThreadedBsp holds its observer mutex around
-// on_message/on_drop).
+// Thread safety matches the engine contract: every hook arrives on the
+// engine's driving thread, so none of this state is locked.
 #pragma once
 
 #include <cstdint>
@@ -49,8 +48,8 @@ class TelemetryObserver : public EngineObserver {
     /// Optional flight recorder: round boundaries, drops, faults, recovery
     /// and redelivery land as structured events.
     FlightRecorder* recorder = nullptr;
-    /// Optional watchdog fed per-round with wall time, per-rank last-send
-    /// offsets, and per-rank send volume.
+    /// Optional watchdog fed per-round with wall time, per-rank produce
+    /// times (on_produce) of the ranks that sent, and per-rank send volume.
     AnomalyWatchdog* watchdog = nullptr;
   };
 
@@ -62,6 +61,7 @@ class TelemetryObserver : public EngineObserver {
       : TelemetryObserver(tracer, num_ranks, Options{}) {}
 
   void on_round_begin(Phase phase, std::uint16_t layer) override;
+  void on_produce(rank_t rank, double seconds) override;
   void on_message(const MsgEvent& event) override;
   void on_drop(const MsgEvent& event) override;
   void on_fault(const MsgEvent& event, FaultAction action) override;
@@ -79,8 +79,7 @@ class TelemetryObserver : public EngineObserver {
 
  private:
   /// Microseconds on the tracer's clock when attached, else on an internal
-  /// stopwatch — so round durations and straggler offsets exist in
-  /// metrics-only mode too.
+  /// stopwatch — so round durations exist in metrics-only mode too.
   [[nodiscard]] double now_us() const {
     return tracer_ != nullptr ? tracer_->now_us() : clock_.seconds() * 1e6;
   }
@@ -101,8 +100,8 @@ class TelemetryObserver : public EngineObserver {
   std::vector<std::uint64_t> send_bytes_;  ///< per rank, this round
   std::vector<std::uint32_t> send_msgs_;
   std::vector<std::uint64_t> recv_bytes_;
-  std::vector<double> last_send_us_;  ///< per rank; 0 = silent this round
-  std::vector<double> offsets_us_;    ///< watchdog scratch (last send - start)
+  std::vector<double> produce_us_;  ///< per rank, this round's on_produce
+  std::vector<double> offsets_us_;  ///< watchdog scratch; 0 = silent rank
 
   // Registered-once metrics instruments (null when metrics are off).
   Counter* msg_counter_ = nullptr;

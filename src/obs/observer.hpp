@@ -9,11 +9,17 @@
 // exactly like the trace/timing slots (asserted by tests/core/alloc_test).
 //
 // Hook order within one engine round:
-//   on_round_begin -> {on_message | on_drop | on_redelivery}* -> on_round_end
-// ThreadedBsp calls on_message/on_drop from worker threads (serialized by
-// its observer mutex); all other engines call every hook from the driving
-// thread. ReplicatedBsp reports one on_message per transmitted *copy*, in
-// physical ranks, mirroring what it records into the Trace.
+//   on_round_begin
+//     -> per rank, in rank order: on_produce, then
+//        {on_message | on_drop | on_fault}* for its letters
+//     -> {on_redelivery | on_recovery}*  (recovery retries also fire
+//        on_fault and on_message)
+//     -> on_round_end
+// Every engine runs ParallelBspEngine's round (comm/parallel.hpp), which
+// calls every hook from its driving thread, so observers need no locking.
+// ReplicatedBsp reports one on_message per transmitted *copy*, and
+// on_produce once per alive replica, in physical ranks, mirroring what it
+// records into the Trace.
 #pragma once
 
 #include <cstdint>
@@ -69,6 +75,15 @@ class EngineObserver {
     (void)layer;
   }
 
+  /// Rank `rank`'s produce callback took `seconds` of host time this round
+  /// (its completion offset within the round: produce runs first, and the
+  /// rank's letters go out as it returns). Fired only while an observer is
+  /// attached — the engine reads no clock otherwise — once per alive rank.
+  virtual void on_produce(rank_t rank, double seconds) {
+    (void)rank;
+    (void)seconds;
+  }
+
   /// One message was put on the (simulated) wire.
   virtual void on_message(const MsgEvent& event) { (void)event; }
 
@@ -91,7 +106,8 @@ class EngineObserver {
   /// A copy delayed in an earlier round surfaced in this round's inbox:
   /// merged as fresh input (`stale == false`) or superseded by a newer
   /// letter from the same sender and discarded (`stale == true`). Fired
-  /// from drain_due alongside the channel's redelivered/stale accounting.
+  /// from Wire::settle alongside the channel's redelivered/stale
+  /// accounting.
   virtual void on_redelivery(const MsgEvent& event, bool stale) {
     (void)event;
     (void)stale;

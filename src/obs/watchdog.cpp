@@ -64,7 +64,7 @@ void AnomalyWatchdog::observe_round(
     ewma_mean_s_ = (1 - a) * ewma_mean_s_ + a * round_s;
   }
 
-  // ---- Stragglers: MAD over the round's active ranks' last-send offsets.
+  // ---- Stragglers: MAD over the round's active ranks' completion offsets.
   // A rank that sent nothing this round (offset <= 0) is not a straggler,
   // it is simply not participating — exclude it from the statistics.
   active_.clear();

@@ -5,10 +5,10 @@
 //   * slow rounds    — round wall time far above an EWMA baseline (mean +
 //                      EWMA absolute deviation, robust to the baseline
 //                      drifting as payloads change);
-//   * stragglers     — a rank whose last send this round trails the median
-//                      rank-completion offset by many MADs *and* by an
-//                      absolute floor (so microsecond jitter on sequential
-//                      engines never fires);
+//   * stragglers     — a rank whose completion offset this round (its
+//                      produce time, from the engine's on_produce) trails
+//                      the median by many MADs *and* by an absolute floor
+//                      (so microsecond jitter never fires);
 //   * byte imbalance — a rank whose send volume sits many MADs off the
 //                      round's median (skew the planner should know about).
 // Verdicts land as `engine.anomaly.*` metrics and as structured
@@ -51,10 +51,11 @@ class AnomalyWatchdog {
 
   AnomalyWatchdog(rank_t num_ranks, const Options& options);
 
-  /// Feed one finished round. `completion_offset_us[r]` is rank r's last
-  /// send time relative to round start (negative or zero for silent
-  /// ranks); `send_bytes[r]` is what r put on the wire this round. Both
-  /// must have num_ranks entries.
+  /// Feed one finished round. `completion_offset_us[r]` is how far into
+  /// the round rank r finished its work — TelemetryObserver passes its
+  /// produce time — and is negative or zero for silent ranks;
+  /// `send_bytes[r]` is what r put on the wire this round. Both must have
+  /// num_ranks entries.
   void observe_round(Phase phase, std::uint16_t layer, double round_s,
                      const std::vector<double>& completion_offset_us,
                      const std::vector<std::uint64_t>& send_bytes);

@@ -15,8 +15,8 @@
 //    layer per step) stop touching the allocator once capacities warm up.
 //    Every level is merge_union_into, a branch-free two-way union (galloping
 //    when one side is kGallopRatio times the other).
-//  * hash_union — the hash-table alternative, kept as a measurable baseline
-//    for bench/micro_merge and bench/micro_kernels.
+//  * hash_union — the hash-table alternative, kept as the measured baseline
+//    of bench/micro_kernels' tree_merge vs. hash_union rows.
 #pragma once
 
 #include <cstddef>

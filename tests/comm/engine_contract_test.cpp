@@ -1,12 +1,13 @@
-// The engine contract, once for every engine that delivers through Wire:
-// ParallelBspEngine at one and at four threads, and ThreadedBsp. Besides
-// the round() basics it pins the delivery policy Wire owns — duplicates
-// charged twice but delivered once, delayed letters redelivered at the next
-// round with the same {phase, layer} or counted stale, the misuse messages
-// — and the fault-channel adoption rule, which ReplicatedBsp shares.
+// The engine contract. EngineContract runs ParallelBspEngine at one and at
+// four threads on the plain delivery policy: besides the round() basics it
+// pins what Wire owns — duplicates charged twice but delivered once,
+// delayed letters redelivered at the next round with the same {phase,
+// layer} or counted stale, the misuse messages — and the fault-channel
+// adoption rule, which ReplicatedBsp shares. EngineFailedRound adds the
+// replicated engine: a round whose callback throws leaves every engine
+// usable, charges nothing, and stops buffering charges.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <memory>
 #include <tuple>
 #include <vector>
@@ -15,7 +16,6 @@
 #include "comm/fault_channel.hpp"
 #include "comm/parallel.hpp"
 #include "comm/replicated.hpp"
-#include "comm/threaded.hpp"
 #include "test_util.hpp"
 
 namespace kylix {
@@ -26,7 +26,7 @@ using testing::expect_check_message;
 template <unsigned Threads>
 struct ParallelAt {
   using Engine = ParallelBspEngine<float>;
-  static constexpr bool kOrdered = true;
+  static constexpr rank_t kReplicas = 1;
   static std::unique_ptr<Engine> make(rank_t m,
                                       const FailureModel* failures = nullptr,
                                       Trace* trace = nullptr,
@@ -35,39 +35,39 @@ struct ParallelAt {
   }
 };
 
-struct Threaded {
-  using Engine = ThreadedBsp<float>;
-  /// Worker threads reach the wire in scheduling order.
-  static constexpr bool kOrdered = false;
+/// The replicated engine at s = 2: failures, trace and timing address its
+/// kReplicas * m physical machines.
+template <unsigned Threads>
+struct ReplicatedAt {
+  using Engine = ReplicatedBsp<float>;
+  static constexpr rank_t kReplicas = 2;
   static std::unique_ptr<Engine> make(rank_t m,
                                       const FailureModel* failures = nullptr,
                                       Trace* trace = nullptr,
                                       TimingAccumulator* timing = nullptr) {
-    return std::make_unique<Engine>(m, failures, trace, timing);
+    return std::make_unique<Engine>(m, kReplicas, failures, trace, timing,
+                                    Threads);
   }
 };
 
 template <typename Policy>
 class EngineContract : public ::testing::Test {};
 
-using WireEngines = ::testing::Types<ParallelAt<1>, ParallelAt<4>, Threaded>;
+using WireEngines = ::testing::Types<ParallelAt<1>, ParallelAt<4>>;
 TYPED_TEST_SUITE(EngineContract, WireEngines);
 
 using Event = std::tuple<Phase, std::uint16_t, rank_t, rank_t, std::uint64_t>;
 
-/// The trace as comparable tuples: in recorded order for the barriered
-/// engine, as a sorted multiset for ThreadedBsp.
-template <typename Policy>
+/// The trace as comparable tuples, in recorded order.
 std::vector<Event> events_of(const Trace& trace) {
   std::vector<Event> events;
   for (const MsgEvent& e : trace.events()) {
     events.emplace_back(e.phase, e.layer, e.src, e.dst, e.bytes);
   }
-  if (!Policy::kOrdered) std::sort(events.begin(), events.end());
   return events;
 }
 
-/// Counts every hook Wire fires. The engines serialize the calls.
+/// Counts every hook Wire fires.
 struct CountingObserver : EngineObserver {
   int begins = 0, ends = 0, messages = 0, drops = 0, faults = 0;
   int redelivered = 0, stale = 0;
@@ -168,7 +168,7 @@ TYPED_TEST(EngineContract, RecordsTraceEvents) {
                             kPacketHeaderBytes + sizeof(float));
     }
   }
-  EXPECT_EQ(events_of<TypeParam>(trace), expected);
+  EXPECT_EQ(events_of(trace), expected);
 }
 
 TYPED_TEST(EngineContract, ChargesTiming) {
@@ -279,7 +279,7 @@ TYPED_TEST(EngineContract, DuplicateIsChargedTwiceButDeliveredOnce) {
   EXPECT_EQ(send_0_to_1(*engine, 1, 5.0f), (std::vector<float>{5.0f}));
   const Event copy{Phase::kReduceDown, 1, 0, 1,
                    kPacketHeaderBytes + sizeof(float)};
-  EXPECT_EQ(events_of<TypeParam>(trace), (std::vector<Event>{copy, copy}));
+  EXPECT_EQ(events_of(trace), (std::vector<Event>{copy, copy}));
   EXPECT_EQ(observer.messages, 2);
   EXPECT_EQ(observer.faults, 1);
   EXPECT_EQ(plan.stats().duplicated, 1u);
@@ -400,6 +400,105 @@ TEST(ReplicatedFaultChannel, AdoptionFollowsTheChannel) {
   EXPECT_FALSE(engine.has_failed());
   engine.set_fault_channel(nullptr);
   EXPECT_FALSE(engine.is_dead(1));
+}
+
+// ---- A round whose callback throws, on every engine ----
+
+template <typename Policy>
+class EngineFailedRound : public ::testing::Test {
+ protected:
+  static constexpr rank_t kRanks = 2;
+
+  EngineFailedRound()
+      : timing_(kRanks * Policy::kReplicas, idle_net(), ComputeModel{}, 1),
+        engine_(Policy::make(kRanks, nullptr, nullptr, &timing_)) {}
+
+  /// No latency, so a round's modeled time is exactly its charges.
+  static NetworkModel idle_net() {
+    NetworkModel net;
+    net.base_latency_s = 0;
+    return net;
+  }
+
+  /// A charge made outside any round must reach the accumulator at once.
+  void expect_out_of_round_charge_lands(std::uint16_t layer) {
+    engine_->charge_compute(Phase::kReduceUp, layer, 0, 2.0);
+    EXPECT_EQ(timing_.round_time(Phase::kReduceUp, layer), 2.0);
+  }
+
+  /// A clean round at {config, 1} in which every rank sends itself r + 1
+  /// (self-letters cost no modeled time) and charges 0.25 s; it must
+  /// deliver exactly its own letters and charges.
+  void expect_clean_round() {
+    std::vector<float> sums(kRanks, 0.0f);
+    engine_->round(
+        Phase::kConfig, 1,
+        [&](rank_t r) {
+          std::vector<Letter<float>> letters(1);
+          letters[0].src = r;
+          letters[0].dst = r;
+          letters[0].packet.values = {static_cast<float>(r + 1)};
+          return letters;
+        },
+        [&](rank_t r) { return std::vector<rank_t>{r}; },
+        [&](rank_t r, std::vector<Letter<float>>&& inbox) {
+          for (const auto& letter : inbox) sums[r] += letter.packet.values[0];
+          engine_->charge_compute(Phase::kConfig, 1, r, 0.25);
+        });
+    EXPECT_EQ(sums, (std::vector<float>{1.0f, 2.0f}));
+    EXPECT_EQ(timing_.round_time(Phase::kConfig, 1), 0.25);
+  }
+
+  TimingAccumulator timing_;
+  std::unique_ptr<typename Policy::Engine> engine_;
+};
+
+using AllEngines = ::testing::Types<ParallelAt<1>, ParallelAt<4>,
+                                    ReplicatedAt<1>, ReplicatedAt<4>>;
+TYPED_TEST_SUITE(EngineFailedRound, AllEngines);
+
+// Rank 1's produce throws after rank 0 staged a letter for it: the error
+// reaches the caller, and the staged letter never arrives later.
+TYPED_TEST(EngineFailedRound, ThrowingProduceKeepsEngineUsable) {
+  auto& engine = *this->engine_;
+  EXPECT_THROW(
+      engine.round(
+          Phase::kReduceDown, 1,
+          [&](rank_t r) {
+            if (r == 1) throw check_error("boom");
+            std::vector<Letter<float>> letters(1);
+            letters[0].src = 0;
+            letters[0].dst = 1;
+            letters[0].packet.values = {100.0f};
+            return letters;
+          },
+          [&](rank_t) { return std::vector<rank_t>{0}; },
+          [&](rank_t, std::vector<Letter<float>>&&) {}),
+      check_error);
+  this->expect_out_of_round_charge_lands(1);
+  this->expect_clean_round();
+  this->expect_out_of_round_charge_lands(2);
+}
+
+// Rank 1's consume throws while rank 0 charges 1 s: that charge belongs to
+// a round that failed, so it never lands, and charges made after the round
+// reach the accumulator at once instead of being buffered.
+TYPED_TEST(EngineFailedRound, ThrowingConsumeChargesNothing) {
+  auto& engine = *this->engine_;
+  EXPECT_THROW(
+      engine.round(
+          Phase::kReduceDown, 1,
+          [&](rank_t) { return std::vector<Letter<float>>{}; },
+          [&](rank_t) { return std::vector<rank_t>{}; },
+          [&](rank_t r, std::vector<Letter<float>>&&) {
+            if (r == 1) throw check_error("boom");
+            engine.charge_compute(Phase::kReduceDown, 1, r, 1.0);
+          }),
+      check_error);
+  this->expect_out_of_round_charge_lands(1);
+  this->expect_clean_round();
+  EXPECT_EQ(this->timing_.round_time(Phase::kReduceDown, 1), 0.0);
+  this->expect_out_of_round_charge_lands(2);
 }
 
 }  // namespace

@@ -1,10 +1,10 @@
 // Streaming packetized reduction (DESIGN §9): wire-frame header accounting,
 // compiled chunk sizes, the pipelined timing model, and — the core contract
-// — bit-identity of streamed replay against letter-at-once delivery on all
-// three engines, for float and double, plain and strided, across seeds.
-// Streamed combining is eager but ordered: every engine sorts its inbox by
-// (src, chunk_index) before consume, so the per-position op order is the
-// letter-at-once order no matter how chunks interleave in flight.
+// — bit-identity of streamed replay against letter-at-once delivery on the
+// plain and the replicated engine, for float and double, plain and strided,
+// across seeds. Streamed combining is eager but ordered: the engine sorts
+// each inbox by (src, chunk_index) before consume, so the per-position op
+// order is the letter-at-once order no matter how chunks were delivered.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -14,7 +14,6 @@
 #include "cluster/timing.hpp"
 #include "comm/parallel.hpp"
 #include "comm/replicated.hpp"
-#include "comm/threaded.hpp"
 #include "core/allreduce.hpp"
 #include "test_util.hpp"
 
@@ -185,13 +184,6 @@ void fuzz_engines(std::uint64_t seed) {
       const auto streamed = run_once<ParallelBspEngine<V>, V>(
           topo, w, values, stride, chunk, &stats);
       check("parallel", letter, streamed, stats);
-    }
-    {
-      const auto letter =
-          run_once<ThreadedBsp<V>, V>(topo, w, values, stride, 0);
-      const auto streamed =
-          run_once<ThreadedBsp<V>, V>(topo, w, values, stride, chunk, &stats);
-      check("threaded", letter, streamed, stats);
     }
     {
       const auto letter =

@@ -27,7 +27,6 @@
 #include "cluster/trace.hpp"
 #include "comm/parallel.hpp"
 #include "comm/replicated.hpp"
-#include "comm/threaded.hpp"
 #include "core/allreduce.hpp"
 #include "core/plan_cache.hpp"
 #include "core/topology.hpp"
@@ -185,14 +184,9 @@ TEST(HierarchyBitIdentity, MatchesFlatExpandedOnAllFourEngines) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     auto w = random_workload<float>(m, 120, 0.25, 0.4, 500 + seed);
     roughen(w);
-    {
-      ParallelBspEngine<float> fe(m);
-      ParallelBspEngine<float> he(m);
-      EXPECT_EQ(run_once(he, hier, w), run_once(fe, flat, w));
-    }
-    {
-      ThreadedBsp<float> fe(m);
-      ThreadedBsp<float> he(m);
+    for (const unsigned threads : {1u, 4u}) {
+      ParallelBspEngine<float> fe(m, threads);
+      ParallelBspEngine<float> he(m, threads);
       EXPECT_EQ(run_once(he, hier, w), run_once(fe, flat, w));
     }
     {
@@ -504,7 +498,7 @@ void expect_same_plan(const CollectivePlan& a, const CollectivePlan& b) {
 
 TEST(HierarchyCompile, PlanIsIdenticalAtEveryThreadCount) {
   // Host unions run inside intra_round(kConfig): across the pool on a
-  // 4-thread ParallelBspEngine, inline at one thread and on ThreadedBsp.
+  // 4-thread ParallelBspEngine and inline at one thread.
   // 8 hosts x 3 cores, with a dead member (rank 4) and a dead canonical
   // leader (rank 9), so skipped and leaderless hosts run in the batch too.
   const Topology hier({4, 2}, 3);
@@ -544,15 +538,8 @@ TEST(HierarchyCompile, PlanIsIdenticalAtEveryThreadCount) {
   ParallelBspEngine<float> pool(m, 4, &failures, nullptr, &pool_timing);
   const Compiled pooled = compile_on(pool, pool_timing);
   ASSERT_EQ(pool.num_threads(), 4u);
-
-  TimingAccumulator threaded_timing(m, net, compute);
-  ThreadedBsp<float> threaded(m, &failures, nullptr, &threaded_timing);
-  const Compiled inline_threaded = compile_on(threaded, threaded_timing);
-
-  for (const Compiled* other : {&pooled, &inline_threaded}) {
-    expect_same_plan(*reference.plan, *other->plan);
-    EXPECT_EQ(reference.intra_config, other->intra_config);
-  }
+  expect_same_plan(*reference.plan, *pooled.plan);
+  EXPECT_EQ(reference.intra_config, pooled.intra_config);
 }
 
 // ---- Guard rails ----

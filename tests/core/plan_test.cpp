@@ -22,7 +22,6 @@
 #include "comm/fault_channel.hpp"
 #include "comm/parallel.hpp"
 #include "comm/replicated.hpp"
-#include "comm/threaded.hpp"
 #include "common/check.hpp"
 #include "core/allreduce.hpp"
 #include "core/plan_cache.hpp"
@@ -93,12 +92,6 @@ TEST(Plan, ReplayIsBitIdenticalAcrossAllFourEngines) {
     SparseAllreduce<float, OpSum, ParallelBspEngine<float>> ar(&engine, topo);
     ar.configure(plan);
     EXPECT_EQ(ar.reduce(w.out_values), reference) << "parallel replay";
-  }
-  {
-    ThreadedBsp<float> engine(m);
-    SparseAllreduce<float, OpSum, ThreadedBsp<float>> ar(&engine, topo);
-    ar.configure(plan);
-    EXPECT_EQ(ar.reduce(w.out_values), reference) << "threaded replay";
   }
   {
     ReplicatedBsp<float> engine(m, 2);

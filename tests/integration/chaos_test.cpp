@@ -9,8 +9,8 @@
 //      alive requester's values at keys outside degraded_ranges ∪ lost_keys
 //      exactly equal the brute-force sum excluding inputs_lost ranks.
 //
-// Plus per-engine fault-semantics checks for the shared FaultChannel hook
-// (ParallelBspEngine sequential and pooled, ThreadedBsp).
+// Plus fault-semantics checks for the shared FaultChannel hook on the plain
+// engine (ParallelBspEngine sequential and pooled).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -25,7 +25,6 @@
 #include "comm/fault_channel.hpp"
 #include "comm/parallel.hpp"
 #include "comm/replicated.hpp"
-#include "comm/threaded.hpp"
 #include "core/allreduce.hpp"
 #include "core/degraded.hpp"
 #include "obs/engine_obs.hpp"
@@ -619,57 +618,6 @@ TEST(ChaosParallel, DuplicateOnlyRatesStayExact) {
   const auto results = allreduce.reduce(w.out_values);
   EXPECT_GT(plan.stats().duplicated, 0u);
   testing::expect_matches_oracle<float>(w, results);
-}
-
-TEST(ChaosThreaded, ReduceFaultsTerminateAndDuplicatesStayExact) {
-  const Topology topo({4, 2});
-  const rank_t m = topo.num_machines();
-
-  // Duplicates only: real-thread engine must still match the oracle.
-  {
-    const auto w = random_workload<float>(m, 64, 0.25, 0.4, 29);
-    FaultPlan plan(m, 13);
-    FaultPlan::TransientRates rates;
-    rates.duplicate = 0.25;
-    plan.set_transient_rates(rates);
-    FaultChannel<float> channel(&plan);
-    ThreadedBsp<float> engine(m);
-    engine.set_fault_channel(&channel);
-    SparseAllreduce<float, OpSum, ThreadedBsp<float>> allreduce(&engine,
-                                                                topo);
-    allreduce.configure(w.in_sets, w.out_sets);
-    const auto results = allreduce.reduce(w.out_values);
-    EXPECT_GT(plan.stats().duplicated, 0u);
-    testing::expect_matches_oracle<float>(w, results);
-  }
-
-  // Drop/delay storms confined to the reduce phases (config must stay
-  // clean so piece-size checks hold): the blocking engine must not
-  // deadlock — tombstones unblock every waiting take().
-  for (std::uint64_t seed = 0; seed < 4; ++seed) {
-    SCOPED_TRACE("seed " + std::to_string(seed));
-    const auto w = random_workload<float>(m, 64, 0.25, 0.4, 40 + seed);
-    FaultPlan plan(m, seed);
-    FaultPlan::TransientRates rates;
-    rates.drop = 0.15;
-    rates.duplicate = 0.1;
-    rates.delay = 0.1;
-    rates.config = false;
-    plan.set_transient_rates(rates);
-    FaultChannel<float> channel(&plan);
-    ThreadedBsp<float> engine(m);
-    engine.set_fault_channel(&channel);
-    SparseAllreduce<float, OpSum, ThreadedBsp<float>> allreduce(&engine,
-                                                                topo);
-    allreduce.configure(w.in_sets, w.out_sets);
-    const auto results = allreduce.reduce(w.out_values);  // must terminate
-    ASSERT_EQ(results.size(), w.in_sets.size());
-    for (rank_t r = 0; r < m; ++r) {
-      EXPECT_EQ(results[r].size(), w.in_sets[r].size());
-    }
-    const FaultStats& stats = plan.stats();
-    EXPECT_GT(stats.dropped + stats.duplicated + stats.delayed, 0u);
-  }
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Hierarchy under chaos (DESIGN §13): the two-tier plan must degrade
-// exactly like its flat twin. Three layers of identity, each across all
-// three engines:
+// exactly like its flat twin. Three layers of identity, each on the plain
+// engine and on the replicated engine:
 //
 //   1. cores-per-machine == 1 under chaos (duplicate storms + a rank dead
 //      from the start): results and DegradedReports are identical to the
@@ -28,7 +28,6 @@
 #include "comm/fault_channel.hpp"
 #include "comm/parallel.hpp"
 #include "comm/replicated.hpp"
-#include "comm/threaded.hpp"
 #include "core/allreduce.hpp"
 #include "core/degraded.hpp"
 #include "test_util.hpp"
@@ -206,10 +205,6 @@ void sweep(std::uint32_t replicas) {
 
 TEST(HierarchyChaos, ParallelBspMatchesFlatUnderChaos) {
   sweep<ParallelBspEngine<float>>(1);
-}
-
-TEST(HierarchyChaos, ThreadedBspMatchesFlatUnderChaos) {
-  sweep<ThreadedBsp<float>>(1);
 }
 
 TEST(HierarchyChaos, ReplicatedBspMatchesFlatUnderChaos) {

@@ -1,8 +1,9 @@
 // End-to-end elastic-membership healing: seeded kill-group → degraded
 // rounds → detector-confirmed re-plan → post-heal reduces bit-identical to
 // a fresh configure on the survivor set → rejoin at a later epoch restores
-// the original plan from the PlanCache. Runs on all three engines plus the
-// AsyncExecutor, and carries the PlanCache-across-epochs satellite tests.
+// the original plan from the PlanCache. Runs on the plain and the
+// replicated engine plus the AsyncExecutor, and carries the
+// PlanCache-across-epochs satellite tests.
 
 #include <gtest/gtest.h>
 
@@ -14,7 +15,6 @@
 #include "cluster/membership.hpp"
 #include "comm/parallel.hpp"
 #include "comm/replicated.hpp"
-#include "comm/threaded.hpp"
 #include "core/allreduce.hpp"
 #include "core/async_executor.hpp"
 #include "core/epoch_manager.hpp"
@@ -28,18 +28,13 @@ namespace {
 
 template <typename Engine>
 std::unique_ptr<Engine> make_engine(rank_t m, const FailureModel* fm) {
-  if constexpr (std::is_same_v<Engine, ParallelBspEngine<float>>) {
-    return std::make_unique<Engine>(m, 2, fm);
-  } else {
-    return std::make_unique<Engine>(m, fm);
-  }
+  return std::make_unique<Engine>(m, 4, fm);
 }
 
 template <typename Engine>
 class FlatHealTest : public ::testing::Test {};
 
-using FlatEngines =
-    ::testing::Types<ParallelBspEngine<float>, ThreadedBsp<float>>;
+using FlatEngines = ::testing::Types<ParallelBspEngine<float>>;
 TYPED_TEST_SUITE(FlatHealTest, FlatEngines);
 
 // Kill one rank mid-run, confirm via the heartbeat detector, re-plan, and

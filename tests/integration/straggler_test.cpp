@@ -1,14 +1,18 @@
-// Watchdog end-to-end: a real ThreadedBsp round where one rank is
-// artificially delayed must surface that rank as a straggler through the
-// full telemetry path — engine observer hooks -> per-rank last-send offsets
-// -> AnomalyWatchdog -> metrics + flight-recorder events.
+// Watchdog end-to-end: a round where one rank is artificially delayed must
+// surface that rank as a straggler through the full telemetry path — the
+// engine's per-rank produce times -> TelemetryObserver -> AnomalyWatchdog ->
+// metrics + flight-recorder events. Both cases run on ParallelBspEngine at
+// one and at four threads and on the replicated engine, whose observer sees
+// physical machines: there the delayed rank's alive replicas are flagged.
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <set>
 #include <thread>
 #include <vector>
 
-#include "comm/threaded.hpp"
+#include "comm/parallel.hpp"
+#include "comm/replicated.hpp"
 #include "obs/engine_obs.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
@@ -22,8 +26,10 @@ constexpr rank_t kSlow = 3;
 
 /// One ring-exchange round: rank r sends a small packet to (r+1) % m and
 /// receives from (r-1) % m. When `delay_slow` is set, rank kSlow sleeps
-/// before producing, so its send lands ~20 ms after everyone else's.
-void run_round(ThreadedBsp<float>& engine, bool delay_slow) {
+/// while producing, so its produce time is ~20 ms against everyone else's
+/// microseconds.
+template <typename Engine>
+void run_round(Engine& engine, bool delay_slow) {
   static std::vector<std::vector<Letter<float>>> outboxes(kRanks);
   static std::vector<std::vector<rank_t>> senders = [] {
     std::vector<std::vector<rank_t>> s(kRanks);
@@ -57,21 +63,23 @@ void run_round(ThreadedBsp<float>& engine, bool delay_slow) {
       });
 }
 
-TEST(StragglerIntegration, DelayedRankIsFlaggedThroughTheEnginePath) {
+/// `machines` is what the observer sees; `slow` the machines that run
+/// rank kSlow.
+template <typename Engine>
+void expect_delayed_rank_flagged(Engine& engine, rank_t machines,
+                                 const std::set<rank_t>& slow) {
   obs::MetricsRegistry metrics;
-  obs::FlightRecorder recorder(kRanks);
+  obs::FlightRecorder recorder(machines);
   obs::AnomalyWatchdog::Options wopt;
   wopt.metrics = &metrics;
   wopt.recorder = &recorder;
-  obs::AnomalyWatchdog watchdog(kRanks, wopt);
+  obs::AnomalyWatchdog watchdog(machines, wopt);
 
   obs::TelemetryObserver::Options topt;
   topt.metrics = &metrics;
   topt.recorder = &recorder;
   topt.watchdog = &watchdog;
-  obs::TelemetryObserver observer(/*tracer=*/nullptr, kRanks, topt);
-
-  ThreadedBsp<float> engine(kRanks);
+  obs::TelemetryObserver observer(/*tracer=*/nullptr, machines, topt);
   engine.set_observer(&observer);
 
   // Quiet rounds establish the baseline past the warmup window...
@@ -79,52 +87,75 @@ TEST(StragglerIntegration, DelayedRankIsFlaggedThroughTheEnginePath) {
   EXPECT_EQ(watchdog.stragglers(), 0u);
   EXPECT_EQ(watchdog.last_straggler(), obs::kGlobalRank);
 
-  // ...then the delayed rank's 20 ms offset dwarfs both the MAD gate and
-  // the 5 ms absolute floor.
+  // ...then the delayed rank's 20 ms produce time dwarfs both the MAD gate
+  // and the 5 ms absolute floor.
   for (int i = 0; i < 3; ++i) run_round(engine, /*delay_slow=*/true);
 
-  EXPECT_GE(watchdog.stragglers(), 1u);
-  EXPECT_EQ(watchdog.last_straggler(), kSlow);
-  EXPECT_GE(metrics.counter("engine.anomaly.stragglers").value(), 1u);
+  EXPECT_GE(watchdog.stragglers(), slow.size());
+  EXPECT_EQ(watchdog.last_straggler(), *slow.rbegin());
+  EXPECT_GE(metrics.counter("engine.anomaly.stragglers").value(),
+            slow.size());
   EXPECT_DOUBLE_EQ(metrics.gauge("engine.anomaly.last_straggler").value(),
-                   static_cast<double>(kSlow));
+                   static_cast<double>(*slow.rbegin()));
 
-  // The verdict also landed in the flight recorder as a structured event
-  // naming the delayed rank, sandwiched between the round markers the
+  // The verdicts also landed in the flight recorder as structured events
+  // naming exactly the delayed machines, between the round markers the
   // observer emits.
   bool saw_round_end = false;
-  const obs::FlightEvent* straggle = nullptr;
-  const std::vector<obs::FlightEvent> events = recorder.merged_events();
-  for (const obs::FlightEvent& e : events) {
+  std::set<rank_t> flagged;
+  for (const obs::FlightEvent& e : recorder.merged_events()) {
     if (e.kind == obs::FlightEventKind::kRoundEnd) saw_round_end = true;
-    if (e.kind == obs::FlightEventKind::kStraggler) straggle = &e;
+    if (e.kind != obs::FlightEventKind::kStraggler) continue;
+    flagged.insert(e.rank);
+    EXPECT_GT(e.value, 5000.0);  // microseconds behind the pack
   }
   EXPECT_TRUE(saw_round_end);
-  ASSERT_NE(straggle, nullptr);
-  EXPECT_EQ(straggle->rank, kSlow);
-  EXPECT_GT(straggle->value, 5000.0);  // microseconds behind the pack
+  EXPECT_EQ(flagged, slow);
+  engine.set_observer(nullptr);
 }
 
-TEST(StragglerIntegration, UniformRanksStayUnflagged) {
+template <typename Engine>
+void expect_uniform_ranks_unflagged(Engine& engine, rank_t machines) {
   obs::MetricsRegistry metrics;
   obs::AnomalyWatchdog::Options wopt;
   wopt.metrics = &metrics;
-  obs::AnomalyWatchdog watchdog(kRanks, wopt);
+  obs::AnomalyWatchdog watchdog(machines, wopt);
 
   obs::TelemetryObserver::Options topt;
   topt.metrics = &metrics;
   topt.watchdog = &watchdog;
-  obs::TelemetryObserver observer(/*tracer=*/nullptr, kRanks, topt);
-
-  ThreadedBsp<float> engine(kRanks);
+  obs::TelemetryObserver observer(/*tracer=*/nullptr, machines, topt);
   engine.set_observer(&observer);
   for (int i = 0; i < 20; ++i) run_round(engine, /*delay_slow=*/false);
 
-  // Ordinary scheduling jitter between healthy threads stays below the
-  // 5 ms absolute straggler floor.
+  // Healthy produce times are microseconds, far below the 5 ms absolute
+  // straggler floor.
   EXPECT_EQ(watchdog.stragglers(), 0u);
   EXPECT_EQ(metrics.counter("engine.anomaly.stragglers").value(), 0u);
   EXPECT_EQ(watchdog.rounds_seen(), 20u);
+  engine.set_observer(nullptr);
+}
+
+TEST(StragglerIntegration, DelayedRankIsFlaggedThroughTheEnginePath) {
+  for (const unsigned threads : {1u, 4u}) {
+    SCOPED_TRACE("ParallelBspEngine, threads " + std::to_string(threads));
+    ParallelBspEngine<float> engine(kRanks, threads);
+    expect_delayed_rank_flagged(engine, kRanks, {kSlow});
+  }
+  SCOPED_TRACE("ReplicatedBsp, s = 2");
+  ReplicatedBsp<float> engine(kRanks, 2, nullptr, nullptr, nullptr, 4);
+  expect_delayed_rank_flagged(engine, 2 * kRanks, {kSlow, kSlow + kRanks});
+}
+
+TEST(StragglerIntegration, UniformRanksStayUnflagged) {
+  for (const unsigned threads : {1u, 4u}) {
+    SCOPED_TRACE("ParallelBspEngine, threads " + std::to_string(threads));
+    ParallelBspEngine<float> engine(kRanks, threads);
+    expect_uniform_ranks_unflagged(engine, kRanks);
+  }
+  SCOPED_TRACE("ReplicatedBsp, s = 2");
+  ReplicatedBsp<float> engine(kRanks, 2, nullptr, nullptr, nullptr, 4);
+  expect_uniform_ranks_unflagged(engine, 2 * kRanks);
 }
 
 }  // namespace

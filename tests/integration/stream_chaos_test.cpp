@@ -24,7 +24,6 @@
 #include "comm/fault_channel.hpp"
 #include "comm/parallel.hpp"
 #include "comm/replicated.hpp"
-#include "comm/threaded.hpp"
 #include "core/allreduce.hpp"
 #include "core/degraded.hpp"
 #include "test_util.hpp"
@@ -143,40 +142,6 @@ TEST(StreamChaos, GroupDeathDegradesIdenticallyToLetterAtOnce) {
     EXPECT_EQ(streamed, letter)
         << "streamed degraded completion diverged from letter-at-once";
     expect_same_report(stream_report, letter_report);
-  }
-}
-
-TEST(StreamChaos, ThreadedStormsTerminateWithChunkedTombstones) {
-  // Drop/delay storms confined to the reduce phases on the blocking
-  // engine: every lost chunk must leave a framed tombstone so receivers
-  // expecting k chunks from an edge still unblock k times.
-  const Topology topo({4, 2});
-  const rank_t m = topo.num_machines();
-  for (std::uint64_t seed = 0; seed < 4; ++seed) {
-    SCOPED_TRACE("seed " + std::to_string(seed));
-    const auto w = random_workload<float>(m, 64, 0.25, 0.4, 9000 + seed);
-    FaultPlan plan(m, seed);
-    FaultPlan::TransientRates rates;
-    rates.drop = 0.15;
-    rates.duplicate = 0.1;
-    rates.delay = 0.1;
-    rates.config = false;  // config stays clean: piece sizes must hold
-    plan.set_transient_rates(rates);
-    FaultChannel<float> channel(&plan);
-    ThreadedBsp<float> engine(m);
-    engine.set_fault_channel(&channel);
-    SparseAllreduce<float, OpSum, ThreadedBsp<float>> allreduce(&engine,
-                                                                topo);
-    allreduce.set_streaming(true);
-    allreduce.set_chunk_bytes(kChunkBytes);
-    allreduce.configure(w.in_sets, w.out_sets);
-    const auto results = allreduce.reduce(w.out_values);  // must terminate
-    ASSERT_EQ(results.size(), w.in_sets.size());
-    for (rank_t r = 0; r < m; ++r) {
-      EXPECT_EQ(results[r].size(), w.in_sets[r].size());
-    }
-    const FaultStats& stats = plan.stats();
-    EXPECT_GT(stats.dropped + stats.duplicated + stats.delayed, 0u);
   }
 }
 

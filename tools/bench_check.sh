@@ -2,7 +2,12 @@
 # Kernel perf regression gate: rebuilds bench/micro_kernels in Release,
 # re-measures every kernel row, and compares kernel_eps against the
 # committed BENCH_kernels.json. A row regressing by more than the tolerance
-# fails the script (exit 1) and the table marks it REGRESS.
+# fails the kernel gate and the table marks it REGRESS.
+#
+# Every gate below runs and prints its table whatever the earlier gates
+# said, so one flaky row cannot hide the rest; the script ends with one
+# line per gate and exits 1 if any gate failed (2 if a baseline is
+# missing; a build or measurement error still stops it at once).
 #
 # Wall-clock microbenches are noisy across hosts, so the committed artifact
 # is a same-machine baseline: refresh it (run micro_kernels, commit the
@@ -56,13 +61,29 @@ if [[ ! -f "${baseline}" ]]; then
   exit 2
 fi
 
+# run_gate NAME CMD...: run one gate (its heredoc is CMD's stdin), keep
+# going whatever it returns, and remember the verdict for the summary.
+gate_results=()
+failed_gates=0
+run_gate() {
+  local name="$1"
+  shift
+  if "$@"; then
+    gate_results+=("pass  ${name}")
+  else
+    gate_results+=("FAIL  ${name}")
+    failed_gates=$((failed_gates + 1))
+  fi
+}
+
 cmake -S "${repo_root}" -B "${build_dir}" -DCMAKE_BUILD_TYPE=Release
 cmake --build "${build_dir}" -j "$(nproc)" --target micro_kernels
 
 fresh="${build_dir}/BENCH_kernels_fresh.json"
 "${build_dir}/bench/micro_kernels" "${fresh}" > /dev/null
 
-python3 - "${baseline}" "${fresh}" "${tolerance}" <<'EOF'
+run_gate "kernel rows" \
+  python3 - "${baseline}" "${fresh}" "${tolerance}" <<'EOF'
 import json
 import sys
 
@@ -119,7 +140,9 @@ engines_threads="$(python3 -c \
 "${build_dir}/bench/wall_engines" "${engines_threads}" "${engines_fresh}" \
   > /dev/null
 
-python3 - "${engines_baseline}" "${engines_fresh}" "${engine_tolerance}" <<'EOF'
+run_gate "no-fault engine overhead" \
+  python3 - "${engines_baseline}" "${engines_fresh}" "${engine_tolerance}" \
+  <<'EOF'
 import json
 import sys
 
@@ -168,7 +191,7 @@ EOF
 # weight. The margin is deliberately modest (1.2x) — the measured advantage
 # is 2-4x, dominated by the skipped config rounds — and the strided path
 # must stay bit-identical to independent replays.
-python3 - "${engines_fresh}" <<'EOF'
+run_gate "plan reuse" python3 - "${engines_fresh}" <<'EOF'
 import json
 import sys
 
@@ -209,7 +232,7 @@ EOF
 # around the efficiency knee (the optimum lands on min_efficient_packet at
 # k = 3-4, measured 1.35-1.50x); dipping below 1.15x means per-chunk
 # overheads ate the overlap.
-python3 - "${engines_fresh}" <<'EOF'
+run_gate "streaming" python3 - "${engines_fresh}" <<'EOF'
 import json
 import sys
 
@@ -250,7 +273,7 @@ EOF
 # of bare. An impossible negative reading (instrumented "faster" than
 # bare) outside the band means the measurement drifted, and that is a
 # failure too — it used to hide real overhead behind -5% noise.
-python3 - "${engines_fresh}" <<'EOF'
+run_gate "observability overhead" python3 - "${engines_fresh}" <<'EOF'
 import json
 import sys
 
@@ -290,7 +313,7 @@ EOF
 # reported and every overlapped stream bit-identical to its serialized
 # replay (measured 1.5-1.7x at a window of 8 over 16 streams, ~95%+
 # bottleneck-NIC occupancy).
-python3 - "${engines_fresh}" <<'PYGATE'
+run_gate "async overlap" python3 - "${engines_fresh}" <<'PYGATE'
 import json
 import sys
 
@@ -340,7 +363,7 @@ PYGATE
 # hierarchical plan — only means something with real cores to shard hosts
 # across, so it is enforced when >= 4 CPUs are visible and skipped with a
 # logged reason otherwise.
-python3 - "${engines_fresh}" <<'PYHIER'
+run_gate "hierarchy" python3 - "${engines_fresh}" <<'PYHIER'
 import json
 import sys
 
@@ -393,11 +416,13 @@ PYHIER
 # restores the cached epoch-0 plan.
 cmake --build "${build_dir}" -j "$(nproc)" --target kylix_cli
 heal_json="${build_dir}/BENCH_heal_fresh.json"
-"${build_dir}/tools/kylix_cli" heal --machines 32 --features 65536 \
+rm -f "${heal_json}"
+run_gate "healing loop (kylix_cli heal exit status)" \
+  "${build_dir}/tools/kylix_cli" heal --machines 32 --features 65536 \
   --density 0.15 --replication 2 --cycles 3 --group-size 2 \
   --heal-out "${heal_json}" > /dev/null
 
-python3 - "${heal_json}" <<'PYHEAL'
+run_gate "healing cost" python3 - "${heal_json}" <<'PYHEAL'
 import json
 import sys
 
@@ -434,3 +459,14 @@ if not (ok_ratio and ok_sound and ok_degraded and ok_epochs):
 print(f"\nhealing gate passed: re-plan {ratio:.2f}x cold survivor configure "
       f"(<= {max_ratio}x), all heals and rejoins bit-identical")
 PYHEAL
+
+echo
+echo "gate summary:"
+for result in "${gate_results[@]}"; do
+  echo "  ${result}"
+done
+if ((failed_gates > 0)); then
+  echo "${failed_gates} of ${#gate_results[@]} gates failed"
+  exit 1
+fi
+echo "all ${#gate_results[@]} gates passed"

@@ -7,11 +7,15 @@
 # Only the labeled lanes run — TSan's ~10x slowdown makes the full suite
 # wasteful when most tests are single-threaded by construction (the async
 # executor among them: it replays on a one-thread engine and prices on one
-# event loop, so its lane runs under ASan only):
-#   chaos       fault injection over the real-thread engines
-#   membership  epoch swaps + heal/rejoin over threaded engines
+# event loop, so its lane runs under ASan only). Host concurrency comes
+# from one place, ParallelBspEngine's thread pool, on either delivery
+# policy (plain Wire or the replicated engine's ReplicaWire):
+#   chaos       fault injection through pooled plain and replicated engines
+#   membership  epoch swaps + heal/rejoin over pooled engines
 #   hierarchy   the intra-node single-copy stage over sharded pool workers
-#   tsan        everything else that spawns real host threads
+#   tsan        the pool itself, the engine contract at 4 threads, the
+#               replicated engine and its golden run at 4 threads, and
+#               the other tests that start pool workers
 #
 # Usage: tools/tsan_ctest.sh [build-dir] [ctest-args...]
 #   build-dir defaults to build-tsan (kept separate from the plain and asan
