@@ -36,11 +36,12 @@
 // Scaling: the pool claims contiguous rank shards (one atomic per shard, not
 // per rank), debug sender checks reuse per-worker scratch indexed by
 // ThreadPool::worker_id(), and pin_workers() optionally binds workers to
-// CPUs so a rank's node state keeps its cache home across rounds. The
-// hierarchical intra-node stage (intra_round) runs hosts across the pool —
-// hosts are independent by construction (each leader touches only its own
-// members' buffers, and the timing accumulator preallocates distinct
-// per-rank slots), so no buffering or locking is needed there.
+// CPUs so a rank's node state keeps its cache home across rounds. Stages
+// that send no letters (intra_round: the host tier, the bottom gather,
+// finish_configure, set digests) run independent tasks across the pool —
+// each writes only its own slots (a host-union slice, a rank's buffers;
+// the timing accumulator preallocates per-rank slots), so no buffering or
+// locking is needed there.
 //
 // Node algorithms are produce/expected/consume callbacks (DESIGN.md
 // decision 3); round(phase, layer, produce, expected, consume) calls, for
@@ -93,8 +94,8 @@ class ParallelBspEngine : public Delivery {
   }
 
   /// Intra-tier charges always forward directly: the accumulator holds
-  /// preallocated per-rank slots and each host's ranks are charged by
-  /// exactly one intra_round worker, so concurrent charges never alias.
+  /// preallocated per-rank slots and a rank is charged by at most one
+  /// intra_round task, so concurrent charges never alias.
   void charge_intra(Phase phase, rank_t rank, double seconds) {
     TimingAccumulator* timing = this->timing();
     if (timing == nullptr) return;
@@ -103,18 +104,17 @@ class ParallelBspEngine : public Delivery {
     });
   }
 
-  /// Intra-node stage of a hierarchical topology: hosts are mutually
-  /// independent (a leader reduces only from its own members' buffers), so
-  /// they run across the pool. No letters, trace, or observer events — the
-  /// shared-memory tier has nothing on the wire to record. fn must skip
-  /// dead ranks itself (it sees the member list; the engine only sees
-  /// hosts here).
+  /// Any pooled stage with no letters: fn(0..num_tasks-1) across the
+  /// pool. Tasks must be independent (a host, a slice of a host union, a
+  /// rank's bottom gather, a set digest); the caller keeps what must be
+  /// serial on its own thread. No trace or observer events — nothing is on
+  /// the wire. fn must skip dead ranks itself.
   template <typename Fn>
-  void intra_round(Phase phase, rank_t num_hosts, Fn&& fn) {
+  void intra_round(Phase phase, rank_t num_tasks, Fn&& fn) {
     (void)phase;
     this->sync();
-    pool_.parallel_for(num_hosts,
-                       [&](std::size_t h) { fn(static_cast<rank_t>(h)); });
+    pool_.parallel_for(num_tasks,
+                       [&](std::size_t t) { fn(static_cast<rank_t>(t)); });
   }
 
   template <typename ProduceFn, typename ExpectedFn, typename ConsumeFn>

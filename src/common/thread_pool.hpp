@@ -9,8 +9,9 @@
 // same worker. The grain is ⌈n/threads⌉, so a batch has at most `threads`
 // shards: a thread that finishes early finds another shard only if some
 // thread has not yet woken to claim it. Skewed per-index costs are not
-// rebalanced, and a batch with fewer shards than threads leaves threads
-// idle (4 hosts on 3 threads are two shards of two, run on 2 threads).
+// rebalanced, and fewer shards than threads leave threads idle (4 tasks
+// on 3 threads are two shards of two), so callers cut coarse work finer:
+// 4 host folds of 8 slices each are shards of 11, 11 and 10 tasks.
 //
 // Batch protocol: the caller publishes the loop body under the mutex, bumps
 // a generation counter, and wakes every worker. Each worker checks in

@@ -28,7 +28,9 @@
 
 #include <algorithm>
 #include <concepts>
+#include <exception>
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -106,7 +108,7 @@ class SparseAllreduce {
   [[nodiscard]] std::shared_ptr<const CollectivePlan> compile(
       std::vector<KeySet> in_sets, std::vector<KeySet> out_sets) {
     const std::uint64_t fp =
-        salt_fingerprint(fingerprint_key_sets(in_sets, out_sets));
+        salt_fingerprint(key_fingerprint(in_sets, out_sets));
     return compile_keyed(std::move(in_sets), std::move(out_sets), fp);
   }
 
@@ -134,7 +136,7 @@ class SparseAllreduce {
   bool configure_cached(PlanCache& cache, std::vector<KeySet> in_sets,
                         std::vector<KeySet> out_sets) {
     const std::uint64_t fp =
-        salt_fingerprint(PlanCache::fingerprint(in_sets, out_sets));
+        salt_fingerprint(key_fingerprint(in_sets, out_sets));
     if (std::shared_ptr<const CollectivePlan> plan = cache.find(fp)) {
       configure(std::move(plan));
       return true;
@@ -313,6 +315,20 @@ class SparseAllreduce {
 
  private:
   using Node = KylixNode<V, Op>;
+
+  /// PlanCache::fingerprint, one set_digest per pooled task.
+  [[nodiscard]] std::uint64_t key_fingerprint(
+      const std::vector<KeySet>& in_sets, const std::vector<KeySet>& out_sets) {
+    const std::size_t ins = in_sets.size();
+    digests_.resize(ins + out_sets.size());
+    engine_->intra_round(
+        Phase::kConfig, static_cast<rank_t>(digests_.size()), [&](rank_t i) {
+          digests_[i] = set_digest(i < ins ? in_sets[i].keys()
+                                           : out_sets[i - ins].keys());
+        });
+    const std::span<const std::uint64_t> digests(digests_);
+    return chain_set_digests(digests.first(ins), digests.subspan(ins));
+  }
 
   /// compile() with the salted key already computed (configure_cached
   /// looked it up), so a cache miss hashes the key sets once.
@@ -537,12 +553,29 @@ class SparseAllreduce {
                   }) {
       degraded = engine_->degraded_allowed() && engine_->has_failed();
     }
+    // Hierarchical non-leaders never configure as nodes; their RankPlans
+    // are filled from the intra tier in compile_hierarchical.
+    const auto finishes = [&](rank_t r) {
+      return !engine_->is_dead(r) &&
+             (!topo_.hierarchical() || topo_.is_leader(r));
+    };
     for (Node& node : nodes_) {
-      if (engine_->is_dead(node.rank())) continue;
-      // Hierarchical non-leaders never configure as nodes; their RankPlans
-      // are filled from the intra tier in compile_hierarchical.
-      if (topo_.hierarchical() && !topo_.is_leader(node.rank())) continue;
-      node.finish_configure(degraded);
+      if (finishes(node.rank())) node.reserve_finish();
+    }
+    // Nodes finish across the pool; the lowest failing rank's error is
+    // rethrown, the one a serial loop would stop at.
+    std::vector<std::exception_ptr> errors(nodes_.size());
+    engine_->intra_round(Phase::kConfig, static_cast<rank_t>(errors.size()),
+                         [&](rank_t r) {
+                           if (!finishes(r)) return;
+                           try {
+                             nodes_[r].finish_configure(degraded);
+                           } catch (...) {
+                             errors[r] = std::current_exception();
+                           }
+                         });
+    for (const std::exception_ptr& e : errors) {
+      if (e) std::rethrow_exception(e);
     }
   }
 
@@ -672,6 +705,7 @@ class SparseAllreduce {
   std::vector<Letter<V>> empty_letters_;  ///< hierarchical non-leader rounds
   std::vector<rank_t> empty_ranks_;
   std::vector<NodeScratch<V>> scratch_;  ///< per-rank, survives build_nodes
+  std::vector<std::uint64_t> digests_;   ///< per-set, fingerprint() scratch
   std::shared_ptr<const CollectivePlan> plan_;
   ReduceExecutor<V, Op, Engine> executor_;
 };

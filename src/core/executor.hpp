@@ -71,6 +71,11 @@ class SparseAllreduce;
 template <typename V, typename Op = OpSum, typename Engine = void>
 class ReduceExecutor {
  public:
+  /// intra_down's slices of a host union: enough tasks to keep every pool
+  /// thread busy when hosts are fewer than threads.
+  static constexpr std::size_t kHostSlicePositions = 1024;
+  static constexpr std::size_t kMaxHostSlices = 8;
+
   ReduceExecutor() = default;
 
   /// Bind to `engine` (not owned, must outlive the executor) and `plan`.
@@ -96,6 +101,9 @@ class ReduceExecutor {
     for (ReplayScratch<V>& s : state_) {
       if (s.letters.size() < l) s.letters.resize(l);
     }
+    tasks_.reserve(std::max<std::size_t>(
+        plan_->num_ranks(), plan_->intra_hosts().size() * kMaxHostSlices));
+    gatherers_.reserve(plan_->num_ranks());
   }
 
   [[nodiscard]] bool bound() const { return plan_ != nullptr; }
@@ -228,6 +236,7 @@ class ReduceExecutor {
   /// of hierarchical plans, and the results; closes the telemetry.
   [[nodiscard]] std::vector<std::vector<V>> finish_replay() {
     const std::uint16_t l = plan_->topology().num_layers();
+    gatherers_.clear();
     for (rank_t r = 0; r < plan_->num_ranks(); ++r) {
       const RankPlan& rp = plan_->rank_plan(r);
       // Hierarchical members hold no per-layer state: only union-holding
@@ -237,9 +246,17 @@ class ReduceExecutor {
           (plan_->hierarchical() && !plan_->topology().is_leader(r))) {
         continue;
       }
-      Ops::begin_up(ctx_, state_[r], r);
-      charge(Phase::kReduceDown, l, r);
+      Ops::reserve_up(ctx_, state_[r], r);
+      gatherers_.push_back(r);
     }
+    // A pooled stage; the charges follow in ascending rank, the order of
+    // additions of a serial loop.
+    engine_->intra_round(Phase::kReduceDown,
+                         static_cast<rank_t>(gatherers_.size()), [&](rank_t i) {
+                           Ops::begin_up(ctx_, state_[gatherers_[i]],
+                                         gatherers_[i]);
+                         });
+    for (const rank_t r : gatherers_) charge(Phase::kReduceDown, l, r);
     for (std::uint16_t layer = l; layer >= 1; --layer) {
       run_round(Phase::kReduceUp, layer);
       collect_spent();
@@ -321,86 +338,103 @@ class ReduceExecutor {
   /// into the host out-union — single copy, no Packet serialization — in
   /// ascending member rank, the same per-position op order a flat layer
   /// over the host would produce (the c=1 / flat-expansion bit-identity
-  /// argument). The fold is each contribution's first read, so every
-  /// folded member then hands its input buffer to its result slot. A host
-  /// whose leader is dead contributes nothing (its members complete
-  /// degraded in intra_up). Hosts are independent, so engines may fan this
-  /// across threads.
+  /// argument). Each folded member's input buffer moves to its result slot
+  /// first, and the fold reads it there. A host whose leader is dead
+  /// contributes nothing (its members complete degraded in intra_up). The
+  /// pool runs slices of host-union positions: a task owns its slice, so
+  /// each position keeps its serial combine order.
   void intra_down() {
-    const rank_t hosts = static_cast<rank_t>(plan_->intra_hosts().size());
-    engine_->intra_round(Phase::kReduceDown, hosts, [&](rank_t h) {
+    tasks_.clear();
+    const std::size_t stride = ctx_.stride;
+    for (rank_t h = 0; h < plan_->intra_hosts().size(); ++h) {
       const IntraHost& ih = plan_->intra_host(h);
-      if (ih.leader == kNoLeader || engine_->is_dead(ih.leader)) return;
+      if (ih.leader == kNoLeader || engine_->is_dead(ih.leader)) continue;
       ReplayScratch<V>& leader = state_[ih.leader];
-      leader.merged.assign(ih.out_union_size * ctx_.stride,
-                           Op::template identity<V>());
+      std::swap(leader.v, leader.merged);
+      const std::size_t n = ih.out_union_size;
+      reserve_fresh(leader.v, n * stride);
+      leader.v.resize(n * stride);
       double elements = 0.0;
       std::uint32_t peers = 0;
+      for (const rank_t m : ih.members) {
+        if (engine_->is_dead(m)) continue;
+        elements += static_cast<double>(state_[m].in.size());
+        ++peers;
+        Ops::hand_off_input(state_[m]);
+      }
+      charge_intra(Phase::kReduceDown, ih.leader, elements, peers);
+      const std::size_t k =
+          std::clamp<std::size_t>(n / kHostSlicePositions, 1, kMaxHostSlices);
+      for (std::size_t j = 0; j < k; ++j) {
+        tasks_.push_back({h, n * j / k, n * (j + 1) / k});
+      }
+    }
+    const auto tasks = static_cast<rank_t>(tasks_.size());
+    engine_->intra_round(Phase::kReduceDown, tasks, [&](rank_t t) {
+      const auto [h, lo, hi] = tasks_[t];
+      const IntraHost& ih = plan_->intra_host(h);
+      const std::span<V> out(state_[ih.leader].v);
+      std::fill(out.begin() + lo * stride, out.begin() + hi * stride,
+                Op::template identity<V>());
       for (std::size_t i = 0; i < ih.members.size(); ++i) {
-        const rank_t m = ih.members[i];
         // A member dead at replay is skipped — its contribution is lost,
         // exactly as a flat layer-1 crash of the same rank.
-        if (engine_->is_dead(m)) continue;
-        ReplayScratch<V>& member = state_[m];
+        if (engine_->is_dead(ih.members[i])) continue;
+        // Maps are strictly increasing: the slice's part is one range.
+        const std::span<const pos_t> map(ih.out_maps[i]);
+        const std::size_t a =
+            std::lower_bound(map.begin(), map.end(), lo) - map.begin();
+        const std::size_t b =
+            std::lower_bound(map.begin(), map.end(), hi) - map.begin();
         scatter_combine_strided<V, Op>(
-            std::span<V>(leader.merged), std::span<const V>(member.in),
-            std::span<const pos_t>(ih.out_maps[i]), ctx_.stride);
-        elements += static_cast<double>(member.in.size());
-        ++peers;
-        Ops::hand_off_input(member);
+            out,
+            std::span<const V>(state_[ih.members[i]].vin)
+                .subspan(a * stride, (b - a) * stride),
+            map.subspan(a, b - a), stride);
       }
-      std::swap(leader.v, leader.merged);
-      charge_intra(Phase::kReduceDown, ih.leader, elements, peers);
     });
   }
 
-  /// Shared-memory allgather retrace: members gather their requested keys
-  /// straight out of their leader's host in-union result. When the host
-  /// lost its leader mid-run, its members resolve every requested key to
-  /// the reduction identity (the host never entered the inter-node
-  /// exchange), mirroring the degraded semantics of a dead flat rank's
-  /// group peers.
+  /// Shared-memory allgather retrace, one task per (host, member): members
+  /// gather their requested keys straight out of their leader's host
+  /// in-union result, which first moves to the leader's `merged` so the
+  /// leader can gather its own into `vin`. When the host lost its leader
+  /// mid-run, its members resolve every requested key to the reduction
+  /// identity (the host never entered the inter-node exchange), mirroring
+  /// the degraded semantics of a dead flat rank's group peers.
   void intra_up() {
-    const rank_t hosts = static_cast<rank_t>(plan_->intra_hosts().size());
-    engine_->intra_round(Phase::kReduceUp, hosts, [&](rank_t h) {
+    tasks_.clear();
+    for (rank_t h = 0; h < plan_->intra_hosts().size(); ++h) {
       const IntraHost& ih = plan_->intra_host(h);
-      const bool leader_alive =
+      const bool alive =
           ih.leader != kNoLeader && !engine_->is_dead(ih.leader);
+      if (alive) std::swap(state_[ih.leader].vin, state_[ih.leader].merged);
       double elements = 0.0;
       std::uint32_t peers = 0;
       for (std::size_t i = 0; i < ih.members.size(); ++i) {
         const rank_t m = ih.members[i];
         if (engine_->is_dead(m)) continue;
         ReplayScratch<V>& s = state_[m];
-        if (!leader_alive) {
-          pool_refill(s.value_pool, s.vin);
+        pool_refill(s.value_pool, s.vin);
+        if (!alive) {
           s.vin.assign(plan_->rank_plan(m).in0.size() * ctx_.stride,
                        Op::template identity<V>());
           continue;
         }
-        if (m == ih.leader) continue;  // last: everyone reads its vin
-        pool_refill(s.value_pool, s.vin);
-        gather_strided_into(std::span<const V>(state_[ih.leader].vin),
-                            std::span<const pos_t>(ih.in_maps[i]),
-                            ctx_.stride, s.vin);
-        elements += static_cast<double>(s.vin.size());
+        const std::size_t n = ih.in_maps[i].size() * ctx_.stride;
+        reserve_fresh(s.vin, n);
+        elements += static_cast<double>(n);
         ++peers;
+        tasks_.push_back({h, i, 0});
       }
-      if (leader_alive) {
-        // The canonical leader is the lowest rank of its host, so when
-        // alive at compile it is members[0]; its own member-aligned
-        // result ping-pongs through `merged` to avoid aliasing vin.
-        ReplayScratch<V>& leader = state_[ih.leader];
-        KYLIX_DCHECK(!ih.members.empty() &&
-                     ih.members.front() == ih.leader);
-        gather_strided_into(std::span<const V>(leader.vin),
-                            std::span<const pos_t>(ih.in_maps[0]),
-                            ctx_.stride, leader.merged);
-        std::swap(leader.vin, leader.merged);
-        elements += static_cast<double>(leader.vin.size());
-        ++peers;
-        charge_intra(Phase::kReduceUp, ih.leader, elements, peers);
-      }
+      if (alive) charge_intra(Phase::kReduceUp, ih.leader, elements, peers);
+    }
+    const auto tasks = static_cast<rank_t>(tasks_.size());
+    engine_->intra_round(Phase::kReduceUp, tasks, [&](rank_t t) {
+      const IntraHost& ih = plan_->intra_host(tasks_[t].host);
+      gather_strided_into(std::span<const V>(state_[ih.leader].merged),
+                          std::span<const pos_t>(ih.in_maps[tasks_[t].lo]),
+                          ctx_.stride, state_[ih.members[tasks_[t].lo]].vin);
     });
   }
 
@@ -446,6 +480,9 @@ class ReduceExecutor {
     }
   }
 
+  /// Union positions [lo, hi) of `host` (intra_down), or its member lo.
+  struct HostTask { rank_t host; std::size_t lo, hi; };
+
   Engine* engine_ = nullptr;
   const ComputeModel* compute_ = nullptr;
   const NetworkModel* net_ = nullptr;
@@ -463,6 +500,8 @@ class ReduceExecutor {
   std::uint64_t round_blocks_flushed_ = 0;   ///< reduce-so-far flush total
   std::uint64_t round_peak_stream_bytes_ = 0;  ///< reduce-so-far watermark
   std::vector<ReplayScratch<V>> state_;
+  std::vector<HostTask> tasks_;     ///< reserved at bind, as is gatherers_
+  std::vector<rank_t> gatherers_;  ///< the ranks that run the bottom gather
 };
 
 }  // namespace kylix

@@ -227,6 +227,14 @@ class KylixNode {
     }
   }
 
+  /// Room in the plan slot for a pooled finish_configure.
+  void reserve_finish() {
+    const std::uint16_t l = topo_->num_layers();
+    slot_->bottom_map.reserve(in_set(l).size());
+    slot_->in_sizes.reserve(l + 1);
+    slot_->out_sizes.reserve(l + 1);
+  }
+
   /// After the last config layer: locate every bottom in-key inside the
   /// bottom out-keys and complete the plan slot. Throws check_error if some
   /// requested index was never contributed by any machine (the ∪in ⊆ ∪out

@@ -63,8 +63,6 @@ std::uint64_t CollectivePlan::reduce_wire_bytes(std::size_t value_bytes,
   return bytes;
 }
 
-namespace {
-
 /// Digest of one key set. Key p feeds lane p mod kLanes with one
 /// xor-multiply-xorshift step, so the lanes are independent dependency
 /// chains the core overlaps, not one mix64 chain through every key. Keys
@@ -96,18 +94,31 @@ std::uint64_t set_digest(std::span<const key_t> keys) {
   return h;
 }
 
-}  // namespace
+/// The chain behind both fingerprint forms. Its seed holds both set
+/// counts and a separator splits the roles, so a workload whose in and out
+/// sets swap does not collide; the digests go in rank order.
+template <typename InDigest, typename OutDigest>
+static std::uint64_t chain(std::size_t ins, std::size_t outs, InDigest in,
+                           OutDigest out) {
+  std::uint64_t h = mix64(0x6b796c6978ULL ^ (ins << 1) ^ outs);
+  for (std::size_t r = 0; r < ins; ++r) h = mix64(h ^ in(r));
+  h = mix64(h ^ 0x9e3779b97f4a7c15ULL);
+  for (std::size_t r = 0; r < outs; ++r) h = mix64(h ^ out(r));
+  return h == 0 ? 1 : h;  // reserve 0 for "no fingerprint"
+}
+
+std::uint64_t chain_set_digests(std::span<const std::uint64_t> in,
+                                std::span<const std::uint64_t> out) {
+  return chain(in.size(), out.size(), [&](std::size_t r) { return in[r]; },
+               [&](std::size_t r) { return out[r]; });
+}
 
 std::uint64_t fingerprint_key_sets(std::span<const KeySet> in_sets,
                                    std::span<const KeySet> out_sets) {
-  // Seed separates role and shape: a workload where some rank's in and out
-  // sets swap must not collide. Per-set digests are chained in rank order.
-  std::uint64_t h = mix64(0x6b796c6978ULL ^ (in_sets.size() << 1) ^
-                          out_sets.size());
-  for (const KeySet& set : in_sets) h = mix64(h ^ set_digest(set.keys()));
-  h = mix64(h ^ 0x9e3779b97f4a7c15ULL);
-  for (const KeySet& set : out_sets) h = mix64(h ^ set_digest(set.keys()));
-  return h == 0 ? 1 : h;  // reserve 0 for "no fingerprint"
+  return chain(
+      in_sets.size(), out_sets.size(),
+      [&](std::size_t r) { return set_digest(in_sets[r].keys()); },
+      [&](std::size_t r) { return set_digest(out_sets[r].keys()); });
 }
 
 }  // namespace kylix

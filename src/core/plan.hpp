@@ -190,4 +190,10 @@ class CollectivePlan {
 [[nodiscard]] std::uint64_t fingerprint_key_sets(
     std::span<const KeySet> in_sets, std::span<const KeySet> out_sets);
 
+/// fingerprint_key_sets in two halves, for callers that digest the sets in
+/// parallel: chaining every set's set_digest gives the same fingerprint.
+[[nodiscard]] std::uint64_t set_digest(std::span<const key_t> keys);
+[[nodiscard]] std::uint64_t chain_set_digests(
+    std::span<const std::uint64_t> in, std::span<const std::uint64_t> out);
+
 }  // namespace kylix

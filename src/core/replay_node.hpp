@@ -17,10 +17,11 @@
 // spent list that returns consumed buffers to their sender's pool at a
 // quiescent point. The contribution is never copied: load_input moves the
 // caller's vector into `in`, the first stage that needs it reads it there
-// (layer-1 produce on flat plans, intra_down on hierarchical ones, layer-1
-// config_produce in combined mode, begin_up when there is no layer), and
-// hand_off_input then moves that buffer into the rank's empty result slot
-// — one buffer in and one out per rank and reduce, none of them parked in
+// (layer-1 produce on flat plans, layer-1 config_produce in combined mode,
+// begin_up when there is no layer), and hand_off_input then moves that
+// buffer into the rank's empty result slot (intra_down on hierarchical
+// plans hands it off first and folds it from there) — one buffer in and
+// one out per rank and reduce, none of them parked in
 // a pool. Warm replays allocate nothing inside the rounds
 // (tests/core/alloc_test).
 #pragma once
@@ -61,6 +62,17 @@ void pool_refill(std::vector<std::vector<T>>& pool, std::vector<T>& buf) {
     buf = std::move(pool.back());
     pool.pop_back();
     buf.clear();
+  }
+}
+
+/// Room for `n` values in `buf`, whose contents are dead, so growing it
+/// copies nothing. Pooled stages call it on the driving thread first: the
+/// workers that fill `buf` then never allocate.
+template <typename T>
+void reserve_fresh(std::vector<T>& buf, std::size_t n) {
+  if (buf.capacity() < n) {
+    buf.clear();
+    buf.reserve(n);
   }
 }
 
@@ -185,8 +197,8 @@ struct ReplayOps {
     return layer == 1 && !ctx.plan->hierarchical();
   }
 
-  /// After the first reader: the read contribution becomes the rank's
-  /// result buffer. The slot is empty — the last result left with the
+  /// At the first reader: the contribution becomes the rank's result
+  /// buffer. The slot is empty — the last result left with the
   /// caller — unless the rank was dead at the last collect, whose stale
   /// buffer this frees. Never pooled: a pooled input grows the pools by
   /// one contribution per rank.
@@ -311,6 +323,18 @@ struct ReplayOps {
     std::swap(s.v, merged);
   }
 
+  /// Size begin_up's up buffer for the whole up pass. The executor calls
+  /// this on the driving thread before its pooled bottom gather.
+  static void reserve_up(const ReplayContext& ctx, ReplayScratch<V>& s,
+                         rank_t r) {
+    const RankPlan& rp = ctx.plan->rank_plan(r);
+    const std::uint16_t l = ctx.plan->topology().num_layers();
+    std::vector<V>& up = reads_input(ctx, l + 1) ? s.merged : s.vin;
+    pool_refill(s.value_pool, up);
+    reserve_fresh(up,
+                  std::max(rp.up_capacity, rp.bottom_map.size()) * ctx.stride);
+  }
+
   /// Bottom gather: the fully reduced out-values of node layer l, picked by
   /// bottom_map into the up buffer. With no comm layer (m = 1) the bottom
   /// is the contribution itself, read here in place: the gather lands in
@@ -324,8 +348,7 @@ struct ReplayOps {
     const std::vector<V>& bottom = input ? s.in : s.v;
     std::vector<V>& up = input ? s.merged : s.vin;
     KYLIX_DCHECK(bottom.size() == rp.out_sizes[l] * ctx.stride);
-    pool_refill(s.value_pool, up);
-    up.reserve(std::max(rp.up_capacity, rp.bottom_map.size()) * ctx.stride);
+    reserve_up(ctx, s, r);
     if (rp.missing_bottom.empty()) {
       gather_strided_into(std::span<const V>(bottom), rp.bottom_map,
                           ctx.stride, up);

@@ -9,13 +9,17 @@
 // engines (float, double, strided), the c == 1 degeneration (results,
 // traces, and fingerprint all equal the flat run), PlanCache coexistence
 // of hierarchical and flat plans over the same key sets, the intra/inter
-// timing split, canonical-leader degraded semantics, and that the host
-// unions compile the same plan at every thread count.
+// timing split, canonical-leader degraded semantics, that the host
+// unions compile the same plan at every thread count, and that the pooled
+// stages (sliced host folds, bottom gather, finish_configure, set digests)
+// give the same bits and modeled times at 1, 3 and 4 threads.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -25,6 +29,8 @@
 #include "cluster/netmodel.hpp"
 #include "cluster/timing.hpp"
 #include "cluster/trace.hpp"
+#include "common/hash.hpp"
+#include "common/rng.hpp"
 #include "comm/parallel.hpp"
 #include "comm/replicated.hpp"
 #include "core/allreduce.hpp"
@@ -540,6 +546,275 @@ TEST(HierarchyCompile, PlanIsIdenticalAtEveryThreadCount) {
   ASSERT_EQ(pool.num_threads(), 4u);
   expect_same_plan(*reference.plan, *pooled.plan);
   EXPECT_EQ(reference.intra_config, pooled.intra_config);
+}
+
+// ---- Pooled stages: sliced host folds, bottom gather, finish, digests ----
+
+using HierEngine = ParallelBspEngine<float>;
+using HierAllreduce = SparseAllreduce<float, OpSum, HierEngine>;
+using HierExecutor = ReduceExecutor<float, OpSum, HierEngine>;
+
+/// Key j of quarter q of the key space (the top two bits are q).
+key_t quarter_key(std::uint64_t q, std::uint64_t j) {
+  return (q << 62) | (hash_index(j) >> 2);
+}
+
+/// Banded workload over 4-core hosts: core k contributes keys of quarter
+/// k, so its keys form one contiguous band of its host's union. Cores 0, 2
+/// and 3 also share keys of quarter 0 (so the fold combines there), and
+/// core 1's band is long enough to hold whole slices by itself. Values are
+/// rough floats: any reordered combine changes their bits.
+Workload<float> banded_workload(rank_t m, std::uint64_t seed) {
+  Rng rng(seed);
+  Workload<float> w;
+  std::vector<key_t> contributed;
+  for (rank_t r = 0; r < m; ++r) {
+    const std::uint64_t core = r % 4;
+    std::vector<key_t> keys;
+    for (std::uint64_t j = 0; j < 4000; ++j) {
+      if (core == 1 ? rng.uniform() < 0.7 : j < 1000 && rng.uniform() < 0.5) {
+        keys.push_back(quarter_key(core, j));
+      }
+      if (core != 1 && j < 1000 && rng.uniform() < 0.5) {
+        keys.push_back(quarter_key(0, j));
+      }
+    }
+    w.out_sets.push_back(KeySet::from_keys(keys));
+    contributed.insert(contributed.end(), w.out_sets.back().begin(),
+                       w.out_sets.back().end());
+  }
+  const KeySet all = KeySet::from_keys(contributed);
+  for (rank_t r = 0; r < m; ++r) {
+    std::vector<key_t> keys;
+    for (const key_t key : all) {
+      if (rng.uniform() < 0.25) keys.push_back(key);
+    }
+    w.in_sets.push_back(KeySet::from_keys(keys));
+    std::vector<float> values;
+    for (std::size_t p = 0; p < w.out_sets[r].size(); ++p) {
+      values.push_back(0.1f + 0.001f * static_cast<float>(rng.below(1000)));
+    }
+    w.out_values.push_back(std::move(values));
+  }
+  return w;
+}
+
+std::string hex(double x) {
+  std::ostringstream out;
+  out << std::hexfloat << x;
+  return out.str();
+}
+
+struct PooledRun {
+  std::vector<std::vector<float>> results;
+  std::string intra, down, up;  ///< modeled times, as hex floats
+};
+
+/// Configure `w` over `topo` on a `threads`-thread engine, kill `dead`
+/// (if any) after configure, and replay `values` at `stride`.
+PooledRun run_pooled(const Topology& topo, const Workload<float>& w,
+                     const std::vector<std::vector<float>>& values,
+                     std::uint32_t stride, unsigned threads, bool streamed,
+                     rank_t dead = kNoLeader) {
+  const rank_t m = topo.num_machines();
+  const NetworkModel net;
+  const ComputeModel compute;
+  FailureModel failures(m);
+  TimingAccumulator timing(m, net, compute);
+  HierEngine engine(m, threads, &failures, nullptr, &timing);
+  HierAllreduce allreduce(&engine, topo, &compute);
+  allreduce.set_network(&net);
+  allreduce.configure(w.in_sets, w.out_sets);
+  if (dead != kNoLeader) failures.kill(dead);
+  allreduce.set_streaming(streamed);
+  allreduce.set_chunk_bytes(1024);
+  PooledRun run;
+  run.results = allreduce.reduce_strided(values, stride);
+  const auto times = timing.times();
+  run.intra = hex(times.intra());
+  run.down = hex(times.reduce_down);
+  run.up = hex(times.reduce_up);
+  return run;
+}
+
+std::vector<std::vector<float>> interleave3(const Workload<float>& w) {
+  std::vector<std::vector<float>> strided(w.out_values.size());
+  for (std::size_t r = 0; r < w.out_values.size(); ++r) {
+    for (const float v : w.out_values[r]) {
+      for (int s = 0; s < 3; ++s) strided[r].push_back(v + 0.013f * s);
+    }
+  }
+  return strided;
+}
+
+TEST(HierarchyPooled, SlicedFoldsAreBitIdenticalAtEveryThreadCount) {
+  // 5 hosts on 3 or 4 threads: a host count that is no multiple of either.
+  const Topology hier({5}, 4);
+  const Topology flat({4, 5});
+  const rank_t m = hier.num_machines();
+  const auto w = banded_workload(m, 1500);
+  const auto values = interleave3(w);
+
+  // Every host's union is cut into at least 3 slices, and core 1's band
+  // alone covers a whole slice of host 0 (positions [lo, hi) of the union
+  // hold core 1's keys only).
+  HierEngine probe(m, 1);
+  HierAllreduce compiler(&probe, hier);
+  const auto plan = compiler.compile(w.in_sets, w.out_sets);
+  for (rank_t h = 0; h < hier.num_hosts(); ++h) {
+    EXPECT_GE(plan->intra_host(h).out_union_size,
+              3 * HierExecutor::kHostSlicePositions)
+        << "host " << h;
+  }
+  const IntraHost& host0 = plan->intra_host(0);
+  const std::size_t slices = std::min(
+      host0.out_union_size / HierExecutor::kHostSlicePositions,
+      HierExecutor::kMaxHostSlices);
+  bool band_holds_a_slice = false;
+  for (std::size_t k = 0; k < slices; ++k) {
+    const std::size_t lo = host0.out_union_size * k / slices;
+    const std::size_t hi = host0.out_union_size * (k + 1) / slices;
+    bool others = false;
+    for (const std::size_t i : {0, 2, 3}) {
+      const PosMap& map = host0.out_maps[i];
+      const auto first = std::lower_bound(map.begin(), map.end(), lo);
+      others = others || (first != map.end() && *first < hi);
+    }
+    band_holds_a_slice = band_holds_a_slice || !others;
+  }
+  EXPECT_TRUE(band_holds_a_slice);
+
+  ParallelBspEngine<float> fe(m, 1);
+  HierAllreduce flat_ar(&fe, flat);
+  flat_ar.configure(w.in_sets, w.out_sets);
+  const auto flat_results = flat_ar.reduce_strided(values, 3);
+
+  // Streaming reprices the wire, so modeled times compare within a mode.
+  for (const bool streamed : {false, true}) {
+    const PooledRun reference = run_pooled(hier, w, values, 3, 1, streamed);
+    for (const unsigned threads : {1u, 3u, 4u}) {
+      SCOPED_TRACE(std::to_string(threads) + " threads" +
+                   (streamed ? ", streamed" : ""));
+      const PooledRun run = run_pooled(hier, w, values, 3, threads, streamed);
+      EXPECT_EQ(run.results, flat_results);
+      EXPECT_EQ(run.intra, reference.intra);
+      EXPECT_EQ(run.down, reference.down);
+      EXPECT_EQ(run.up, reference.up);
+    }
+  }
+}
+
+TEST(HierarchyPooled, RanksDeadAtReplayMatchAtEveryThreadCount) {
+  const Topology hier({5}, 4);
+  const rank_t m = hier.num_machines();
+  const auto w = banded_workload(m, 1600);
+  const auto values = interleave3(w);
+  // Core 1 of host 0 (its band leaves whole slices with no live member),
+  // then host 2's canonical leader.
+  for (const rank_t dead : {rank_t{1}, hier.leader_rank(2)}) {
+    SCOPED_TRACE("rank " + std::to_string(dead) + " dead at replay");
+    const auto expected =
+        run_pooled(hier, w, values, 3, 1, false, dead).results;
+    EXPECT_TRUE(expected[dead].empty());
+    if (dead == hier.leader_rank(2)) {
+      // The leaderless host's members resolve every key to the identity.
+      const rank_t member = dead + 1;
+      EXPECT_EQ(expected[member],
+                std::vector<float>(3 * w.in_sets[member].size(), 0.0f));
+    } else {
+      // A dead member's contribution is lost and nothing else: the others
+      // read what a live member contributing zeros would leave them.
+      auto zeroed = values;
+      std::fill(zeroed[dead].begin(), zeroed[dead].end(), 0.0f);
+      auto alive = run_pooled(hier, w, zeroed, 3, 1, false).results;
+      alive[dead].clear();
+      EXPECT_EQ(expected, alive);
+    }
+    for (const bool streamed : {false, true}) {
+      const PooledRun reference =
+          run_pooled(hier, w, values, 3, 1, streamed, dead);
+      EXPECT_EQ(reference.results, expected);
+      for (const unsigned threads : {3u, 4u}) {
+        SCOPED_TRACE(std::to_string(threads) + " threads" +
+                     (streamed ? ", streamed" : ""));
+        const PooledRun run =
+            run_pooled(hier, w, values, 3, threads, streamed, dead);
+        EXPECT_EQ(run.results, reference.results);
+        EXPECT_EQ(run.intra, reference.intra);
+        EXPECT_EQ(run.down, reference.down);
+        EXPECT_EQ(run.up, reference.up);
+      }
+    }
+  }
+}
+
+TEST(HierarchyPooled, PooledFingerprintMatchesTheSerialOne) {
+  const Topology hier({5}, 4);
+  const rank_t m = hier.num_machines();
+  const auto w = banded_workload(m, 1700);
+
+  // The digest split chains to fingerprint_key_sets.
+  std::vector<std::uint64_t> in_digests;
+  std::vector<std::uint64_t> out_digests;
+  for (rank_t r = 0; r < m; ++r) {
+    in_digests.push_back(set_digest(w.in_sets[r].keys()));
+    out_digests.push_back(set_digest(w.out_sets[r].keys()));
+  }
+  EXPECT_EQ(chain_set_digests(in_digests, out_digests),
+            fingerprint_key_sets(w.in_sets, w.out_sets));
+
+  HierEngine one(m, 1);
+  HierEngine four(m, 4);
+  HierAllreduce on_one(&one, hier);
+  HierAllreduce on_four(&four, hier);
+  EXPECT_EQ(on_one.compile(w.in_sets, w.out_sets)->fingerprint(),
+            on_four.compile(w.in_sets, w.out_sets)->fingerprint());
+
+  PlanCache cache(4);
+  HierAllreduce first(&one, hier);
+  HierAllreduce second(&four, hier);
+  EXPECT_FALSE(first.configure_cached(cache, w.in_sets, w.out_sets));
+  EXPECT_TRUE(second.configure_cached(cache, w.in_sets, w.out_sets));
+  EXPECT_EQ(second.plan().get(), first.plan().get());
+}
+
+TEST(HierarchyPooled, FinishConfigureThrowsTheLowestRanksError) {
+  const Topology hier({5}, 4);
+  const rank_t m = hier.num_machines();
+  auto w = random_workload<float>(m, 300, 0.2, 0.3, 1800);
+  // Two indices nobody contributes, whose bottom owners are hosts 1 and 3.
+  // Host 1's leader is the lower failing rank, whichever thread gets there
+  // first.
+  const auto owner = [&](index_t index) {
+    for (rank_t h = 0; h < hier.num_hosts(); ++h) {
+      if (hier.key_range(hier.num_layers(), hier.leader_rank(h))
+              .contains(hash_index(index))) {
+        return h;
+      }
+    }
+    return hier.num_hosts();
+  };
+  index_t low = 0;
+  index_t high = 0;
+  for (index_t index = 1000; low == 0 || high == 0; ++index) {
+    if (low == 0 && owner(index) == 1) low = index;
+    if (high == 0 && owner(index) == 3) high = index;
+  }
+  const auto request = [&](rank_t r, index_t index) {
+    std::vector<key_t> keys(w.in_sets[r].begin(), w.in_sets[r].end());
+    keys.push_back(hash_index(index));
+    w.in_sets[r] = KeySet::from_keys(keys);
+  };
+  request(2, high);   // rank 2 is on host 0
+  request(19, low);   // rank 19 is on host 4
+  for (const unsigned threads : {1u, 4u}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    HierEngine engine(m, threads);
+    HierAllreduce allreduce(&engine, hier);
+    testing::expect_check_message(
+        [&] { allreduce.configure(w.in_sets, w.out_sets); },
+        "requested index " + std::to_string(low) + " was contributed");
+  }
 }
 
 // ---- Guard rails ----

@@ -42,7 +42,7 @@
 #include <cstring>
 #include <exception>
 #include <fstream>
-#include <map>
+#include <span>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -370,6 +370,54 @@ struct SoundCheck {
   std::size_t checked = 0;  ///< reliable positions actually compared
 };
 
+/// The brute-force oracle of a degraded run, in flat arrays sorted by key:
+/// the union of every rank's contributed keys with each rank's map into it
+/// (tree_merge), and each key's total. Built once per workload; a run that
+/// lost some ranks' inputs re-sums without them. Every key is summed in
+/// ascending rank starting from 0 — the order a map of running totals adds
+/// in — so every float matches the brute-force sum.
+class Oracle {
+ public:
+  explicit Oracle(const Workload& w) : w_(w) {
+    std::vector<std::span<const kylix::key_t>> spans;
+    for (const KeySet& set : w.out_sets) spans.push_back(set.keys());
+    union_ = tree_merge(spans);
+    sum({}, all_);
+  }
+
+  /// Every key's total over the ranks not in `lost`.
+  const std::vector<real_t>& totals(const std::vector<rank_t>& lost) {
+    if (lost.empty()) return all_;
+    sum(lost, pruned_);
+    return pruned_;
+  }
+
+  /// `key`'s entry of `totals`; keys nobody contributes expect 0.
+  [[nodiscard]] real_t expected(const std::vector<real_t>& totals,
+                                kylix::key_t key) const {
+    const auto it =
+        std::lower_bound(union_.keys.begin(), union_.keys.end(), key);
+    if (it == union_.keys.end() || *it != key) return 0;
+    return totals[static_cast<std::size_t>(it - union_.keys.begin())];
+  }
+
+ private:
+  void sum(const std::vector<rank_t>& lost, std::vector<real_t>& out) const {
+    out.assign(union_.keys.size(), 0);
+    for (rank_t r = 0; r < w_.out_sets.size(); ++r) {
+      if (std::find(lost.begin(), lost.end(), r) != lost.end()) continue;
+      for (std::size_t p = 0; p < w_.out_sets[r].size(); ++p) {
+        out[union_.maps[r][p]] += w_.values[r][p];
+      }
+    }
+  }
+
+  const Workload& w_;
+  UnionResult union_;
+  std::vector<real_t> all_;
+  std::vector<real_t> pruned_;
+};
+
 /// Degraded-completion verification: the brute-force oracle minus
 /// `inputs_lost` ranks, checked only at keys the report does not disclaim
 /// (outside degraded_ranges ∪ lost_keys), skipping dead requesters. Keys
@@ -377,20 +425,14 @@ struct SoundCheck {
 /// `dead_ranks` is the engine's post-run dead set — a superset of
 /// report.lost_logical, since a group that dies after its last send is
 /// never missed by anyone yet still returns no result.
-SoundCheck verify_degraded(const Cli& cli, const Workload& w,
+SoundCheck verify_degraded(const Cli& cli, const Workload& w, Oracle& oracle,
                            const std::vector<std::vector<real_t>>& results,
                            const DegradedReport& report,
                            const std::vector<rank_t>& dead_ranks) {
   const auto contains = [](const std::vector<rank_t>& v, rank_t r) {
     return std::find(v.begin(), v.end(), r) != v.end();
   };
-  std::map<kylix::key_t, real_t> totals;  // ::key_t (sys/types.h) clashes
-  for (rank_t r = 0; r < cli.machines; ++r) {
-    if (contains(report.inputs_lost, r)) continue;
-    for (std::size_t p = 0; p < w.out_sets[r].size(); ++p) {
-      totals[w.out_sets[r][p]] += w.values[r][p];
-    }
-  }
+  const std::vector<real_t>& totals = oracle.totals(report.inputs_lost);
   SoundCheck check;
   for (rank_t r = 0; r < cli.machines; ++r) {
     if (contains(dead_ranks, r)) {
@@ -408,9 +450,7 @@ SoundCheck verify_degraded(const Cli& cli, const Workload& w,
                              report.lost_keys.end(), key)) {
         continue;  // declared unreliable; nothing is promised here
       }
-      const auto it = totals.find(key);
-      const real_t expected =
-          it == totals.end() ? static_cast<real_t>(0) : it->second;
+      const real_t expected = oracle.expected(totals, key);
       if (results[r][p] != expected) {
         ++check.errors;
         if (std::getenv("KYLIX_CHAOS_DEBUG") != nullptr) {
@@ -527,8 +567,9 @@ int run_default(const Cli& cli) {
   std::size_t checked;
   if (degraded.degraded || !dead_ranks.empty()) {
     std::printf("%s\n", degraded.summary().c_str());
+    Oracle oracle(w);
     const SoundCheck check =
-        verify_degraded(cli, w, results, degraded, dead_ranks);
+        verify_degraded(cli, w, oracle, results, degraded, dead_ranks);
     errors = check.errors;
     checked = check.checked;
   } else {
@@ -663,8 +704,9 @@ int run_report(const Cli& cli) {
   std::size_t checked;
   if (degraded.degraded || !dead_ranks.empty()) {
     std::printf("%s\n", degraded.summary().c_str());
+    Oracle oracle(w);
     const SoundCheck check =
-        verify_degraded(cli, w, results, degraded, dead_ranks);
+        verify_degraded(cli, w, oracle, results, degraded, dead_ranks);
     errors = check.errors;
     checked = check.checked;
   } else {
@@ -890,6 +932,7 @@ int run_chaos(const Cli& cli) {
   std::printf("%8s %6s %9s %4s %10s %10s %11s\n", "failures", "exact",
               "degraded", "bad", "recovered", "mean-mass", "mean-lostkeys");
 
+  Oracle oracle(w);
   std::uint64_t total_bad = 0;
   bool box_dumped = false;
   for (rank_t k = 0; k <= cli.max_failures; ++k) {
@@ -936,7 +979,7 @@ int run_chaos(const Cli& cli) {
                     engine.recovery_stats().forced;
 
       const SoundCheck check =
-          verify_degraded(cli, w, results, report, dead);
+          verify_degraded(cli, w, oracle, results, report, dead);
       if (check.errors > 0) {
         ++bad;
         std::printf("  BAD schedule: failures=%u seed=%llu — %zu mismatches "
