@@ -436,9 +436,10 @@ class SparseAllreduce {
         rp.configured = true;
         rp.in0 = std::move(in_sets[r]);
         rp.out0_size = out_sets[r].size();
-        // The leader keeps its host-level missing set (begin_up's degraded
-        // cold path keys off it); members intersect their own requested
-        // keys with it. A leaderless host lost every requested key.
+        // The leader keeps its host-level missing set (the bottom gather's
+        // degraded cold path keys off it); members intersect their own
+        // requested keys with it. A leaderless host lost every requested
+        // key.
         if (r == ih.leader) continue;
         rp.missing_bottom.clear();
         if (host_missing == nullptr) {

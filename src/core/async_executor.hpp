@@ -531,7 +531,7 @@ class AsyncExecutor {
       work.combine_elements = box.combine;
       charge(node, box, work);
       if (node.slot + 1 == layers_) {
-        NodeWork gather;  // ReplayOps::begin_up, charged to the same slot
+        NodeWork gather;  // the bottom gather, charged to the same slot
         gather.gather_elements =
             static_cast<double>(plan_->rank_plan(rank).bottom_map.size());
         charge(node, box, gather);

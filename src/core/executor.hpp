@@ -10,11 +10,23 @@
 // configuration letters and then runs this class's up half (reduce_up), so
 // its up pass is the same code as every replay's.
 //
-// The per-rank kernels live in core/replay_node.hpp (ReplayOps): this class
-// is only the round-barriered *driver* — it owns the per-rank ReplayScratch
-// slots, walks {down 1..l, up l..1} through the engine's round(), and keeps
-// the telemetry/recycling that needs a barrier (stream-stats merge,
-// spent-buffer return, flight events). The async executor
+// The per-rank stages live in core/replay_node.hpp (ReplayOps): this class
+// is only the *driver* — it owns the per-rank ReplayScratch slots and walks
+// {down 1..l, up l..1}. Each round's callbacks only hand letters over and
+// park the inbox (the accounting stays there, charged in rank order); the
+// values move in pooled stages around the rounds (intra_round), cut into
+// slices of letters and kept buffers rather than ranks, so a few busy
+// ranks — the host leaders of a two-tier plan — still use every pool
+// thread:
+//
+//   fold or pack -> down 1 -> combine -> ... -> down l -> combine
+//   bottom gather -> pack -> up l -> combine -> ... -> up 1 -> combine
+//   -> fan-out
+//
+// A down combine writes straight into the next round's letters (the host
+// fold into round 1's), so no union is copied into letters. The executor
+// keeps the telemetry and recycling that needs a barrier (stream-stats
+// merge, parked-buffer return, flight events). The async executor
 // (core/async_executor.hpp) replays every stream's values through this
 // class too; only its modeled timeline is its own.
 //
@@ -26,25 +38,26 @@
 //
 // Streaming mode (DESIGN §9): set_streaming(true) splits every reduce
 // letter into chunks of the plan's compiled chunk_bytes (overridable via
-// set_chunk_bytes_override), one Letter per chunk, and scatter-combines each
-// chunk into the rank's union through a PosMap subspan as it is consumed.
-// Chunks are processed in ascending (src, chunk_index) order — the exact
-// per-position op order of letter-at-once delivery, since each sender
-// touches each union position at most once — so streamed results are
-// bit-identical on every engine. Block watermarks (blocks of chunk-size
-// key ranges, flushed once their last contributing chunk lands) and the
-// letter/stream buffer envelopes are accumulated into StreamStats; the
-// pipelining payoff is priced by TimingAccumulator::pipelined_reduce_time.
+// set_chunk_bytes_override), one Letter per chunk, and combines each chunk
+// into the rank's union through a PosMap subspan. Chunks combine in
+// ascending (src, chunk_index) order — the exact per-position op order of
+// letter-at-once delivery, since each sender touches each union position
+// at most once — so streamed results are bit-identical on every engine.
+// Block watermarks (blocks of chunk-size key ranges, flushed once their
+// last contributing chunk lands) and the letter/stream buffer envelopes
+// are accumulated into StreamStats; the pipelining payoff is priced by
+// TimingAccumulator::pipelined_reduce_time.
 //
 // Allocation discipline: the caller's contributions are read in place and
 // each one's buffer becomes its rank's result buffer (ReplayOps::load_input,
 // hand_off_input), so no value is copied on the driving thread before round
 // 1. Per-rank ReplayScratch pools its letter shells per layer, value
-// buffers, ping-pong merge/below buffers and block-watermark scratch, so
-// warm replays — flat or hierarchical, streamed or not — allocate nothing
-// in the rounds and stay within an m+1 API-boundary budget: at most one
+// buffers, kept union buffers and block-watermark scratch, so warm
+// replays — flat or hierarchical, streamed or not — allocate nothing in
+// the rounds and stay within an m+1 API-boundary budget: at most one
 // result-buffer growth per rank plus the outer results vector
-// (tests/core/alloc_test).
+// (tests/core/alloc_test). Buffers several slices write grow on the driving
+// thread before their stage; a letter grows, if it must, in its own task.
 #pragma once
 
 #include <algorithm>
@@ -71,11 +84,6 @@ class SparseAllreduce;
 template <typename V, typename Op = OpSum, typename Engine = void>
 class ReduceExecutor {
  public:
-  /// intra_down's slices of a host union: enough tasks to keep every pool
-  /// thread busy when hosts are fewer than threads.
-  static constexpr std::size_t kHostSlicePositions = 1024;
-  static constexpr std::size_t kMaxHostSlices = 8;
-
   ReduceExecutor() = default;
 
   /// Bind to `engine` (not owned, must outlive the executor) and `plan`.
@@ -101,9 +109,17 @@ class ReduceExecutor {
     for (ReplayScratch<V>& s : state_) {
       if (s.letters.size() < l) s.letters.resize(l);
     }
-    tasks_.reserve(std::max<std::size_t>(
-        plan_->num_ranks(), plan_->intra_hosts().size() * kMaxHostSlices));
-    gatherers_.reserve(plan_->num_ranks());
+    // A stage has one slice per letter or per run of a kept buffer; a
+    // streamed or strided replay that needs more grows the list once.
+    std::size_t slices = 0;
+    for (rank_t r = 0; r < plan_->num_ranks(); ++r) {
+      std::size_t most = 1;
+      for (const PlanLayer& cfg : plan_->rank_plan(r).layers) {
+        most = std::max(most, cfg.group.size());
+      }
+      slices += most;
+    }
+    slices_.reserve(slices);
   }
 
   [[nodiscard]] bool bound() const { return plan_ != nullptr; }
@@ -169,13 +185,18 @@ class ReduceExecutor {
     // contributions in before layer 1 and fan the results back out after
     // the retrace. Members sit out the inter-node rounds (their RankPlans
     // carry no layers), so the wire schedule between the intra stages is
-    // exactly the flat schedule over host leaders.
-    if (plan_->hierarchical()) intra_down();
-    for (std::uint16_t layer = 1; layer <= plan_->topology().num_layers();
-         ++layer) {
+    // exactly the flat schedule over host leaders. A flat plan's layer-1
+    // letters are packed out of the contributions instead.
+    const std::uint16_t l = plan_->topology().num_layers();
+    if (plan_->hierarchical()) {
+      intra_down();
+    } else if (l >= 1) {
+      pack(Phase::kReduceDown, 1);
+    }
+    for (std::uint16_t layer = 1; layer <= l; ++layer) {
       run_round(Phase::kReduceDown, layer);
-      collect_spent();
       record_stream_round(Phase::kReduceDown, layer);
+      combine(Phase::kReduceDown, layer);
     }
     return finish_replay();
   }
@@ -236,31 +257,28 @@ class ReduceExecutor {
   /// of hierarchical plans, and the results; closes the telemetry.
   [[nodiscard]] std::vector<std::vector<V>> finish_replay() {
     const std::uint16_t l = plan_->topology().num_layers();
-    gatherers_.clear();
+    // Hierarchical members hold no per-layer state: only union-holding
+    // ranks (flat ranks, host leaders) run the bottom gather, also when
+    // there is no inter-node layer (one host).
+    const auto gathers = [&](rank_t r) {
+      return !engine_->is_dead(r) && plan_->rank_plan(r).configured &&
+             (!plan_->hierarchical() || plan_->topology().is_leader(r));
+    };
+    stage(Phase::kReduceDown, gathers,
+          [&](rank_t r) { Ops::plan_bottom(ctx_, state_[r], r, slices_); },
+          [&](const Slice& t) { Ops::gather_bottom(ctx_, state_[t.rank], t); });
+    // The charges follow in ascending rank, the order of additions of a
+    // serial loop.
     for (rank_t r = 0; r < plan_->num_ranks(); ++r) {
-      const RankPlan& rp = plan_->rank_plan(r);
-      // Hierarchical members hold no per-layer state: only union-holding
-      // ranks (flat ranks, host leaders) run the bottom gather, also when
-      // there is no inter-node layer (one host).
-      if (engine_->is_dead(r) || !rp.configured ||
-          (plan_->hierarchical() && !plan_->topology().is_leader(r))) {
-        continue;
-      }
-      Ops::reserve_up(ctx_, state_[r], r);
-      gatherers_.push_back(r);
+      if (!gathers(r)) continue;
+      Ops::finish_bottom(ctx_, state_[r], r);
+      charge(Phase::kReduceDown, l, r);
     }
-    // A pooled stage; the charges follow in ascending rank, the order of
-    // additions of a serial loop.
-    engine_->intra_round(Phase::kReduceDown,
-                         static_cast<rank_t>(gatherers_.size()), [&](rank_t i) {
-                           Ops::begin_up(ctx_, state_[gatherers_[i]],
-                                         gatherers_[i]);
-                         });
-    for (const rank_t r : gatherers_) charge(Phase::kReduceDown, l, r);
     for (std::uint16_t layer = l; layer >= 1; --layer) {
+      pack(Phase::kReduceUp, layer);
       run_round(Phase::kReduceUp, layer);
-      collect_spent();
       record_stream_round(Phase::kReduceUp, layer);
+      combine(Phase::kReduceUp, layer);
     }
     if (plan_->hierarchical()) intra_up();
     std::vector<std::vector<V>> results;
@@ -274,6 +292,53 @@ class ReduceExecutor {
       recorder_->record(e);
     }
     return results;
+  }
+
+  /// One pooled stage with no letters on the wire: `plan_rank` sizes the
+  /// targets of every rank `takes_part` picks and appends its slices to
+  /// slices_ on the driving thread, then the pool runs `run_slice` once
+  /// per slice.
+  template <typename TakesPart, typename PlanFn, typename RunFn>
+  void stage(Phase phase, TakesPart&& takes_part, PlanFn&& plan_rank,
+             RunFn&& run_slice) {
+    slices_.clear();
+    for (rank_t r = 0; r < plan_->num_ranks(); ++r) {
+      if (takes_part(r)) plan_rank(r);
+    }
+    engine_->intra_round(phase, static_cast<rank_t>(slices_.size()),
+                         [&](rank_t t) { run_slice(slices_[t]); });
+  }
+
+  /// The ranks in a round: alive, and holding state for its layer.
+  [[nodiscard]] bool in_round(rank_t r, std::uint16_t layer) const {
+    return !engine_->is_dead(r) && !sits_out(r, layer);
+  }
+
+  /// Fill the letters of round {phase, layer} that no combine wrote: a
+  /// flat plan's layer-1 letters, and every up round's.
+  void pack(Phase phase, std::uint16_t layer) {
+    stage(
+        phase, [&](rank_t r) { return in_round(r, layer); },
+        [&](rank_t r) {
+          Ops::plan_letters(ctx_, state_[r], r, phase, layer, slices_);
+        },
+        [&](const Slice& t) {
+          Ops::pack(ctx_, state_[t.rank], phase, layer, t);
+        });
+  }
+
+  /// Combine what round {phase, layer} parked, then return the parked
+  /// buffers to their senders' pools.
+  void combine(Phase phase, std::uint16_t layer) {
+    stage(
+        phase, [&](rank_t r) { return in_round(r, layer); },
+        [&](rank_t r) {
+          Ops::plan_combine(ctx_, state_[r], r, phase, layer, slices_);
+        },
+        [&](const Slice& t) {
+          Ops::combine(ctx_, state_[t.rank], phase, layer, t);
+        });
+    Ops::recycle(state_);
   }
 
   /// After each round barrier, diff the summed per-rank stream telemetry
@@ -320,7 +385,7 @@ class ReduceExecutor {
         phase, layer,
         [&](rank_t r) -> std::vector<Letter<V>>& {
           if (sits_out(r, layer)) return empty_letters_;
-          return Ops::produce(ctx_, state_[r], r, phase, layer);
+          return Ops::hand_over(ctx_, state_[r], r, phase, layer);
         },
         [&](rank_t r) -> const std::vector<rank_t>& {
           if (sits_out(r, layer)) return empty_ranks_;
@@ -328,7 +393,7 @@ class ReduceExecutor {
         },
         [&](rank_t r, std::vector<Letter<V>>&& inbox) {
           if (sits_out(r, layer)) return;
-          Ops::consume(ctx_, state_[r], r, phase, layer, std::move(inbox));
+          Ops::park(ctx_, state_[r], r, phase, layer, std::move(inbox));
           charge(phase, layer, r);
         });
   }
@@ -341,19 +406,14 @@ class ReduceExecutor {
   /// argument). Each folded member's input buffer moves to its result slot
   /// first, and the fold reads it there. A host whose leader is dead
   /// contributes nothing (its members complete degraded in intra_up). The
-  /// pool runs slices of host-union positions: a task owns its slice, so
-  /// each position keeps its serial combine order.
+  /// fold is the down combine of node layer 0: its slices write the
+  /// leader's layer-1 letters, or its kept host union when the plan has no
+  /// inter-node layer.
   void intra_down() {
-    tasks_.clear();
-    const std::size_t stride = ctx_.stride;
+    slices_.clear();
     for (rank_t h = 0; h < plan_->intra_hosts().size(); ++h) {
       const IntraHost& ih = plan_->intra_host(h);
       if (ih.leader == kNoLeader || engine_->is_dead(ih.leader)) continue;
-      ReplayScratch<V>& leader = state_[ih.leader];
-      std::swap(leader.v, leader.merged);
-      const std::size_t n = ih.out_union_size;
-      reserve_fresh(leader.v, n * stride);
-      leader.v.resize(n * stride);
       double elements = 0.0;
       std::uint32_t peers = 0;
       for (const rank_t m : ih.members) {
@@ -363,52 +423,39 @@ class ReduceExecutor {
         Ops::hand_off_input(state_[m]);
       }
       charge_intra(Phase::kReduceDown, ih.leader, elements, peers);
-      const std::size_t k =
-          std::clamp<std::size_t>(n / kHostSlicePositions, 1, kMaxHostSlices);
-      for (std::size_t j = 0; j < k; ++j) {
-        tasks_.push_back({h, n * j / k, n * (j + 1) / k});
-      }
+      Ops::plan_combine(ctx_, state_[ih.leader], ih.leader,
+                        Phase::kReduceDown, 0, slices_);
     }
-    const auto tasks = static_cast<rank_t>(tasks_.size());
-    engine_->intra_round(Phase::kReduceDown, tasks, [&](rank_t t) {
-      const auto [h, lo, hi] = tasks_[t];
-      const IntraHost& ih = plan_->intra_host(h);
-      const std::span<V> out(state_[ih.leader].v);
-      std::fill(out.begin() + lo * stride, out.begin() + hi * stride,
-                Op::template identity<V>());
-      for (std::size_t i = 0; i < ih.members.size(); ++i) {
-        // A member dead at replay is skipped — its contribution is lost,
-        // exactly as a flat layer-1 crash of the same rank.
-        if (engine_->is_dead(ih.members[i])) continue;
-        // Maps are strictly increasing: the slice's part is one range.
-        const std::span<const pos_t> map(ih.out_maps[i]);
-        const std::size_t a =
-            std::lower_bound(map.begin(), map.end(), lo) - map.begin();
-        const std::size_t b =
-            std::lower_bound(map.begin(), map.end(), hi) - map.begin();
-        scatter_combine_strided<V, Op>(
-            out,
-            std::span<const V>(state_[ih.members[i]].vin)
-                .subspan(a * stride, (b - a) * stride),
-            map.subspan(a, b - a), stride);
-      }
-    });
+    engine_->intra_round(
+        Phase::kReduceDown, static_cast<rank_t>(slices_.size()),
+        [&](rank_t i) {
+          const Slice& t = slices_[i];
+          const IntraHost& ih =
+              plan_->intra_host(plan_->topology().host_of(t.rank));
+          const std::span<V> out =
+              Ops::down_target(ctx_, state_[t.rank], 0, t);
+          for (std::size_t k = 0; k < ih.members.size(); ++k) {
+            // A member dead at replay is skipped — its contribution is
+            // lost, exactly as a flat layer-1 crash of the same rank.
+            if (engine_->is_dead(ih.members[k])) continue;
+            Ops::combine_part(out, t.lo, t.hi, ih.out_maps[k],
+                              state_[ih.members[k]].vin, ctx_.stride);
+          }
+        });
   }
 
   /// Shared-memory allgather retrace, one task per (host, member): members
   /// gather their requested keys straight out of their leader's host
-  /// in-union result, which first moves to the leader's `merged` so the
-  /// leader can gather its own into `vin`. When the host lost its leader
-  /// mid-run, its members resolve every requested key to the reduction
-  /// identity (the host never entered the inter-node exchange), mirroring
-  /// the degraded semantics of a dead flat rank's group peers.
+  /// in-union. When the host lost its leader mid-run, its members resolve
+  /// every requested key to the reduction identity (the host never entered
+  /// the inter-node exchange), mirroring the degraded semantics of a dead
+  /// flat rank's group peers.
   void intra_up() {
-    tasks_.clear();
+    slices_.clear();
     for (rank_t h = 0; h < plan_->intra_hosts().size(); ++h) {
       const IntraHost& ih = plan_->intra_host(h);
       const bool alive =
           ih.leader != kNoLeader && !engine_->is_dead(ih.leader);
-      if (alive) std::swap(state_[ih.leader].vin, state_[ih.leader].merged);
       double elements = 0.0;
       std::uint32_t peers = 0;
       for (std::size_t i = 0; i < ih.members.size(); ++i) {
@@ -425,17 +472,24 @@ class ReduceExecutor {
         reserve_fresh(s.vin, n);
         elements += static_cast<double>(n);
         ++peers;
-        tasks_.push_back({h, i, 0});
+        slices_.push_back({m, Slice::kResult, 0, ih.in_maps[i].size()});
       }
       if (alive) charge_intra(Phase::kReduceUp, ih.leader, elements, peers);
     }
-    const auto tasks = static_cast<rank_t>(tasks_.size());
-    engine_->intra_round(Phase::kReduceUp, tasks, [&](rank_t t) {
-      const IntraHost& ih = plan_->intra_host(tasks_[t].host);
-      gather_strided_into(std::span<const V>(state_[ih.leader].merged),
-                          std::span<const pos_t>(ih.in_maps[tasks_[t].lo]),
-                          ctx_.stride, state_[ih.members[tasks_[t].lo]].vin);
-    });
+    engine_->intra_round(
+        Phase::kReduceUp, static_cast<rank_t>(slices_.size()),
+        [&](rank_t i) {
+          const Slice& t = slices_[i];
+          const IntraHost& ih =
+              plan_->intra_host(plan_->topology().host_of(t.rank));
+          const std::size_t k =
+              std::lower_bound(ih.members.begin(), ih.members.end(), t.rank) -
+              ih.members.begin();
+          gather_strided_into(
+              std::span<const V>(Ops::up_values(ctx_, state_[ih.leader], 0)),
+              std::span<const pos_t>(ih.in_maps[k]), ctx_.stride,
+              state_[t.rank].vin);
+        });
   }
 
   /// Price one host's intra stage on its leader: peer-buffer attaches plus
@@ -462,27 +516,6 @@ class ReduceExecutor {
     engine_->charge_compute(phase, layer, r, work.seconds(*compute_));
   }
 
-  /// Chunked schedules are asymmetric — a rank rarely receives as many
-  /// chunks as it sends — so recycling a spent buffer into the consumer's
-  /// pool would slowly drain producer pools and hit the allocator on every
-  /// warm replay. Consumers instead park their consumed inbox in `spent`;
-  /// at the single-threaded barrier after each round the value buffers go
-  /// back to the pool of the rank that sent them, so every producer opens
-  /// the next round holding exactly the buffers (and capacities) it used
-  /// last time.
-  void collect_spent() {
-    for (ReplayScratch<V>& s : state_) {
-      for (auto& [src, buf] : s.spent) {
-        KYLIX_DCHECK(src < state_.size());
-        pool_recycle(state_[src].value_pool, buf);
-      }
-      s.spent.clear();
-    }
-  }
-
-  /// Union positions [lo, hi) of `host` (intra_down), or its member lo.
-  struct HostTask { rank_t host; std::size_t lo, hi; };
-
   Engine* engine_ = nullptr;
   const ComputeModel* compute_ = nullptr;
   const NetworkModel* net_ = nullptr;
@@ -500,8 +533,7 @@ class ReduceExecutor {
   std::uint64_t round_blocks_flushed_ = 0;   ///< reduce-so-far flush total
   std::uint64_t round_peak_stream_bytes_ = 0;  ///< reduce-so-far watermark
   std::vector<ReplayScratch<V>> state_;
-  std::vector<HostTask> tasks_;     ///< reserved at bind, as is gatherers_
-  std::vector<rank_t> gatherers_;  ///< the ranks that run the bottom gather
+  std::vector<Slice> slices_;  ///< the running stage's tasks; reserved at bind
 };
 
 }  // namespace kylix

@@ -204,11 +204,15 @@ class KylixNode {
     cfg.in_prev_size = in_set(layer - 1).size();
 
     if (lane_ != nullptr) {
-      std::vector<V>& merged = lane_->merged;
-      merged.assign(out_union.keys.size(), Op::template identity<V>());
+      // The lane's v and merged are buffers the executor keeps across
+      // replays: they only grow, so a warm executor finds them sized.
+      const std::size_t n = out_union.keys.size();
+      keep_size(lane_->merged, n);
+      const std::span<V> merged = std::span<V>(lane_->merged).first(n);
+      std::fill(merged.begin(), merged.end(), Op::template identity<V>());
       for (std::uint32_t q = 0; q < d; ++q) {
         if (!value_pieces[q].empty()) {
-          scatter_combine<V, Op>(std::span<V>(merged),
+          scatter_combine<V, Op>(merged,
                                  std::span<const V>(value_pieces[q]),
                                  cfg.out_maps[q]);
           work_.combine_elements +=
@@ -216,7 +220,7 @@ class KylixNode {
         }
         pool_recycle(lane_->value_pool, value_pieces[q]);
       }
-      std::swap(lane_->v, merged);
+      std::swap(lane_->v, lane_->merged);
     }
 
     in_sets_[layer] = KeySet::from_sorted_keys(std::move(in_union.keys));
@@ -270,14 +274,9 @@ class KylixNode {
     slot_->out0_size = out_sets_[0].size();
     slot_->in_sizes.resize(l + 1);
     slot_->out_sizes.resize(l + 1);
-    // Largest buffer the upward pass will hold: reserving this much at the
-    // executor's begin_up keeps every up_consume assign within capacity
-    // (alloc_test asserts the up rounds allocation-free).
-    slot_->up_capacity = 0;
     for (std::uint16_t i = 0; i <= l; ++i) {
       slot_->in_sizes[i] = in_set(i).size();
       slot_->out_sizes[i] = out_sets_[i].size();
-      slot_->up_capacity = std::max(slot_->up_capacity, in_set(i).size());
     }
     slot_->configured = true;
   }

@@ -63,7 +63,6 @@ struct RankPlan {
   PosMap bottom_map;                     ///< in^l within out^l (kMissingPos
                                          ///< marks degraded holes)
   std::vector<key_t> missing_bottom;     ///< degraded: unresolvable in-keys
-  std::size_t up_capacity = 0;           ///< max |in^i| buffer watermark
 };
 
 /// Sentinel: a host with no alive canonical leader at compile time (its

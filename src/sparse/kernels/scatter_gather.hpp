@@ -43,10 +43,13 @@ inline constexpr std::size_t kPrefetchAhead = 32;
 inline constexpr std::size_t kPrefetchAhead = 16;
 #endif
 
-/// acc[map[p]] = op(acc[map[p]], values[p]) for all p, in ascending p.
+/// acc[map[p] - base] = op(acc[map[p] - base], values[p]) for all p, in
+/// ascending p. `base` (0 unless given) lets `acc` hold only the target
+/// positions [base, base + acc.size()) of a larger buffer.
 template <typename V, typename Op>
 void scatter_combine(std::span<V> acc, std::span<const V> values,
-                     std::span<const pos_t> map, Op op = {}) {
+                     std::span<const pos_t> map, Op op = {},
+                     std::size_t base = 0) {
   KYLIX_CHECK(values.size() == map.size());
   const std::size_t n = map.size();
   const pos_t* m = map.data();
@@ -56,19 +59,18 @@ void scatter_combine(std::span<V> acc, std::span<const V> values,
   if (n > kPrefetchAhead + 4) {
     const std::size_t fenced = n - kPrefetchAhead;
     for (; p + 4 <= fenced; p += 4) {
-      KYLIX_PREFETCH_WRITE(a + m[p + kPrefetchAhead]);
-      KYLIX_PREFETCH_WRITE(a + m[p + kPrefetchAhead + 2]);
-      KYLIX_DCHECK(m[p] < acc.size() && m[p + 1] < acc.size() &&
-                   m[p + 2] < acc.size() && m[p + 3] < acc.size());
-      op(a[m[p]], v[p]);
-      op(a[m[p + 1]], v[p + 1]);
-      op(a[m[p + 2]], v[p + 2]);
-      op(a[m[p + 3]], v[p + 3]);
+      KYLIX_PREFETCH_WRITE(a + (m[p + kPrefetchAhead] - base));
+      KYLIX_PREFETCH_WRITE(a + (m[p + kPrefetchAhead + 2] - base));
+      KYLIX_DCHECK(m[p] >= base && m[p + 3] - base < acc.size());
+      op(a[m[p] - base], v[p]);
+      op(a[m[p + 1] - base], v[p + 1]);
+      op(a[m[p + 2] - base], v[p + 2]);
+      op(a[m[p + 3] - base], v[p + 3]);
     }
   }
   for (; p < n; ++p) {
-    KYLIX_DCHECK(m[p] < acc.size());
-    op(a[m[p]], v[p]);
+    KYLIX_DCHECK(m[p] >= base && m[p] - base < acc.size());
+    op(a[m[p] - base], v[p]);
   }
 }
 
@@ -109,14 +111,14 @@ void gather(std::span<const V> values, std::span<const pos_t> map, V* out) {
 // for that component, so a strided reduce is bit-identical to k independent
 // reduces. stride == 1 degrades to the plain kernels above.
 
-/// acc[map[p]*stride + c] = op(acc[map[p]*stride + c], values[p*stride + c])
-/// for all p in ascending order and all c < stride.
+/// acc[(map[p] - base)*stride + c] = op(..., values[p*stride + c]) for all
+/// p in ascending order and all c < stride; `base` as in scatter_combine.
 template <typename V, typename Op>
 void scatter_combine_strided(std::span<V> acc, std::span<const V> values,
                              std::span<const pos_t> map, std::size_t stride,
-                             Op op = {}) {
+                             Op op = {}, std::size_t base = 0) {
   if (stride == 1) {
-    scatter_combine<V, Op>(acc, values, map, op);
+    scatter_combine<V, Op>(acc, values, map, op, base);
     return;
   }
   KYLIX_CHECK(values.size() == map.size() * stride);
@@ -128,18 +130,16 @@ void scatter_combine_strided(std::span<V> acc, std::span<const V> values,
   if (n > kPrefetchAhead) {
     const std::size_t fenced = n - kPrefetchAhead;
     for (; p < fenced; ++p) {
-      KYLIX_PREFETCH_WRITE(a + static_cast<std::size_t>(m[p + kPrefetchAhead]) *
-                                   stride);
-      KYLIX_DCHECK((static_cast<std::size_t>(m[p]) + 1) * stride <=
-                   acc.size());
-      V* block = a + static_cast<std::size_t>(m[p]) * stride;
+      KYLIX_PREFETCH_WRITE(a + (m[p + kPrefetchAhead] - base) * stride);
+      KYLIX_DCHECK(m[p] >= base && (m[p] - base + 1) * stride <= acc.size());
+      V* block = a + (m[p] - base) * stride;
       const V* src = v + p * stride;
       for (std::size_t c = 0; c < stride; ++c) op(block[c], src[c]);
     }
   }
   for (; p < n; ++p) {
-    KYLIX_DCHECK((static_cast<std::size_t>(m[p]) + 1) * stride <= acc.size());
-    V* block = a + static_cast<std::size_t>(m[p]) * stride;
+    KYLIX_DCHECK(m[p] >= base && (m[p] - base + 1) * stride <= acc.size());
+    V* block = a + (m[p] - base) * stride;
     const V* src = v + p * stride;
     for (std::size_t c = 0; c < stride; ++c) op(block[c], src[c]);
   }

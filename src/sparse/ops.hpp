@@ -105,11 +105,14 @@ void gather_strided_into(std::span<const V> values, const PosMap& map,
 /// subspan of the piece's positional map, so a chunked scatter/gather is
 /// the same kernel over the same positions in the same order as one
 /// whole-piece call — which is the bit-identity argument for streaming.
+/// With `base`, `acc` holds only target positions [base, ...) of the
+/// union: the executor's slices combine straight into a letter that
+/// carries one range of it.
 template <typename V, typename Op>
 void scatter_combine_strided(std::span<V> acc, std::span<const V> values,
                              std::span<const pos_t> map, std::size_t stride,
-                             Op op = {}) {
-  kernels::scatter_combine_strided<V, Op>(acc, values, map, stride, op);
+                             std::size_t base = 0, Op op = {}) {
+  kernels::scatter_combine_strided<V, Op>(acc, values, map, stride, op, base);
 }
 
 template <typename V>

@@ -162,15 +162,16 @@ TEST(AllocHotPath, WarmRepeatFilteredSortIsAllocationFree) {
   EXPECT_EQ(keys, expected);
 }
 
-// Drives the replay kernels through the engine rounds exactly as
-// ReduceExecutor does, but with the warm-up / measurement boundary inside one
-// reduction: after warm-up, the down rounds and up rounds (the per-iteration
-// hot path, spent-buffer return included) must not allocate at all.
-// load_input, begin_up and the result hand-off are the accepted API
-// boundary: load_input moves the caller's vector in without copying it,
-// the layer-1 produce reads it in place and hands its buffer to the result
-// slot, begin_up may grow that buffer, and the result leaves the system
-// with the caller each iteration.
+// Drives the replay stages around the engine rounds exactly as
+// ReduceExecutor does — letters packed before a round, the inbox parked in
+// it and combined after it — but with the warm-up / measurement boundary
+// inside one reduction: after warm-up, the down rounds and up rounds (the
+// per-iteration hot path, their stages and the parked-buffer return
+// included) must not allocate at all. load_input, the bottom stage and
+// the result hand-off are the accepted API boundary: load_input moves the
+// caller's vector in without copying it, the layer-1 hand-over passes its
+// buffer on to the result slot, the bottom stage may grow that buffer,
+// and the result leaves the system with the caller each iteration.
 TEST(AllocHotPath, SteadyStateReduceRoundsAreAllocationFree) {
   using Ops = ReplayOps<float, OpSum>;
   const Topology topo({4, 2});
@@ -184,23 +185,44 @@ TEST(AllocHotPath, SteadyStateReduceRoundsAreAllocationFree) {
   const ReplayContext ctx{plan.get(), /*stride=*/1, /*chunk_positions=*/0};
   std::vector<ReplayScratch<float>> state(m);
   for (ReplayScratch<float>& s : state) s.letters.resize(topo.num_layers());
+  std::vector<Slice> slices;
+  slices.reserve(64);
+  // One pooled stage, run inline: plan every rank's slices, then run them.
+  const auto stage = [&](auto&& plan_rank, auto&& run) {
+    slices.clear();
+    for (rank_t r = 0; r < m; ++r) plan_rank(r);
+    for (const Slice& t : slices) run(t);
+  };
+  const auto pack = [&](Phase phase, std::uint16_t layer) {
+    stage(
+        [&](rank_t r) {
+          Ops::plan_letters(ctx, state[r], r, phase, layer, slices);
+        },
+        [&](const Slice& t) {
+          Ops::pack(ctx, state[t.rank], phase, layer, t);
+        });
+  };
   const auto run_round = [&](Phase phase, std::uint16_t layer) {
     engine.round(
         phase, layer,
         [&](rank_t r) -> std::vector<Letter<float>>& {
-          return Ops::produce(ctx, state[r], r, phase, layer);
+          return Ops::hand_over(ctx, state[r], r, phase, layer);
         },
         [&](rank_t r) -> const std::vector<rank_t>& {
           return plan->rank_plan(r).layers[layer - 1].group;
         },
         [&](rank_t r, std::vector<Letter<float>>&& inbox) {
-          Ops::consume(ctx, state[r], r, phase, layer, std::move(inbox));
+          Ops::park(ctx, state[r], r, phase, layer, std::move(inbox));
         });
-    // Spent buffers go back to their sender's pool at the round barrier.
-    for (ReplayScratch<float>& s : state) {
-      for (auto& [src, buf] : s.spent) pool_recycle(state[src].value_pool, buf);
-      s.spent.clear();
-    }
+    stage(
+        [&](rank_t r) {
+          Ops::plan_combine(ctx, state[r], r, phase, layer, slices);
+        },
+        [&](const Slice& t) {
+          Ops::combine(ctx, state[t.rank], phase, layer, t);
+        });
+    // Parked buffers go back to their sender's pool after the combine.
+    Ops::recycle(state);
   };
 
   const auto reduce_once = [&](std::vector<std::vector<float>> values,
@@ -209,15 +231,19 @@ TEST(AllocHotPath, SteadyStateReduceRoundsAreAllocationFree) {
     for (rank_t r = 0; r < m; ++r) Ops::load_input(state[r], values[r]);
     {
       AllocGauge gauge;
+      pack(Phase::kReduceDown, 1);
       for (std::uint16_t layer = 1; layer <= topo.num_layers(); ++layer) {
         run_round(Phase::kReduceDown, layer);
       }
       if (down_allocs != nullptr) *down_allocs = gauge.count();
     }
-    for (rank_t r = 0; r < m; ++r) Ops::begin_up(ctx, state[r], r);
+    stage([&](rank_t r) { Ops::plan_bottom(ctx, state[r], r, slices); },
+          [&](const Slice& t) { Ops::gather_bottom(ctx, state[t.rank], t); });
+    for (rank_t r = 0; r < m; ++r) Ops::finish_bottom(ctx, state[r], r);
     {
       AllocGauge gauge;
       for (std::uint16_t layer = topo.num_layers(); layer >= 1; --layer) {
+        pack(Phase::kReduceUp, layer);
         run_round(Phase::kReduceUp, layer);
       }
       if (up_allocs != nullptr) *up_allocs = gauge.count();
@@ -278,8 +304,8 @@ TEST(AllocHotPath, FullReduceStaysWithinApiBoundaryBudget) {
   const std::uint64_t second = measure();
 #ifdef NDEBUG
   // Accepted allocations: the per-rank result buffer that leaves with the
-  // caller (grown in begin_up) and the outer results vector. Everything
-  // else — letters, unions, merges, inboxes — must recycle.
+  // caller (grown in the bottom stage) and the outer results vector.
+  // Everything else — letters, unions, merges, inboxes — must recycle.
   EXPECT_LE(first, static_cast<std::uint64_t>(m) + 1);
 #endif
   EXPECT_EQ(first, second) << "steady-state reduce() is not steady";
@@ -663,13 +689,51 @@ TEST(AllocHotPath, HierarchicalReplayStaysWithinBudget) {
   }
 }
 
+// The same budget on a pool: pooled stages size every target on the
+// driving thread, so workers only write and a warm hierarchical, streamed,
+// strided replay at 3 threads allocates exactly what a serial one does.
+TEST(AllocHotPath, PooledHierarchicalStreamedReplayStaysWithinBudget) {
+  const Topology topo({2, 2}, 4);
+  const rank_t m = topo.num_machines();
+  const std::uint32_t stride = 8;
+  const auto w = random_workload<float>(m, 3000, 0.06, 0.12, 41);
+  const auto interleaved = interleave(w.out_values, stride);
+
+  ParallelBspEngine<float> engine(m, 3);
+  SparseAllreduce<float, OpSum, ParallelBspEngine<float>> allreduce(
+      &engine, topo);
+  allreduce.set_streaming(true);
+  allreduce.set_chunk_bytes(512);  // every letter splits
+  allreduce.configure(w.in_sets, w.out_sets);
+  for (int iter = 0; iter < 8; ++iter) {
+    (void)allreduce.reduce_strided(interleaved, stride);  // warm
+  }
+  EXPECT_GT(allreduce.stream_stats().max_chunks_per_letter, 1u);
+
+  const auto measure = [&] {
+    auto values = interleaved;  // copied outside the gauge
+    AllocGauge gauge;
+    const auto results = allreduce.reduce_strided(std::move(values), stride);
+    const std::uint64_t count = gauge.count();
+    EXPECT_EQ(results.size(), m);
+    return count;
+  };
+  const std::uint64_t first = measure();
+  const std::uint64_t second = measure();
+#ifdef NDEBUG
+  EXPECT_LE(first, static_cast<std::uint64_t>(m) + 1);
+#endif
+  EXPECT_EQ(first, second) << "pooled hierarchical replay is not steady";
+}
+
 // Async steady state: k in-flight streams obey the per-stream API-boundary
 // budget. Each stream replays through the executor's own ReduceExecutor
 // (the pools of the serial cases above), the timeline pricer reuses its
 // lanes, heap and NIC timelines, and reset() keeps every warmed buffer — so
 // a warm submit/drain/take_result/reset batch allocates only what leaves
-// with the caller: per stream, the m result buffers grown in begin_up plus
-// the outer results vector (re-grown because take_result moved it out).
+// with the caller: per stream, the m result buffers grown in the bottom
+// stage or the fan-out plus the outer results vector (re-grown because
+// take_result moved it out).
 TEST(AllocHotPath, AsyncSteadyStateStreamsStayWithinBudget) {
   const Topology topo({2, 2, 2});
   const rank_t m = topo.num_machines();

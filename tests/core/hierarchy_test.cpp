@@ -487,7 +487,6 @@ void expect_same_plan(const CollectivePlan& a, const CollectivePlan& b) {
     }
     EXPECT_EQ(x.bottom_map, y.bottom_map);
     EXPECT_EQ(x.missing_bottom, y.missing_bottom);
-    EXPECT_EQ(x.up_capacity, y.up_capacity);
   }
   ASSERT_EQ(a.intra_hosts().size(), b.intra_hosts().size());
   for (rank_t h = 0; h < a.intra_hosts().size(); ++h) {
@@ -552,7 +551,6 @@ TEST(HierarchyCompile, PlanIsIdenticalAtEveryThreadCount) {
 
 using HierEngine = ParallelBspEngine<float>;
 using HierAllreduce = SparseAllreduce<float, OpSum, HierEngine>;
-using HierExecutor = ReduceExecutor<float, OpSum, HierEngine>;
 
 /// Key j of quarter q of the key space (the top two bits are q).
 key_t quarter_key(std::uint64_t q, std::uint64_t j) {
@@ -655,32 +653,35 @@ TEST(HierarchyPooled, SlicedFoldsAreBitIdenticalAtEveryThreadCount) {
   const auto w = banded_workload(m, 1500);
   const auto values = interleave3(w);
 
-  // Every host's union is cut into at least 3 slices, and core 1's band
-  // alone covers a whole slice of host 0 (positions [lo, hi) of the union
-  // hold core 1's keys only).
+  // The fold's slices are each leader's layer-1 letters: 5 pieces, cut
+  // into chunks of 1024 bytes (85 positions at stride 3) when streamed.
+  // Every host's fold has at least 3 slices, and core 1's band alone
+  // covers a whole streamed slice of host 0 (positions [lo, hi) of the
+  // union hold core 1's keys only).
   HierEngine probe(m, 1);
   HierAllreduce compiler(&probe, hier);
   const auto plan = compiler.compile(w.in_sets, w.out_sets);
   for (rank_t h = 0; h < hier.num_hosts(); ++h) {
-    EXPECT_GE(plan->intra_host(h).out_union_size,
-              3 * HierExecutor::kHostSlicePositions)
+    EXPECT_GE(plan->rank_plan(hier.leader_rank(h)).layers[0].group.size(),
+              3u)
         << "host " << h;
   }
   const IntraHost& host0 = plan->intra_host(0);
-  const std::size_t slices = std::min(
-      host0.out_union_size / HierExecutor::kHostSlicePositions,
-      HierExecutor::kMaxHostSlices);
+  const std::vector<std::size_t>& split =
+      plan->rank_plan(0).layers[0].out_split;
+  const std::size_t chunk = 1024 / (sizeof(float) * 3);
   bool band_holds_a_slice = false;
-  for (std::size_t k = 0; k < slices; ++k) {
-    const std::size_t lo = host0.out_union_size * k / slices;
-    const std::size_t hi = host0.out_union_size * (k + 1) / slices;
-    bool others = false;
-    for (const std::size_t i : {0, 2, 3}) {
-      const PosMap& map = host0.out_maps[i];
-      const auto first = std::lower_bound(map.begin(), map.end(), lo);
-      others = others || (first != map.end() && *first < hi);
+  for (std::size_t q = 0; q + 1 < split.size(); ++q) {
+    for (std::size_t lo = split[q]; lo < split[q + 1]; lo += chunk) {
+      const std::size_t hi = std::min(split[q + 1], lo + chunk);
+      bool others = false;
+      for (const std::size_t i : {0, 2, 3}) {
+        const PosMap& map = host0.out_maps[i];
+        const auto first = std::lower_bound(map.begin(), map.end(), lo);
+        others = others || (first != map.end() && *first < hi);
+      }
+      band_holds_a_slice = band_holds_a_slice || !others;
     }
-    band_holds_a_slice = band_holds_a_slice || !others;
   }
   EXPECT_TRUE(band_holds_a_slice);
 

@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <map>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -322,6 +324,43 @@ TEST(ScatterGatherStrided, StrideOneDelegatesToUnstridedKernels) {
   kernels::gather<double>(std::span<const double>(acc_plain), map,
                           out_plain.data());
   EXPECT_EQ(out_strided, out_plain);
+}
+
+TEST(ScatterGatherStrided, OffsetFormCombinesIntoTheTargetRange) {
+  // A strictly increasing map (one piece's positions in a union), combined
+  // in part into a buffer that holds only union positions [base, hi): the
+  // same slots end up with the same bits as a combine into the whole union.
+  for (const std::size_t stride : {1u, 3u, 8u}) {
+    SCOPED_TRACE("stride " + std::to_string(stride));
+    Rng rng(804 + stride);
+    const std::size_t union_size = 6000;
+    PosMap map;
+    for (pos_t p = 0; p < union_size; ++p) {
+      if (rng.uniform() < 0.4) map.push_back(p);
+    }
+    std::vector<float> values(map.size() * stride);
+    for (float& v : values) v = static_cast<float>(rng.uniform()) * 0.3f;
+    std::vector<float> whole(union_size * stride, 0.25f);
+    kernels::scatter_combine_strided<float, OpSum>(std::span<float>(whole),
+                                                   values, map, stride, {});
+
+    const std::size_t base = 1234;
+    const std::size_t hi = 4321;
+    const std::size_t a =
+        std::lower_bound(map.begin(), map.end(), base) - map.begin();
+    const std::size_t b =
+        std::lower_bound(map.begin(), map.end(), hi) - map.begin();
+    std::vector<float> part((hi - base) * stride, 0.25f);
+    kernels::scatter_combine_strided<float, OpSum>(
+        std::span<float>(part),
+        std::span<const float>(values).subspan(a * stride, (b - a) * stride),
+        std::span<const pos_t>(map).subspan(a, b - a), stride, {}, base);
+    for (std::size_t i = 0; i < part.size(); ++i) {
+      ASSERT_EQ(std::bit_cast<std::uint32_t>(part[i]),
+                std::bit_cast<std::uint32_t>(whole[base * stride + i]))
+          << "value " << i;
+    }
+  }
 }
 
 // --- split_points monotone sweep -------------------------------------------
