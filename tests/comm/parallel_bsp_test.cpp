@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "common/thread_pool.hpp"
@@ -66,6 +68,71 @@ TEST(ThreadPool, SingleThreadRunsInline) {
 TEST(ThreadPool, ZeroItemsIsANoOp) {
   ThreadPool pool(4);
   pool.parallel_for(0, [](std::size_t) { FAIL() << "should not run"; });
+}
+
+TEST(ThreadPool, InterleavedBatchesRunEveryIndexOnce) {
+  // Short batches back to back, alternating both kinds: a worker that
+  // wakes after a balanced batch closed must skip it and join a later one.
+  ThreadPool pool(4);
+  std::vector<std::atomic<int>> hits(9);
+  std::vector<int> want(9, 0);
+  for (int batch = 0; batch < 3000; ++batch) {
+    const std::size_t n = 1 + static_cast<std::size_t>(batch % 9);
+    for (std::size_t i = 0; i < n; ++i) ++want[i];
+    auto body = [&](std::size_t i) {
+      hits[i].fetch_add(1, std::memory_order_relaxed);
+    };
+    if (batch % 2 == 0) {
+      pool.parallel_for_balanced(n, body);
+    } else {
+      pool.parallel_for(n, body);
+    }
+  }
+  for (std::size_t i = 0; i < hits.size(); ++i) {
+    EXPECT_EQ(hits[i].load(), want[i]) << "index " << i;
+  }
+}
+
+TEST(ThreadPool, BalancedBatchStallsOnlyOneShortShard) {
+  // Index 0 stalls its thread until all but 6 of the other 47 indices
+  // have run, so the other threads must claim what the stalled thread
+  // would have run next. With one shard per thread (16 of 48 indices on
+  // 3 threads) at most 32 others could run, and index 0 would give up at
+  // the deadline.
+  ThreadPool pool(3);
+  constexpr std::size_t kIndices = 48;
+  std::atomic<std::size_t> ran{0};
+  bool released = false;
+  pool.parallel_for_balanced(kIndices, [&](std::size_t i) {
+    if (i != 0) {
+      ran.fetch_add(1, std::memory_order_relaxed);
+      return;
+    }
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(20);
+    while (ran.load(std::memory_order_relaxed) < kIndices - 7) {
+      if (std::chrono::steady_clock::now() > deadline) return;
+      std::this_thread::yield();
+    }
+    released = true;
+  });
+  EXPECT_TRUE(released) << "only " << ran.load() << " other indices ran";
+  EXPECT_EQ(ran.load(), kIndices - 1);
+}
+
+TEST(ThreadPool, BalancedBatchRethrowsAfterEveryIndexRan) {
+  ThreadPool pool(4);
+  std::atomic<int> ran{0};
+  EXPECT_THROW(pool.parallel_for_balanced(64,
+                                          [&](std::size_t i) {
+                                            ran.fetch_add(1);
+                                            if (i == 7) {
+                                              throw std::runtime_error(
+                                                  "boom");
+                                            }
+                                          }),
+               std::runtime_error);
+  EXPECT_EQ(ran.load(), 64);
 }
 
 // ---------------------------------------------------------------------------
