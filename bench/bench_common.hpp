@@ -13,7 +13,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <map>
 #include <string>
 #include <vector>
@@ -35,98 +34,6 @@ class WallTimer {
 
  private:
   std::chrono::steady_clock::time_point start_;
-};
-
-/// Minimal streaming JSON emitter for the BENCH_*.json artifacts. Handles
-/// nesting and comma placement; numbers print with enough digits to
-/// round-trip doubles. No external dependency (the container only has the
-/// C++ toolchain).
-class JsonWriter {
- public:
-  explicit JsonWriter(const std::string& path) : out_(path) {}
-
-  void begin_object() { open('{'); }
-  void end_object() { close('}'); }
-  void begin_array() { open('['); }
-  void end_array() { close(']'); }
-
-  void key(const std::string& name) {
-    comma();
-    quote(name);
-    out_ << ':';
-    pending_value_ = true;
-  }
-
-  void value(const std::string& s) { scalar([&] { quote(s); }); }
-  void value(const char* s) { value(std::string(s)); }
-  void value(double v) {
-    scalar([&] {
-      char buf[32];
-      std::snprintf(buf, sizeof(buf), "%.17g", v);
-      out_ << buf;
-    });
-  }
-  void value(std::uint64_t v) { scalar([&] { out_ << v; }); }
-  void value(int v) { scalar([&] { out_ << v; }); }
-  void value(bool v) { scalar([&] { out_ << (v ? "true" : "false"); }); }
-
-  void key_value(const std::string& name, double v) { key(name); value(v); }
-  void key_value(const std::string& name, std::uint64_t v) {
-    key(name);
-    value(v);
-  }
-  void key_value(const std::string& name, int v) { key(name); value(v); }
-  void key_value(const std::string& name, bool v) { key(name); value(v); }
-  void key_value(const std::string& name, const std::string& v) {
-    key(name);
-    value(v);
-  }
-
-  /// Flush and report stream health (false: unwritable path / disk error).
-  bool finish() {
-    out_ << '\n';
-    out_.flush();
-    return out_.good();
-  }
-
- private:
-  template <typename Fn>
-  void scalar(Fn&& emit) {
-    if (!pending_value_) comma();
-    pending_value_ = false;
-    emit();
-    first_ = false;
-  }
-
-  void open(char c) {
-    if (!pending_value_) comma();
-    pending_value_ = false;
-    out_ << c;
-    first_ = true;
-  }
-
-  void close(char c) {
-    out_ << c;
-    first_ = false;
-  }
-
-  void comma() {
-    if (!first_) out_ << ',';
-    first_ = false;
-  }
-
-  void quote(const std::string& s) {
-    out_ << '"';
-    for (char c : s) {
-      if (c == '"' || c == '\\') out_ << '\\';
-      out_ << c;
-    }
-    out_ << '"';
-  }
-
-  std::ofstream out_;
-  bool first_ = true;
-  bool pending_value_ = false;
 };
 
 inline constexpr rank_t kMachines = 64;

@@ -167,7 +167,7 @@ int main() {
   // the widest letters several knees above the packet floor, so chunks at
   // the knee both run the wire efficiently and split every letter — the
   // operating point where pipelining beats the barrier (this is the
-  // configuration tools/bench_check.sh gates on).
+  // configuration tests/paper asserts on).
   constexpr std::uint32_t kStride = 16;
   std::printf("\n# streamed chunk sweep: twitter-like, stride %u "
               "(big-letter regime)\n",

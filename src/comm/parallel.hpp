@@ -34,19 +34,18 @@
 // nothing.
 //
 // Scaling: the pool claims contiguous rank shards (one atomic per shard, not
-// per rank), debug sender checks reuse per-worker scratch indexed by
-// ThreadPool::worker_id(), and pin_workers() optionally binds workers to
-// CPUs so a rank's node state keeps its cache home across rounds. Stages
-// that send no letters (intra_round: a replay's packs and combines around
-// every round, the host tier, the bottom gather, finish_configure, set
-// digests) run independent tasks across the pool — each writes only its
-// own slots (a letter, a run of a rank's buffer, a node's plan slot; the
-// timing accumulator preallocates per-rank slots), so no buffering or
-// locking is needed there. They carry a replay's value work: its produce
-// and consume callbacks only hand letters over and park the inbox. They
-// run as balanced batches (ThreadPool::parallel_for_balanced), so a pool
-// thread that wakes late or loses its CPU holds a stage up by one short
-// shard; rounds keep one shard per thread.
+// per rank), and debug sender checks reuse per-worker scratch indexed by
+// ThreadPool::worker_id(). Stages that send no letters (intra_round: a
+// replay's packs and combines around every round, the host tier, the
+// bottom gather, finish_configure, set digests) run independent tasks
+// across the pool — each writes only its own slots (a letter, a run of a
+// rank's buffer, a node's plan slot; the timing accumulator preallocates
+// per-rank slots), so no buffering or locking is needed there. They
+// carry a replay's value work: its produce and consume callbacks only
+// hand letters over and park the inbox. They run as balanced batches
+// (ThreadPool::parallel_for_balanced), so a pool thread that wakes late
+// or loses its CPU holds a stage up by one short shard; rounds keep one
+// shard per thread.
 //
 // Node algorithms are produce/expected/consume callbacks (DESIGN.md
 // decision 3); round(phase, layer, produce, expected, consume) calls, for
@@ -81,10 +80,6 @@ class ParallelBspEngine : public Delivery {
                           threads) {}
 
   [[nodiscard]] unsigned num_threads() const { return pool_.num_threads(); }
-
-  /// Affinity-aware placement: bind each pool worker to a CPU so rank
-  /// shards keep their cache home across rounds (Linux; no-op elsewhere).
-  void pin_workers() { pool_.pin_workers(); }
 
   /// Outside a round (e.g. the bottom gather's charge) this forwards to
   /// the accumulator; during the pooled consume it buffers per rank.

@@ -34,9 +34,7 @@
 // from batch N can observe state being written for batch N+1.
 //
 // Workers carry a stable id (worker_id(): caller = 0, spawned workers
-// 1..threads-1) so engines can keep per-worker scratch without locks, and
-// pin_workers() optionally binds each worker to a CPU (Linux) for
-// affinity-stable placement across rounds.
+// 1..threads-1) so engines can keep per-worker scratch without locks.
 #pragma once
 
 #include <atomic>
@@ -49,11 +47,6 @@
 #include <type_traits>
 #include <utility>
 #include <vector>
-
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
 
 #include "common/check.hpp"
 
@@ -97,23 +90,6 @@ class ThreadPool {
   /// the calling thread, 1..num_threads()-1 for pool workers. Valid only
   /// inside a batch; lets callers index per-worker scratch without locks.
   [[nodiscard]] static unsigned worker_id() { return tls_worker_id_; }
-
-  /// Pin each spawned worker to a CPU (worker i -> cpu i mod ncpu) so rank
-  /// shards keep their cache line ownership across rounds. Linux-only;
-  /// silently a no-op elsewhere or when the affinity call fails (e.g.
-  /// restricted cpusets). Call once, outside a batch.
-  void pin_workers() {
-#if defined(__linux__)
-    const unsigned ncpu = std::max(1u, std::thread::hardware_concurrency());
-    for (std::size_t i = 0; i < workers_.size(); ++i) {
-      cpu_set_t set;
-      CPU_ZERO(&set);
-      CPU_SET((i + 1) % ncpu, &set);
-      (void)pthread_setaffinity_np(workers_[i].native_handle(), sizeof(set),
-                                   &set);
-    }
-#endif
-  }
 
   /// Run fn(0), …, fn(n - 1) across the pool; contiguous shards of indices
   /// are claimed dynamically, the calling thread participates, and the call

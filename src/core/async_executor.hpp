@@ -27,8 +27,8 @@
 // sender-serialized plus handshake and propagation latency, and compute
 // runs per lane (one core per in-flight stream; within a stream the node
 // clock serializes it). k overlapped streams thus fill the wire gaps a
-// serialized run leaves idle — the aggregate reduces/sec headline of
-// bench/wall_engines. Admission is paced at the per-slot pipeline
+// serialized run leaves idle — the aggregate reduces/sec headline that
+// tests/paper asserts. Admission is paced at the per-slot pipeline
 // initiation interval, which bounds per-stream latency without costing
 // throughput, and a finished lane at once admits the next queued stream.
 //

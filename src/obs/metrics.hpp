@@ -156,7 +156,7 @@ class MetricsRegistry {
   /// {"counters":{...},"gauges":{...},"histograms":{...}} with names sorted.
   void write_json(std::ostream& out) const;
   /// Same object emitted through an in-flight writer (for embedding the
-  /// registry inside a larger document, e.g. BENCH_engines.json).
+  /// registry inside a larger document, e.g. a postmortem dump).
   void write_json(JsonWriter& json) const;
   [[nodiscard]] std::string to_json() const;
 

@@ -362,8 +362,7 @@ TEST(AllocHotPath, ObserverDetachRestoresSteadyStateBudget) {
 // obeys the same API-boundary budget. Flight-recorder slots are fixed at
 // construction, the watchdog's median scratch is pre-sized, and histogram
 // observes are bucket increments, so instrumentation adds zero allocations
-// per iteration (the <3% wall-clock gate in tools/bench_check.sh rests on
-// this).
+// per iteration.
 TEST(AllocHotPath, FullyInstrumentedSteadyStateReduceStaysWithinBudget) {
   const Topology topo({2, 2, 2});
   const rank_t m = topo.num_machines();

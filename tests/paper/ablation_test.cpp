@@ -1,0 +1,353 @@
+// The paper lane's modeled ablations: the three speedups this reproduction
+// claims beyond the paper's own figures, run at the sizes EXPERIMENTS.md
+// reports them at.
+//
+//   * streamed reduce (DESIGN §9): the stride-16 strided replay, chunked at
+//     the best point of a sweep around the efficiency knee, against the
+//     barriered letter-at-once replay;
+//   * async overlap (DESIGN §11): 16 streams through one AsyncExecutor at
+//     window 8, against the same streams at window 1;
+//   * two-tier topology (DESIGN §13): the preset's first degree folded into
+//     cores per machine, against the flat butterfly with its host NIC
+//     shared c ways.
+//
+// Every number is on the modeled cluster clock (bench::scaled_network and
+// the default ComputeModel), so the runs are deterministic. Each TEST builds
+// one bench preset (twitter-like 2^18 or yahoo-like 2^21, m = 64) once,
+// prints its three rows as EXPERIMENTS' markdown and compares them with the
+// rows EXPERIMENTS quotes, at its rounding. It then checks each claim's
+// bound and that every variant's results are bit-identical to its
+// baseline's.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <atomic>
+#include <cstdarg>
+#include <cstdio>
+#include <string>
+#include <vector>
+
+#include "bench_common.hpp"
+
+namespace kylix {
+namespace {
+
+[[gnu::format(printf, 1, 2)]] std::string format(const char* fmt, ...) {
+  char buffer[256];
+  va_list args;
+  va_start(args, fmt);
+  std::vsnprintf(buffer, sizeof(buffer), fmt, args);
+  va_end(args);
+  return buffer;
+}
+
+struct StreamingRow {
+  std::uint64_t chunk_bytes = 0;  ///< the sweep's best chunk
+  std::uint32_t max_chunks = 1;   ///< chunks per letter at the widest edge
+  double overlap_ratio = 0;
+  double letter_s = 0;            ///< barriered letter-at-once reduce
+  double streamed_s = 0;          ///< pipelined chunked reduce
+  bool identical = false;         ///< streamed results == letter results
+};
+
+/// Streaming pays off in the big-letter regime: chunks must stay at or
+/// above the Fig. 2 efficiency knee, so the letters being split have to be
+/// several knees wide. The presets' single-payload letters are *below* the
+/// scaled knee (that is the autotuner's packet-floor operating point), so
+/// the ablation drives the multi-payload strided replay, whose letters
+/// scale with the stride.
+constexpr std::uint32_t kStreamStride = 16;
+
+/// The streaming ablation: replay the stride-16 reduce letter-at-once and
+/// streamed, compare the barriered time against the pipelined one, and
+/// check the streamed results are bit-identical. The chunk size sweeps the
+/// knee's neighborhood and keeps the best pipelined speedup — splitting
+/// finer multiplies the unhideable per-chunk stack overhead, splitting
+/// coarser starves the pipeline, so the sweep is U-shaped with an interior
+/// optimum.
+StreamingRow run_streaming(const bench::Dataset& data,
+                           const Topology& topology) {
+  const NetworkModel net = bench::scaled_network();
+  std::vector<std::vector<real_t>> interleaved(data.out_values.size());
+  for (std::size_t r = 0; r < data.out_values.size(); ++r) {
+    interleaved[r].resize(data.out_values[r].size() * kStreamStride);
+    for (std::size_t p = 0; p < data.out_values[r].size(); ++p) {
+      for (std::uint32_t c = 0; c < kStreamStride; ++c) {
+        interleaved[r][p * kStreamStride + c] =
+            data.out_values[r][p] + static_cast<real_t>(c);
+      }
+    }
+  }
+  const auto reduce_once = [&](std::uint64_t chunk_bytes,
+                               TimingAccumulator& timing, StreamStats& stats) {
+    ParallelBspEngine<real_t> engine(topology.num_machines(), 1, nullptr,
+                                     nullptr, &timing);
+    SparseAllreduce<real_t, OpSum, ParallelBspEngine<real_t>> allreduce(
+        &engine, topology);
+    allreduce.set_streaming(chunk_bytes != 0);
+    allreduce.set_chunk_bytes(chunk_bytes);
+    allreduce.configure(data.in_sets, data.out_sets);
+    auto results = allreduce.reduce_strided(interleaved, kStreamStride);
+    stats = allreduce.stream_stats();
+    return results;
+  };
+
+  StreamingRow out;
+  TimingAccumulator letter_timing(topology.num_machines(), net,
+                                  ComputeModel{}, /*threads=*/1);
+  StreamStats letter_stats;
+  const auto letter_results = reduce_once(0, letter_timing, letter_stats);
+  out.letter_s = letter_timing.pipelined_reduce_time(1);
+
+  for (std::uint64_t chunk = 512u << 10; chunk >= 32u << 10; chunk /= 2) {
+    TimingAccumulator timing(topology.num_machines(), net, ComputeModel{},
+                             /*threads=*/1);
+    StreamStats stats;
+    const auto streamed_results = reduce_once(chunk, timing, stats);
+    const std::uint32_t k = std::max(1u, stats.max_chunks_per_letter);
+    if (k < 2) continue;  // nothing split: not a streamed data point
+    const double streamed_s = timing.pipelined_reduce_time(k);
+    if (out.chunk_bytes != 0 && streamed_s >= out.streamed_s) continue;
+    out.chunk_bytes = chunk;
+    out.max_chunks = k;
+    out.overlap_ratio = stats.overlap_ratio();
+    out.streamed_s = streamed_s;
+    out.identical = streamed_results == letter_results;
+  }
+  return out;
+}
+
+struct AsyncRow {
+  double serialized_s = 0;   ///< window 1: one stream at a time
+  double async_s = 0;        ///< window kInflight: overlapped makespan
+  double latency_p50_s = 0;  ///< per-stream completion latency quantiles
+  double latency_p99_s = 0;
+  double tx_busy_s = 0;      ///< bottleneck NIC occupancy (a lower bound)
+  bool identical = false;    ///< every overlapped stream == its w=1 replay
+};
+
+constexpr std::uint32_t kInflight = 8;       ///< overlapped window
+constexpr std::uint32_t kAsyncStreams = 16;  ///< reduces pushed through it
+
+/// The async-overlap ablation: push kAsyncStreams independent reduces
+/// through one AsyncExecutor with a kInflight-stream window, against the
+/// serialized baseline — the *same* executor and modeled clocks at window
+/// 1, so the only variable is overlap. A serialized replay pays NIC,
+/// compute, and handshake/propagation latency in turn on every stream's
+/// critical path; the overlapped window keeps the per-rank NIC timelines
+/// busy with other streams' letters during those gaps. The window-1
+/// results double as the per-stream bit-identity check, and per-stream
+/// completion latencies feed the histogram quantiles for p50/p99.
+AsyncRow run_async(const bench::Dataset& data, const Topology& topology) {
+  const NetworkModel net = bench::scaled_network();
+  const ComputeModel compute{};
+  const rank_t m = topology.num_machines();
+  ParallelBspEngine<real_t> compile_engine(m, 1);
+  SparseAllreduce<real_t, OpSum, ParallelBspEngine<real_t>> compiler(
+      &compile_engine, topology);
+  const auto plan = compiler.compile(data.in_sets, data.out_sets);
+
+  // Stream i shifts every value by i so streams are distinguishable.
+  std::vector<std::vector<std::vector<real_t>>> inputs(kAsyncStreams);
+  for (std::uint32_t i = 0; i < kAsyncStreams; ++i) {
+    inputs[i] = data.out_values;
+    for (auto& values : inputs[i]) {
+      for (auto& v : values) v += static_cast<real_t>(i);
+    }
+  }
+
+  AsyncRow out;
+  const auto run = [&](std::uint32_t window, double& makespan,
+                       std::vector<double>& latencies) {
+    AsyncExecutor<real_t> ax;
+    AsyncExecutor<real_t>::Options opts;
+    opts.window = window;
+    opts.network = &net;
+    opts.compute = &compute;
+    ax.bind(plan, opts);
+    std::vector<std::uint32_t> tags;
+    tags.reserve(kAsyncStreams);
+    for (std::uint32_t i = 0; i < kAsyncStreams; ++i) {
+      tags.push_back(ax.submit(inputs[i]));
+    }
+    ax.drain();
+    makespan = ax.makespan_seconds();
+    latencies = ax.completion_latencies();
+    out.tx_busy_s = ax.max_tx_busy_seconds();  // the last run's: window 8
+    std::vector<std::vector<std::vector<real_t>>> results;
+    results.reserve(kAsyncStreams);
+    for (const std::uint32_t tag : tags) {
+      results.push_back(ax.take_result(tag));
+    }
+    return results;
+  };
+
+  std::vector<double> serial_latencies;
+  const auto serial_results = run(1, out.serialized_s, serial_latencies);
+  std::vector<double> latencies;
+  const auto async_results = run(kInflight, out.async_s, latencies);
+  out.identical = async_results == serial_results;
+
+  std::atomic<bool> on{true};
+  obs::Histogram latency_hist(&on, obs::exponential_bounds(1e-5, 1.2, 80));
+  for (const double s : latencies) latency_hist.observe(s);
+  out.latency_p50_s = latency_hist.quantile(0.5);
+  out.latency_p99_s = latency_hist.quantile(0.99);
+  return out;
+}
+
+struct HierarchyRow {
+  std::uint32_t cores = 1;  ///< cores per machine (c)
+  std::vector<std::uint32_t> inter_degrees;
+  double flat_s = 0;        ///< flat butterfly's modeled reduce
+  double hier_s = 0;        ///< two-tier modeled reduce, incl. intra stage
+  double intra_s = 0;       ///< the intra stage's down + up share of hier_s
+  bool identical = false;   ///< hier == flat, bit for bit
+};
+
+/// The two-tier ablation: fold the preset's first (largest) butterfly
+/// degree into cores-per-machine, so the flat expansion of the
+/// hierarchical topology is exactly the paper topology — the degree-d_1
+/// network round becomes the leader's single-copy pass over co-located
+/// member buffers. The flat run charges inter rounds only; the
+/// hierarchical one splits into intra memory-bus time plus the shortened
+/// inter schedule.
+HierarchyRow run_hierarchy(const bench::Dataset& data, const Topology& flat) {
+  HierarchyRow out;
+  out.cores = flat.degree(1);
+  for (std::uint16_t i = 2; i <= flat.num_layers(); ++i) {
+    out.inter_degrees.push_back(flat.degree(i));
+  }
+  const Topology hier(out.inter_degrees, out.cores);
+
+  const NetworkModel net = bench::scaled_network();
+  // Both schedules run on the same physical hosts: c co-located ranks share
+  // one NIC. The flat butterfly therefore gives each rank 1/c of the link
+  // (CPU-side per-message costs — stack, handshake — stay per-rank), while
+  // the hierarchical leaders own the full link and the member traffic rides
+  // the memory bus. That asymmetry is the two-tier plan's whole case.
+  NetworkModel flat_net = net;
+  flat_net.bandwidth_bytes_per_s /= out.cores;
+  const ComputeModel compute;
+  const auto modeled = [&](const Topology& topo, const NetworkModel& model,
+                           TimingAccumulator& timing) {
+    ParallelBspEngine<real_t> engine(bench::kMachines, 1, nullptr, nullptr,
+                                     &timing);
+    SparseAllreduce<real_t, OpSum, ParallelBspEngine<real_t>> allreduce(
+        &engine, topo, &compute);
+    allreduce.set_network(&model);
+    allreduce.configure(data.in_sets, data.out_sets);
+    return allreduce.reduce(data.out_values);
+  };
+  TimingAccumulator flat_timing(bench::kMachines, flat_net, compute);
+  const auto flat_results = modeled(flat, flat_net, flat_timing);
+  TimingAccumulator hier_timing(bench::kMachines, net, compute);
+  const auto hier_results = modeled(hier, net, hier_timing);
+  out.identical = hier_results == flat_results;
+
+  const auto ht = hier_timing.times();
+  out.flat_s = flat_timing.times().reduce();
+  out.hier_s = ht.reduce();
+  out.intra_s = ht.intra_down + ht.intra_up;
+  return out;
+}
+
+std::string join(const std::vector<std::uint32_t>& degrees, const char* sep) {
+  std::string out;
+  for (const std::uint32_t d : degrees) {
+    if (!out.empty()) out += sep;
+    out += std::to_string(d);
+  }
+  return out;
+}
+
+/// The rows EXPERIMENTS quotes for one preset, in its markdown.
+struct Rows {
+  std::string streaming;
+  std::string async;
+  std::string hierarchy;
+};
+
+/// Runs the three ablations on one preset, prints their rows and checks
+/// them against `expected` and against each claim's bound.
+void check_preset(const char* which, const Rows& expected) {
+  const bench::Dataset data = bench::make_dataset(which);
+  const Topology& topology = data.paper_topology;
+  std::vector<std::uint32_t> degrees;
+  for (std::uint16_t i = 1; i <= topology.num_layers(); ++i) {
+    degrees.push_back(topology.degree(i));
+  }
+  const std::string label = data.name + " (" + join(degrees, "×") + ")";
+  constexpr double kMs = 1e3;
+
+  const StreamingRow s = run_streaming(data, topology);
+  const double stream_speedup = s.streamed_s > 0 ? s.letter_s / s.streamed_s
+                                                 : 0;
+  const AsyncRow a = run_async(data, topology);
+  const double async_speedup = a.async_s > 0 ? a.serialized_s / a.async_s : 0;
+  const HierarchyRow h = run_hierarchy(data, topology);
+  const double hier_speedup = h.hier_s > 0 ? h.flat_s / h.hier_s : 0;
+
+  const Rows printed{
+      format("| %s | %u | %.0f KB | %u | %.2f ms | %.2f ms | **%.2f×** | "
+             "%.2f |",
+             label.c_str(), kStreamStride,
+             static_cast<double>(s.chunk_bytes) / 1e3, s.max_chunks,
+             s.letter_s * kMs, s.streamed_s * kMs, stream_speedup,
+             s.overlap_ratio),
+      format("| %s | %.1f ms | %.1f ms | **%.2f×** | %.0f → %.0f | %.1f ms "
+             "| %.1f ms | %.0f%% |",
+             label.c_str(), a.serialized_s * kMs, a.async_s * kMs,
+             async_speedup, kAsyncStreams / a.serialized_s,
+             kAsyncStreams / a.async_s, a.latency_p50_s * kMs,
+             a.latency_p99_s * kMs, 100.0 * a.tx_busy_s / a.async_s),
+      format("| %s | %u | {%s} | %.2f ms | %.2f ms | **%.2f×** | %.2f ms / "
+             "%.2f ms | %s |",
+             data.name.c_str(), h.cores, join(h.inter_degrees, ",").c_str(),
+             h.flat_s * kMs, h.hier_s * kMs, hier_speedup, h.intra_s * kMs,
+             h.hier_s * kMs, h.identical ? "yes" : "NO")};
+  std::printf("streaming %s\nasync     %s\ntwo-tier  %s\n",
+              printed.streaming.c_str(), printed.async.c_str(),
+              printed.hierarchy.c_str());
+
+  EXPECT_EQ(printed.streaming, expected.streaming);
+  EXPECT_EQ(printed.async, expected.async);
+  EXPECT_EQ(printed.hierarchy, expected.hierarchy);
+
+  EXPECT_GE(stream_speedup, 1.15) << "per-chunk overheads ate the overlap";
+  EXPECT_TRUE(s.identical) << "streamed results differ from letter-at-once";
+  EXPECT_GE(async_speedup, 1.3) << "window " << kInflight
+                                << " did not overlap the streams";
+  EXPECT_GT(a.latency_p50_s, 0);
+  EXPECT_GT(a.latency_p99_s, 0);
+  EXPECT_TRUE(a.identical) << "an overlapped stream differs from its "
+                              "serialized replay";
+  EXPECT_GE(hier_speedup, 1.2) << "the intra tier did not beat the flat "
+                                  "butterfly";
+  EXPECT_TRUE(h.identical) << "two-tier results differ from flat";
+}
+
+TEST(PaperAblation, TwitterLike) {
+  check_preset(
+      "twitter",
+      {"| twitter-like (8×4×2) | 16 | 262 KB | 3 | 6.98 ms | 5.18 ms | "
+       "**1.35×** | 0.19 |",
+       "| twitter-like (8×4×2) | 30.2 ms | 17.9 ms | **1.69×** | 529 → 894 | "
+       "7.4 ms | 10.1 ms | 96% |",
+       "| twitter-like | 8 | {4,2} | 4.14 ms | 3.09 ms | **1.34×** | 1.56 ms "
+       "/ 3.09 ms | yes |"});
+}
+
+TEST(PaperAblation, YahooLike) {
+  check_preset(
+      "yahoo",
+      {"| yahoo-like (16×4) | 16 | 262 KB | 4 | 12.63 ms | 8.44 ms | "
+       "**1.50×** | 0.24 |",
+       "| yahoo-like (16×4) | 45.9 ms | 30.2 ms | **1.52×** | 348 → 531 | "
+       "12.7 ms | 17.5 ms | 98% |",
+       "| yahoo-like | 16 | {4} | 12.64 ms | 9.47 ms | **1.33×** | 5.48 ms "
+       "/ 9.47 ms | yes |"});
+}
+
+}  // namespace
+}  // namespace kylix

@@ -1,58 +1,36 @@
 #!/usr/bin/env bash
-# Kernel perf regression gate: rebuilds bench/micro_kernels in Release,
-# re-measures every kernel row, and compares kernel_eps against the
-# committed BENCH_kernels.json. A row regressing by more than the tolerance
-# fails the kernel gate and the table marks it REGRESS.
+# Perf regression gates: rebuilds bench/micro_kernels and kylix_cli in
+# Release and runs three gates.
 #
-# Every gate below runs and prints its table whatever the earlier gates
-# said, so one flaky row cannot hide the rest; the script ends with one
-# line per gate and exits 1 if any gate failed (2 if a baseline is
-# missing; a build or measurement error still stops it at once).
+# 1. Kernel rows: re-measures every micro_kernels row and compares
+#    kernel_eps against the committed BENCH_kernels.json. A row regressing
+#    by more than the tolerance fails the gate and the table marks it
+#    REGRESS. Wall-clock microbenches are noisy across hosts, so the
+#    committed artifact is a same-machine baseline: refresh it (run
+#    micro_kernels, commit the JSON) whenever the kernels or the hardware
+#    change intentionally. The default 25% tolerance absorbs scheduler
+#    jitter on shared runners while still catching algorithmic regressions
+#    (the kernels win by 2-4x, not percents).
+# 2. Healing loop: `kylix_cli heal` exits nonzero unless every healed
+#    reduce is bit-identical to a fresh survivor configure and every
+#    rejoin restores the cached epoch-0 plan.
+# 3. Healing cost: the same run's re-plan may cost at most 1.5x a cold
+#    configure on the survivor set.
 #
-# Wall-clock microbenches are noisy across hosts, so the committed artifact
-# is a same-machine baseline: refresh it (run micro_kernels, commit the
-# JSON) whenever the kernels or the hardware change intentionally. The
-# default 25% tolerance absorbs scheduler jitter on shared runners while
-# still catching algorithmic regressions (the kernels win by 2-4x, not
-# percents).
+# Every gate runs and prints its table whatever the earlier gates said, so
+# one flaky row cannot hide the rest; the script ends with one line per
+# gate and exits 1 if any gate failed (2 if the baseline is missing; a
+# build or measurement error still stops it at once).
 #
-# The script also gates the chaos layer's no-fault overhead: with no
-# FaultPlan attached, the FaultChannel hooks in every engine must cost
-# nothing, so the engine wall-clock bench (BENCH_engines.json) is
-# re-measured and compared too — see the second gate below.
-#
-# A third gate covers plan reuse: the same fresh wall_engines run records a
-# plan_reuse block per preset, and cached-plan replay must beat running
-# configuration every iteration (with strided replay bit-identical to
-# independent reduces) — see the plan-reuse gate at the bottom.
-#
-# A fourth gate covers streaming: each preset's streaming block must show
-# the pipelined chunked reduce beating barriered letter-at-once by 1.15x on
-# the modeled clock, with streamed results bit-identical.
-#
-# A fifth gate covers the async overlapped executor (DESIGN §11): each
-# preset's async block must show >= 1.3x aggregate reduces/sec vs the
-# serialized (window=1) replay of the same streams at a window of >= 4,
-# with per-stream p50/p99 completion latency reported and every overlapped
-# stream bit-identical to its serialized replay.
-#
-# A sixth gate holds the observability overhead to a tight *absolute* band:
-# the paired-ratio median in wall_engines kills measurement drift, so both
-# the instrumented and dark columns must sit within +/-4% of bare — a
-# negative reading outside the band is just as much a measurement bug as a
-# positive one is a perf bug.
-#
-# Usage: tools/bench_check.sh [build-dir] [tolerance] [engine-tolerance]
+# Usage: tools/bench_check.sh [build-dir] [tolerance]
 #   build-dir defaults to build-bench (separate tree pinned to Release so a
 #   Debug working tree never produces bogus regressions).
 #   tolerance defaults to 0.25 (new_eps >= (1 - tol) * old_eps).
-#   engine-tolerance defaults to 0.5 (new_s <= (1 + tol) * old_s).
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
 build_dir="${1:-"${repo_root}/build-bench"}"
 tolerance="${2:-0.25}"
-engine_tolerance="${3:-0.5}"
 baseline="${repo_root}/BENCH_kernels.json"
 
 if [[ ! -f "${baseline}" ]]; then
@@ -118,302 +96,15 @@ if failed:
 print(f"\nall {len(old)} kernel rows within {tol:.0%} of the baseline")
 EOF
 
-# ---- No-fault-overhead gate ------------------------------------------------
-# The chaos layer adds a delivery hook to every engine; with fault hooks
-# disabled (no FaultChannel attached — exactly what wall_engines runs) the
-# engines must not get slower. Wall times are far noisier than throughput
-# ratios, so the tolerance is wide by default (50%): this catches accidental
-# per-letter work on the no-fault path, not percent-level jitter. Refresh
-# the committed artifact the same way as the kernel baseline.
-engines_baseline="${repo_root}/BENCH_engines.json"
-if [[ ! -f "${engines_baseline}" ]]; then
-  echo "error: no committed baseline at ${engines_baseline}" >&2
-  echo "       run bench/wall_engines once and commit its output" >&2
-  exit 2
-fi
-
-cmake --build "${build_dir}" -j "$(nproc)" --target wall_engines
-engines_fresh="${build_dir}/BENCH_engines_fresh.json"
-engines_threads="$(python3 -c \
-  'import json,sys; print(json.load(open(sys.argv[1]))["engine_threads"])' \
-  "${engines_baseline}")"
-"${build_dir}/bench/wall_engines" "${engines_threads}" "${engines_fresh}" \
-  > /dev/null
-
-run_gate "no-fault engine overhead" \
-  python3 - "${engines_baseline}" "${engines_fresh}" "${engine_tolerance}" \
-  <<'EOF'
-import json
-import sys
-
-baseline_path, fresh_path, tol = sys.argv[1], sys.argv[2], float(sys.argv[3])
-baseline = json.load(open(baseline_path))
-fresh = json.load(open(fresh_path))
-
-def rows(doc):
-    out = {}
-    for preset in doc["presets"]:
-        for engine in ("sequential", "parallel"):
-            for metric in ("configure_s", "warm_reduce_mean_s"):
-                out[(preset["name"], engine, metric)] = \
-                    preset[engine][metric]
-    return out
-
-old, new = rows(baseline), rows(fresh)
-missing = sorted(set(old) - set(new))
-if missing:
-    print(f"error: fresh run lacks {len(missing)} baseline rows: {missing}")
-    sys.exit(1)
-
-print(f"\n{'preset':<14}{'engine':<12}{'metric':<20}{'old s':>10}"
-      f"{'new s':>10}{'ratio':>7}  status")
-failed = 0
-for key in sorted(old):
-    o, n = old[key], new[key]
-    ratio = n / o if o else float("inf")
-    ok = n <= (1.0 + tol) * o
-    failed += not ok
-    print(f"{key[0]:<14}{key[1]:<12}{key[2]:<20}{o:>10.4f}{n:>10.4f}"
-          f"{ratio:>7.2f}  {'ok' if ok else 'REGRESS'}")
-
-if failed:
-    print(f"\n{failed} engine row(s) slower than {tol:.0%} over "
-          f"{baseline_path} — the no-fault path grew overhead")
-    sys.exit(1)
-print(f"\nall {len(old)} engine rows within {tol:.0%} of the baseline: "
-      "fault hooks are free when disabled")
-EOF
-
-# ---- Plan-reuse gate -------------------------------------------------------
-# The plan/executor split exists to make recurring sparsity patterns cheap:
-# a warm cached replay (configure_cached hit + reduce) must beat running
-# configuration every iteration (reduce_with_config), or the cache is dead
-# weight. The margin is deliberately modest (1.2x) — the measured advantage
-# is 2-4x, dominated by the skipped config rounds — and the strided path
-# must stay bit-identical to independent replays.
-run_gate "plan reuse" python3 - "${engines_fresh}" <<'EOF'
-import json
-import sys
-
-doc = json.load(open(sys.argv[1]))
-min_speedup = 1.2
-
-print(f"\n{'preset':<14}{'combined s/it':>14}{'replay s/it':>13}"
-      f"{'speedup':>9}  status")
-failed = 0
-for preset in doc["presets"]:
-    reuse = preset["plan_reuse"]
-    ok = reuse["cached_replay_speedup"] >= min_speedup
-    identical = reuse["strided_bit_identical"]
-    failed += (not ok) + (not identical)
-    status = "ok" if ok else "REGRESS"
-    if not identical:
-        status += " STRIDED-MISMATCH"
-    print(f"{preset['name']:<14}{reuse['combined_per_iter_s']:>14.4f}"
-          f"{reuse['cached_replay_per_iter_s']:>13.4f}"
-          f"{reuse['cached_replay_speedup']:>8.2f}x  {status}")
-
-if failed:
-    print(f"\nplan-reuse gate FAILED: cached replay must beat per-iteration "
-          f"configure+reduce by {min_speedup}x and strided replay must be "
-          f"bit-identical")
-    sys.exit(1)
-print(f"\nplan-reuse gate passed: cached replay >= {min_speedup}x on every "
-      "preset, strided replay bit-identical")
-EOF
-
-# ---- Streaming gate --------------------------------------------------------
-# The streaming executor (DESIGN §9) exists to overlap scatter-reduce with
-# allgather: on the modeled network clock, the pipelined chunked reduce must
-# beat the barriered letter-at-once reduce by at least 1.15x on every
-# preset, and the streamed results must be bit-identical to letter-at-once
-# (the determinism contract — same combine order, not just same sums). The
-# ablation runs the stride-16 big-letter regime and sweeps chunk sizes
-# around the efficiency knee (the optimum lands on min_efficient_packet at
-# k = 3-4, measured 1.35-1.50x); dipping below 1.15x means per-chunk
-# overheads ate the overlap.
-run_gate "streaming" python3 - "${engines_fresh}" <<'EOF'
-import json
-import sys
-
-doc = json.load(open(sys.argv[1]))
-min_speedup = 1.15
-
-print(f"\n{'preset':<14}{'letter s':>10}{'streamed s':>12}{'speedup':>9}"
-      f"{'k':>4}{'overlap':>9}  status")
-failed = 0
-for preset in doc["presets"]:
-    s = preset["streaming"]
-    ok = s["modeled_speedup"] >= min_speedup
-    identical = s["stream_bit_identical"]
-    failed += (not ok) + (not identical)
-    status = "ok" if ok else "REGRESS"
-    if not identical:
-        status += " STREAM-MISMATCH"
-    print(f"{preset['name']:<14}{s['letter_modeled_s']:>10.4f}"
-          f"{s['streamed_modeled_s']:>12.4f}{s['modeled_speedup']:>8.2f}x"
-          f"{s['max_chunks_per_letter']:>4}{s['overlap_ratio']:>9.2f}"
-          f"  {status}")
-
-if failed:
-    print(f"\nstreaming gate FAILED: pipelined chunked reduce must beat "
-          f"letter-at-once by {min_speedup}x on the modeled clock and stay "
-          f"bit-identical")
-    sys.exit(1)
-print(f"\nstreaming gate passed: streamed reduce >= {min_speedup}x letter-"
-      "at-once on every preset, results bit-identical")
-EOF
-
-# ---- Observability-overhead gate -------------------------------------------
-# The flight recorder, percentile histograms, and anomaly watchdog ride the
-# warm replay path; the same fresh wall_engines run replays each preset
-# bare, fully instrumented, and with every sink disabled, interleaved
-# pairwise so host-load drift cancels inside each repeat. The gate is on
-# the ABSOLUTE deviation: instrumented and dark must both sit within +/-4%
-# of bare. An impossible negative reading (instrumented "faster" than
-# bare) outside the band means the measurement drifted, and that is a
-# failure too — it used to hide real overhead behind -5% noise.
-run_gate "observability overhead" python3 - "${engines_fresh}" <<'EOF'
-import json
-import sys
-
-doc = json.load(open(sys.argv[1]))
-max_overhead = 0.04
-
-print(f"\n{'preset':<14}{'bare s':>10}{'instr s':>10}{'dark s':>10}"
-      f"{'instr ovh':>11}{'dark ovh':>10}  status")
-failed = 0
-for preset in doc["presets"]:
-    o = preset["observability"]
-    ok_instr = abs(o["overhead_instrumented"]) <= max_overhead
-    ok_dark = abs(o["overhead_disabled"]) <= max_overhead
-    failed += (not ok_instr) + (not ok_dark)
-    status = "ok" if (ok_instr and ok_dark) else "REGRESS"
-    print(f"{preset['name']:<14}{o['bare_warm_min_s']:>10.4f}"
-          f"{o['instrumented_warm_min_s']:>10.4f}"
-          f"{o['disabled_warm_min_s']:>10.4f}"
-          f"{o['overhead_instrumented']:>10.1%}"
-          f"{o['overhead_disabled']:>9.1%}  {status}")
-
-if failed:
-    print(f"\nobservability gate FAILED: recorder+watchdog overhead must "
-          f"stay within +/-{max_overhead:.0%} of the bare warm replay "
-          f"(absolute band: negative drift is a measurement bug)")
-    sys.exit(1)
-print(f"\nobservability gate passed: instrumented and disabled replays "
-      f"within +/-{max_overhead:.0%} of bare on every preset")
-EOF
-
-# ---- Async-overlap gate ----------------------------------------------------
-# The async executor (DESIGN §11) exists to keep the modeled NICs busy with
-# other streams' letters while any one stream waits out handshake gaps and
-# compute: the overlapped window must push aggregate reduces/sec to at
-# least 1.3x the serialized (window=1) replay of the exact same streams, at
-# a window of at least 4, with per-stream p50/p99 completion latency
-# reported and every overlapped stream bit-identical to its serialized
-# replay (measured 1.5-1.7x at a window of 8 over 16 streams, ~95%+
-# bottleneck-NIC occupancy).
-run_gate "async overlap" python3 - "${engines_fresh}" <<'PYGATE'
-import json
-import sys
-
-doc = json.load(open(sys.argv[1]))
-min_speedup = 1.3
-min_inflight = 4
-
-print(f"\n{'preset':<14}{'serial s':>10}{'async s':>10}{'speedup':>9}"
-      f"{'k':>4}{'p50 s':>9}{'p99 s':>9}{'NIC':>6}  status")
-failed = 0
-for preset in doc["presets"]:
-    a = preset["async"]
-    ok = a["aggregate_speedup"] >= min_speedup
-    ok_window = a["inflight"] >= min_inflight
-    ok_latency = a["latency_p50_s"] > 0 and a["latency_p99_s"] > 0
-    identical = a["bit_identical"]
-    failed += (not ok) + (not ok_window) + (not ok_latency) + (not identical)
-    status = "ok" if ok else "REGRESS"
-    if not ok_window:
-        status += " WINDOW<4"
-    if not ok_latency:
-        status += " NO-LATENCY"
-    if not identical:
-        status += " STREAM-MISMATCH"
-    print(f"{preset['name']:<14}{a['serialized_modeled_s']:>10.4f}"
-          f"{a['async_modeled_s']:>10.4f}{a['aggregate_speedup']:>8.2f}x"
-          f"{a['inflight']:>4}{a['latency_p50_s']:>9.4f}"
-          f"{a['latency_p99_s']:>9.4f}{a['tx_utilization']:>6.0%}  {status}")
-
-if failed:
-    print(f"\nasync-overlap gate FAILED: overlapped window must deliver "
-          f">= {min_speedup}x aggregate reduces/sec vs serialized replay "
-          f"at >= {min_inflight} in flight, bit-identical, with latency "
-          f"percentiles reported")
-    sys.exit(1)
-print(f"\nasync-overlap gate passed: >= {min_speedup}x serialized at "
-      f">= {min_inflight} in flight on every preset, streams bit-identical")
-PYGATE
-
-# ---- Hierarchy gate --------------------------------------------------------
-# The two-tier topology (DESIGN §13) folds the preset's first butterfly
-# degree into cores-per-machine: the degree-d_1 network round becomes the
-# leader's single-copy pass over co-located member buffers. On the modeled
-# clock the hierarchical reduce must beat the flat butterfly by at least
-# 1.2x on every (multi-core) preset, bit-identically. The wall-clock half —
-# ParallelBspEngine beating the sequential engine by > 1.5x on the
-# hierarchical plan — only means something with real cores to shard hosts
-# across, so it is enforced when >= 4 CPUs are visible and skipped with a
-# logged reason otherwise.
-run_gate "hierarchy" python3 - "${engines_fresh}" <<'PYHIER'
-import json
-import sys
-
-doc = json.load(open(sys.argv[1]))
-min_modeled = 1.2
-min_warm = 1.5
-cpus = doc["affinity_cpus"]
-
-print(f"\n{'preset':<14}{'cores':>6}{'flat s':>10}{'hier s':>10}"
-      f"{'modeled':>9}{'warm':>7}  status")
-failed = 0
-for preset in doc["presets"]:
-    h = preset["hierarchy"]
-    ok_modeled = h["modeled_reduce_speedup"] >= min_modeled
-    identical = h["results_bit_identical"]
-    ok_warm = h["warm_speedup"] > min_warm if cpus >= 4 else True
-    failed += (not ok_modeled) + (not identical) + (not ok_warm)
-    status = "ok" if ok_modeled else "REGRESS"
-    if not identical:
-        status += " HIER-MISMATCH"
-    if not ok_warm:
-        status += " WARM-SLOW"
-    print(f"{preset['name']:<14}{h['cores_per_machine']:>6}"
-          f"{h['flat_modeled_reduce_s']:>10.4f}"
-          f"{h['hier_modeled_reduce_s']:>10.4f}"
-          f"{h['modeled_reduce_speedup']:>8.2f}x"
-          f"{h['warm_speedup']:>6.2f}x  {status}")
-
-if cpus < 4:
-    print(f"warm-speedup half skipped: only {cpus} CPU(s) visible to this "
-          f"process (needs >= 4 to shard hosts across pool workers)")
-if failed:
-    print(f"\nhierarchy gate FAILED: the two-tier reduce must beat the flat "
-          f"butterfly by {min_modeled}x on the modeled clock (bit-identical)"
-          f"{f' and {min_warm}x warm on >= 4 CPUs' if cpus >= 4 else ''}")
-    sys.exit(1)
-print(f"\nhierarchy gate passed: intra tier >= {min_modeled}x modeled on "
-      "every preset" + (f", parallel warm > {min_warm}x" if cpus >= 4
-                        else " (warm half skipped: < 4 CPUs)"))
-PYHIER
-
 # ---- Healing gate ----------------------------------------------------------
 # Elastic membership (DESIGN §12) must keep re-planning cheap: after a
 # kill-group is confirmed dead, the EpochedPlanManager's re-plan on the
 # survivor set may cost at most 1.5x a cold configure on that same survivor
 # set (it runs the same config rounds plus the epoch bookkeeping — salted
-# fingerprints, density-hint capture, cache insert). The loop itself is the
-# correctness gate: `kylix_cli heal` exits nonzero unless every healed
-# reduce is bit-identical to a fresh survivor configure and every rejoin
-# restores the cached epoch-0 plan.
+# fingerprints, cache insert). The loop itself is the correctness gate:
+# `kylix_cli heal` exits nonzero unless every healed reduce is
+# bit-identical to a fresh survivor configure and every rejoin restores
+# the cached epoch-0 plan.
 cmake --build "${build_dir}" -j "$(nproc)" --target kylix_cli
 heal_json="${build_dir}/BENCH_heal_fresh.json"
 rm -f "${heal_json}"
