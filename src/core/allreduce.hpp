@@ -196,9 +196,11 @@ class SparseAllreduce {
   }
 
   /// Machine r's configuration node, for tests and volume introspection
-  /// (Fig. 5 reads the per-layer set sizes off these). Unavailable after
-  /// adopting a precompiled plan (no nodes exist on that path — read the
-  /// plan instead).
+  /// (Fig. 5 reads the bottom sets off these). A node keeps its layer-0
+  /// and bottom sets only; intermediate set sizes are in the plan
+  /// (RankPlan::in_sizes / out_sizes). Unavailable after adopting a
+  /// precompiled plan (no nodes exist on that path — read the plan
+  /// instead).
   [[nodiscard]] const KylixNode<V, Op>& node(rank_t rank) const {
     KYLIX_CHECK_MSG(rank < nodes_.size(),
                     "node() unavailable: configuration was adopted from a "
@@ -462,9 +464,11 @@ class SparseAllreduce {
   /// The one configuration pass behind compile(), compile_hierarchical()
   /// and reduce_with_config(): rank r's node compiles straight into slot r
   /// of a fresh plan over the config rounds, with `values` (combined mode;
-  /// null otherwise) riding the config letters. Ranks that never finish
-  /// (dead, hierarchical members) are left with empty slots. Stamps the
-  /// union kernels and the streaming chunk size.
+  /// null otherwise) riding the config letters. The nodes' work runs in
+  /// pooled stages around the rounds (core/node.hpp): the pack before
+  /// round 1 and a union after every round. Ranks that never finish (dead,
+  /// hierarchical members) are left with empty slots. Stamps the streaming
+  /// chunk size.
   std::shared_ptr<CollectivePlan> configure_pass(
       std::vector<KeySet> in_sets, std::vector<KeySet> out_sets,
       std::uint64_t fingerprint, std::vector<std::vector<V>>* values) {
@@ -478,8 +482,12 @@ class SparseAllreduce {
     combined_ = values != nullptr;
     build_nodes(std::move(in_sets), std::move(out_sets), *plan);
     if (values != nullptr) load_values(*values);
+    if (topo_.num_layers() >= 1) pack();
     for (std::uint16_t layer = 1; layer <= topo_.num_layers(); ++layer) {
       run_config_round(layer);
+      node_stage([&](Node& node) {
+        if (!sits_out(node.rank())) node.unite(layer);
+      });
     }
     finish_configure();
     for (rank_t r = 0; r < plan->num_ranks(); ++r) {
@@ -563,42 +571,73 @@ class SparseAllreduce {
     for (Node& node : nodes_) {
       if (finishes(node.rank())) node.reserve_finish();
     }
-    // Nodes finish across the pool; the lowest failing rank's error is
-    // rethrown, the one a serial loop would stop at.
-    std::vector<std::exception_ptr> errors(nodes_.size());
-    engine_->intra_round(Phase::kConfig, static_cast<rank_t>(errors.size()),
+    node_stage([&](Node& node) {
+      if (finishes(node.rank())) node.finish_configure(degraded);
+    });
+  }
+
+  /// fn(node) for every node, one pooled task per rank; the lowest failing
+  /// rank's error is rethrown, the one a serial loop would stop at.
+  template <typename Fn>
+  void node_stage(Fn&& fn) {
+    errors_.assign(nodes_.size(), nullptr);
+    engine_->intra_round(Phase::kConfig, static_cast<rank_t>(nodes_.size()),
                          [&](rank_t r) {
-                           if (!finishes(r)) return;
                            try {
-                             nodes_[r].finish_configure(degraded);
+                             fn(nodes_[r]);
                            } catch (...) {
-                             errors[r] = std::current_exception();
+                             errors_[r] = std::current_exception();
                            }
                          });
-    for (const std::exception_ptr& e : errors) {
+    for (const std::exception_ptr& e : errors_) {
       if (e) std::rethrow_exception(e);
     }
   }
 
+  /// Hierarchical topologies exchange between host leaders only: the other
+  /// cores of a host hold no per-layer routing state (their unions live at
+  /// the leader), so they neither produce, expect, nor consume letters.
+  [[nodiscard]] bool sits_out(rank_t r) const {
+    return topo_.hierarchical() && !topo_.is_leader(r);
+  }
+
+  /// The pack stage before round 1, cut by letters: each rank splits its
+  /// sets on the driving thread, then one task per letter copies its keys
+  /// (a rank dead now may be revived for round 1).
+  void pack() {
+    pack_tasks_.clear();
+    for (rank_t r = 0; r < nodes_.size(); ++r) {
+      if (sits_out(r)) continue;
+      nodes_[r].plan_pack();
+      for (std::uint32_t q = 0; q < topo_.degree(1); ++q) {
+        pack_tasks_.emplace_back(r, q);
+      }
+    }
+    engine_->intra_round(Phase::kConfig,
+                         static_cast<rank_t>(pack_tasks_.size()),
+                         [&](rank_t t) {
+                           const auto [r, q] = pack_tasks_[t];
+                           nodes_[r].pack(q);
+                         });
+  }
+
+  /// One config round: produce hands the letters over and consume parks
+  /// the pieces; their modeled work is charged here, in rank order.
   void run_config_round(std::uint16_t layer) {
-    // Hierarchical topologies exchange between host leaders only: the other
-    // cores of a host hold no per-layer routing state (their unions live at
-    // the leader), so they neither produce, expect, nor consume letters.
-    const bool gate = topo_.hierarchical();
     engine_->round(
         Phase::kConfig, layer,
         // Reference returns: produce hands out the node's reusable letter
         // shells; expected hands out the cached group (no copies per round).
         [&](rank_t r) -> std::vector<Letter<V>>& {
-          if (gate && !topo_.is_leader(r)) return empty_letters_;
+          if (sits_out(r)) return empty_letters_;
           return nodes_[r].config_produce(layer);
         },
         [&](rank_t r) -> const std::vector<rank_t>& {
-          if (gate && !topo_.is_leader(r)) return empty_ranks_;
+          if (sits_out(r)) return empty_ranks_;
           return nodes_[r].expected(layer);
         },
         [&](rank_t r, std::vector<Letter<V>>&& inbox) {
-          if (gate && !topo_.is_leader(r)) return;
+          if (sits_out(r)) return;
           nodes_[r].config_consume(layer, std::move(inbox));
           charge(layer, nodes_[r]);
         });
@@ -706,6 +745,8 @@ class SparseAllreduce {
   std::vector<Letter<V>> empty_letters_;  ///< hierarchical non-leader rounds
   std::vector<rank_t> empty_ranks_;
   std::vector<NodeScratch<V>> scratch_;  ///< per-rank, survives build_nodes
+  std::vector<std::pair<rank_t, std::uint32_t>> pack_tasks_;  ///< (rank, q)
+  std::vector<std::exception_ptr> errors_;  ///< node_stage, per rank
   std::vector<std::uint64_t> digests_;   ///< per-set, fingerprint() scratch
   std::shared_ptr<const CollectivePlan> plan_;
   ReduceExecutor<V, Op, Engine> executor_;

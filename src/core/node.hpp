@@ -1,40 +1,47 @@
 // Per-machine configuration compiler for the nested sparse allreduce
 // (§III-A).
 //
-// A KylixNode owns one machine's view of the butterfly while configuring:
-// its in/out index sets at every node layer. It exposes one produce/consume
-// step per configuration round, so any engine satisfying the concept in
-// comm/parallel.hpp can drive it, and writes the routing state it derives —
-// group, split boundaries, the f/g positional maps, received-piece sizes,
-// the bottom map and the upward watermark — straight into its RankPlan slot
-// of the CollectivePlan being compiled (core/plan.hpp). Value traffic is
-// never the node's job: every reduce is a plan replay (core/executor.hpp).
+// A KylixNode owns one machine's part of the configuration pass. Its owner
+// (SparseAllreduce::configure_pass) runs it in pooled stages around the
+// config rounds, as a replay runs around its rounds:
 //
-//   configuration (down): partition in/out sets into the d_i hashed key
-//     subranges of the current range, send piece q to the group member whose
-//     digit is q, union arriving pieces (tree merge) and record maps.
+//   pack -> round 1 -> unite -> round 2 -> unite -> ... -> unite -> finish
+//
+// The pack splits the caller's in/out sets over the d_1 hashed key
+// subranges, one task per letter: the only copy of keys the pass makes. A
+// round's callbacks only hand letters over and park the arriving pieces;
+// they count the modeled NodeWork, charged in rank order. unite, one task
+// per rank, cuts each parked piece at the next layer's subranges and
+// merges subrange j straight into the rank's j-th letter of the next
+// round, each piece's f/g map written in place at the subrange's base
+// position; the bases are the next layer's split. The last layer's union
+// is the bottom set. All routing state goes straight into the node's
+// RankPlan slot (core/plan.hpp); a node keeps only its layer-0 and bottom
+// sets, so intermediate sets live only in letters, their sizes in the
+// plan. Value traffic is never the node's job: every reduce is a plan
+// replay (core/executor.hpp).
 //
 // Combined mode (minibatch, §III): configuration letters also carry values,
-// and config_consume scatter-combines them into one down buffer — the
-// executor's own per-rank buffer (ReplayScratch), so the configuration pass
-// doubles as the scatter-reduce and the executor's up half finishes the
-// reduction in place. The contribution is moved into the lane, not copied:
-// the layer-1 config_produce slices its letters straight out of the
-// caller's vector and then hands that buffer to the lane's result slot.
+// and unite scatter-combines them into one down buffer — the executor's
+// own per-rank buffer (ReplayScratch), so the configuration pass doubles
+// as the scatter-reduce and the executor's up half finishes the reduction
+// in place. Produce copies each letter's values out of that buffer, or at
+// layer 1 out of the caller's vector, which it then hands to the lane's
+// result slot.
 //
-// Allocation discipline: all transient key storage (letter shells, piece
-// vectors, merge workspaces) lives in a caller-owned NodeScratch that
-// survives across rounds and node rebuilds, so repeated configure passes
-// reuse warmed buffers. Consumed packet buffers are recycled through pools
-// (keys in NodeScratch, values in the ReplayScratch) and handed back to
-// produced letters.
+// Allocation discipline: letter shells, parked pieces and merge workspaces
+// live in a caller-owned NodeScratch that survives across rounds and node
+// rebuilds; consumed packet buffers return to pools (keys in NodeScratch,
+// values in the ReplayScratch) and are handed back to produced letters.
 //
-// Fault tolerance hook: a missing letter (dead unreplicated sender) is
-// treated as an empty piece, so the protocol always terminates; correctness
-// under failures is the replication layer's job.
+// Fault tolerance hook: a missing letter (dead unreplicated sender) is an
+// empty piece, so the protocol always terminates; correctness under
+// failures is the replication layer's job. A rank dead in a round unites
+// nothing and readies empty letters, which it sends if revived.
 #pragma once
 
 #include <algorithm>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -54,10 +61,10 @@ namespace kylix {
 template <typename V>
 struct NodeScratch {
   MergeScratch merge;
-  UnionResult in_union;
-  UnionResult out_union;
-  std::vector<std::span<const key_t>> key_spans;
-  std::vector<std::vector<key_t>> in_pieces;
+  std::vector<std::span<const key_t>> key_spans;  ///< one union's inputs
+  std::vector<std::span<pos_t>> map_spans;        ///< and their maps
+  std::vector<std::size_t> cuts;  ///< piece positions at subrange bounds
+  std::vector<std::vector<key_t>> in_pieces;   ///< parked, by sender digit
   std::vector<std::vector<key_t>> out_pieces;
   std::vector<std::vector<V>> value_pieces;  ///< combined mode
   std::vector<std::vector<Letter<V>>> letters;  ///< per comm layer shells
@@ -73,16 +80,21 @@ class KylixNode {
   /// warmed working storage; neither is owned, both must outlive the node.
   KylixNode(const Topology* topology, rank_t rank, KeySet in0, KeySet out0,
             RankPlan* slot, NodeScratch<V>* scratch)
-      : topo_(topology), rank_(rank), slot_(slot), scratch_(scratch) {
+      : topo_(topology),
+        rank_(rank),
+        slot_(slot),
+        scratch_(scratch),
+        out0_(std::move(out0)) {
     KYLIX_CHECK(rank < topo_->num_machines());
     KYLIX_CHECK(slot_ != nullptr && scratch_ != nullptr);
     const std::uint16_t l = topo_->num_layers();
     // The requested set lives in the plan (result alignment, loss report);
-    // in_sets_[0] stays empty and in_set(0) reads it from there.
+    // in_set(0) reads it from there.
     slot_->in0 = std::move(in0);
-    in_sets_.resize(l + 1);
-    out_sets_.resize(l + 1);
-    out_sets_[0] = std::move(out0);
+    slot_->in_sizes.assign(l + 1, 0);
+    slot_->out_sizes.assign(l + 1, 0);
+    slot_->in_sizes[0] = slot_->in0.size();
+    slot_->out_sizes[0] = out0_.size();
     slot_->layers.resize(l);
     for (std::uint16_t i = 1; i <= l; ++i) {
       slot_->layers[i - 1].group = topo_->group(i, rank_);
@@ -105,10 +117,10 @@ class KylixNode {
   /// down buffer holds the fully reduced bottom out-values after the last
   /// round, ready for the executor's up half. Call before the first round.
   void set_combined(ReplayScratch<V>& lane, std::vector<V>& out_values) {
-    KYLIX_CHECK_MSG(out_values.size() == out_sets_[0].size(),
+    KYLIX_CHECK_MSG(out_values.size() == out0_.size(),
                     "machine " << rank_ << " contributes "
                                << out_values.size() << " values, expected "
-                               << out_sets_[0].size()
+                               << out0_.size()
                                << " (one per key of its out set)");
     lane_ = &lane;
     ReplayOps<V, Op>::load_input(lane, out_values);
@@ -116,43 +128,49 @@ class KylixNode {
 
   // ---- configuration, downward ----
 
-  [[nodiscard]] std::vector<Letter<V>>& config_produce(std::uint16_t layer) {
-    PlanLayer& cfg = slot_->layers[layer - 1];
+  /// The pack stage on the driving thread: split the caller's sets over
+  /// layer 1's subranges and ready round 1's letters for pack(q).
+  void plan_pack() {
+    PlanLayer& cfg = slot_->layers[0];
     const auto d = static_cast<std::uint32_t>(cfg.group.size());
-    const KeyRange range = topo_->key_range(layer - 1, rank_);
-    const KeySet& in_prev = in_set(layer - 1);
-    const KeySet& out_prev = out_sets_[layer - 1];
-    cfg.in_split = in_prev.split_points(range, d);
-    cfg.out_split = out_prev.split_points(range, d);
+    cfg.in_split = slot_->in0.split_points(KeyRange::full(), d);
+    cfg.out_split = out0_.split_points(KeyRange::full(), d);
+    ready_letters(1);
+  }
 
+  /// The pack stage's task: copy letter q's keys.
+  void pack(std::uint32_t q) {
+    const PlanLayer& cfg = slot_->layers[0];
+    Packet<V>& packet = scratch_->letters[0][q].packet;
+    slot_->in0.extract_into(cfg.in_split[q], cfg.in_split[q + 1],
+                            packet.in_keys);
+    out0_.extract_into(cfg.out_split[q], cfg.out_split[q + 1],
+                       packet.out_keys);
+  }
+
+  /// Round `layer`'s produce: hand over the letters the stage before the
+  /// round filled, with their values in combined mode.
+  [[nodiscard]] std::vector<Letter<V>>& config_produce(std::uint16_t layer) {
+    const PlanLayer& cfg = slot_->layers[layer - 1];
+    const auto d = static_cast<std::uint32_t>(cfg.group.size());
     std::vector<Letter<V>>& letters = scratch_->letters[layer - 1];
-    letters.resize(d);
     for (std::uint32_t q = 0; q < d; ++q) {
-      Letter<V>& letter = letters[q];
-      letter.src = rank_;
-      letter.dst = cfg.group[q];
-      pool_refill(scratch_->key_pool, letter.packet.in_keys);
-      pool_refill(scratch_->key_pool, letter.packet.out_keys);
-      in_prev.extract_into(cfg.in_split[q], cfg.in_split[q + 1],
-                           letter.packet.in_keys);
-      out_prev.extract_into(cfg.out_split[q], cfg.out_split[q + 1],
-                            letter.packet.out_keys);
+      Packet<V>& packet = letters[q].packet;
       if (lane_ != nullptr) {
         // Layer 1 reads the caller's contribution in place (combined mode
         // is flat only); deeper layers read the lane's down buffer.
         const std::vector<V>& source = layer == 1 ? lane_->in : lane_->v;
-        pool_refill(lane_->value_pool, letter.packet.values);
-        letter.packet.values.assign(
+        pool_refill(lane_->value_pool, packet.values);
+        packet.values.assign(
             source.begin() + static_cast<std::ptrdiff_t>(cfg.out_split[q]),
             source.begin() +
                 static_cast<std::ptrdiff_t>(cfg.out_split[q + 1]));
       } else {
-        letter.packet.values.clear();
+        packet.values.clear();
       }
-      work_.gather_elements +=
-          static_cast<double>(letter.packet.in_keys.size() +
-                              letter.packet.out_keys.size() +
-                              letter.packet.values.size());
+      work_.gather_elements += static_cast<double>(
+          packet.in_keys.size() + packet.out_keys.size() +
+          packet.values.size());
     }
     if (lane_ != nullptr && layer == 1) {
       ReplayOps<V, Op>::hand_off_input(*lane_);
@@ -160,83 +178,98 @@ class KylixNode {
     return letters;
   }
 
+  /// Round `layer`'s consume: park the arriving pieces by sender digit for
+  /// unite() and count the layer's modeled work.
   void config_consume(std::uint16_t layer, std::vector<Letter<V>>&& inbox) {
     PlanLayer& cfg = slot_->layers[layer - 1];
     const std::uint32_t d = topo_->degree(layer);
-    auto& in_pieces = scratch_->in_pieces;
-    auto& out_pieces = scratch_->out_pieces;
-    auto& value_pieces = scratch_->value_pieces;
-    in_pieces.resize(d);
-    out_pieces.resize(d);
-    value_pieces.resize(d);
+    NodeScratch<V>& s = *scratch_;
+    s.in_pieces.resize(d);
+    s.out_pieces.resize(d);
+    s.value_pieces.resize(d);
     for (std::uint32_t q = 0; q < d; ++q) {
-      in_pieces[q].clear();
-      out_pieces[q].clear();
-      value_pieces[q].clear();
+      s.in_pieces[q].clear();
+      s.out_pieces[q].clear();
+      s.value_pieces[q].clear();
     }
     for (Letter<V>& letter : inbox) {
       const std::uint32_t q = topo_->digit(layer, letter.src);
-      in_pieces[q] = std::move(letter.packet.in_keys);
-      out_pieces[q] = std::move(letter.packet.out_keys);
-      value_pieces[q] = std::move(letter.packet.values);
+      s.in_pieces[q] = std::move(letter.packet.in_keys);
+      s.out_pieces[q] = std::move(letter.packet.out_keys);
+      s.value_pieces[q] = std::move(letter.packet.values);
     }
-
-    UnionResult& in_union = scratch_->in_union;
-    UnionResult& out_union = scratch_->out_union;
-    tree_merge_into(spans_of(in_pieces), in_union, scratch_->merge);
-    for (const auto& piece : in_pieces) {
-      work_.merge_elements += static_cast<double>(piece.size());
-    }
-    tree_merge_into(spans_of(out_pieces), out_union, scratch_->merge);
-    for (const auto& piece : out_pieces) {
-      work_.merge_elements += static_cast<double>(piece.size());
+    cfg.recv_out_sizes.resize(d);
+    for (std::uint32_t q = 0; q < d; ++q) {
+      // Integer-valued sums: exact in any order.
+      work_.merge_elements += static_cast<double>(s.in_pieces[q].size() +
+                                                  s.out_pieces[q].size());
+      work_.combine_elements += static_cast<double>(s.value_pieces[q].size());
+      cfg.recv_out_sizes[q] = s.out_pieces[q].size();
     }
     work_.merge_ways = std::max(work_.merge_ways, d);
+    cfg.in_prev_size = slot_->in_sizes[layer - 1];
+    parked_ = layer;
+  }
 
-    cfg.recv_out_sizes.assign(d, 0);
-    for (std::uint32_t q = 0; q < d; ++q) {
-      cfg.recv_out_sizes[q] = out_pieces[q].size();
+  /// The union stage after round `layer`, one pool task per rank: unite
+  /// what config_consume parked into the next round's letters or, after
+  /// the last round, the bottom sets.
+  void unite(std::uint16_t layer) {
+    const bool bottom = layer == topo_->num_layers();
+    if (!bottom) ready_letters(layer + 1);
+    if (parked_ != layer) {
+      // Dead in the round: it sent nothing, and if revived for the next
+      // round it sends empty pieces there.
+      slot_->layers[layer - 1].in_split.clear();
+      slot_->layers[layer - 1].out_split.clear();
+      if (!bottom) {
+        const std::size_t dn = topo_->degree(layer + 1);
+        slot_->layers[layer].in_split.assign(dn + 1, 0);
+        slot_->layers[layer].out_split.assign(dn + 1, 0);
+      }
+      return;
     }
-    // The f/g maps go to the plan slot, their only copy.
-    std::swap(cfg.in_maps, in_union.maps);
-    std::swap(cfg.out_maps, out_union.maps);
-    cfg.out_union_size = out_union.keys.size();
-    cfg.in_prev_size = in_set(layer - 1).size();
-
+    PlanLayer& cfg = slot_->layers[layer - 1];
+    NodeScratch<V>& s = *scratch_;
+    const KeyRange range = topo_->key_range(layer, rank_);
+    for (std::uint32_t q = 0; q < s.in_pieces.size(); ++q) {
+      for (const auto* piece : {&s.in_pieces[q], &s.out_pieces[q]}) {
+        // Sorted pieces: the first and last keys tell.
+        KYLIX_CHECK_MSG(piece->empty() || (range.contains(piece->front()) &&
+                                           range.contains(piece->back())),
+                        "configuration piece holds keys outside the "
+                        "receiving rank's key range");
+      }
+    }
+    slot_->in_sizes[layer] = unite_side(layer, true, cfg.in_maps);
+    const std::size_t n = unite_side(layer, false, cfg.out_maps);
+    slot_->out_sizes[layer] = n;
+    cfg.out_union_size = n;
     if (lane_ != nullptr) {
       // The lane's v and merged are buffers the executor keeps across
       // replays: they only grow, so a warm executor finds them sized.
-      const std::size_t n = out_union.keys.size();
       keep_size(lane_->merged, n);
       const std::span<V> merged = std::span<V>(lane_->merged).first(n);
       std::fill(merged.begin(), merged.end(), Op::template identity<V>());
-      for (std::uint32_t q = 0; q < d; ++q) {
-        if (!value_pieces[q].empty()) {
+      for (std::uint32_t q = 0; q < s.value_pieces.size(); ++q) {
+        if (!s.value_pieces[q].empty()) {
           scatter_combine<V, Op>(merged,
-                                 std::span<const V>(value_pieces[q]),
+                                 std::span<const V>(s.value_pieces[q]),
                                  cfg.out_maps[q]);
-          work_.combine_elements +=
-              static_cast<double>(value_pieces[q].size());
         }
-        pool_recycle(lane_->value_pool, value_pieces[q]);
+        pool_recycle(lane_->value_pool, s.value_pieces[q]);
       }
       std::swap(lane_->v, lane_->merged);
     }
-
-    in_sets_[layer] = KeySet::from_sorted_keys(std::move(in_union.keys));
-    out_sets_[layer] = KeySet::from_sorted_keys(std::move(out_union.keys));
-    for (std::uint32_t q = 0; q < d; ++q) {
-      pool_recycle(scratch_->key_pool, in_pieces[q]);
-      pool_recycle(scratch_->key_pool, out_pieces[q]);
+    for (std::uint32_t q = 0; q < s.in_pieces.size(); ++q) {
+      pool_recycle(s.key_pool, s.in_pieces[q]);
+      pool_recycle(s.key_pool, s.out_pieces[q]);
     }
   }
 
   /// Room in the plan slot for a pooled finish_configure.
   void reserve_finish() {
-    const std::uint16_t l = topo_->num_layers();
-    slot_->bottom_map.reserve(in_set(l).size());
-    slot_->in_sizes.reserve(l + 1);
-    slot_->out_sizes.reserve(l + 1);
+    slot_->bottom_map.reserve(in_set(topo_->num_layers()).size());
   }
 
   /// After the last config layer: locate every bottom in-key inside the
@@ -248,7 +281,7 @@ class KylixNode {
   void finish_configure(bool degraded) {
     const std::uint16_t l = topo_->num_layers();
     const KeySet& in_bottom = in_set(l);
-    const KeySet& out_bottom = out_sets_[l];
+    const KeySet& out_bottom = out_set(l);
     PosMap& bottom_map = slot_->bottom_map;
     std::vector<key_t>& missing = slot_->missing_bottom;
     bottom_map.resize(in_bottom.size());
@@ -271,23 +304,19 @@ class KylixNode {
       bottom_map[p] = kMissingPos;
       missing.push_back(key);
     }
-    slot_->out0_size = out_sets_[0].size();
-    slot_->in_sizes.resize(l + 1);
-    slot_->out_sizes.resize(l + 1);
-    for (std::uint16_t i = 0; i <= l; ++i) {
-      slot_->in_sizes[i] = in_set(i).size();
-      slot_->out_sizes[i] = out_sets_[i].size();
-    }
+    slot_->out0_size = out0_.size();
     slot_->configured = true;
   }
 
   // ---- introspection ----
 
+  /// This machine's sets at node layer 0 and at the bottom (layer l). Other
+  /// layers throw check_error: their sets only ever lived in letters.
   [[nodiscard]] const KeySet& in_set(std::uint16_t node_layer) const {
-    return node_layer == 0 ? slot_->in0 : in_sets_[node_layer];
+    return node_layer == 0 ? slot_->in0 : bottom(node_layer, in_bottom_);
   }
   [[nodiscard]] const KeySet& out_set(std::uint16_t node_layer) const {
-    return out_sets_[node_layer];
+    return node_layer == 0 ? out0_ : bottom(node_layer, out_bottom_);
   }
 
   [[nodiscard]] NodeWork take_work() {
@@ -295,12 +324,92 @@ class KylixNode {
   }
 
  private:
-  [[nodiscard]] std::span<const std::span<const key_t>> spans_of(
-      const std::vector<std::vector<key_t>>& pieces) {
-    auto& spans = scratch_->key_spans;
-    spans.clear();
-    for (const auto& piece : pieces) spans.emplace_back(piece);
-    return spans;
+  [[nodiscard]] const KeySet& bottom(std::uint16_t node_layer,
+                                     const KeySet& set) const {
+    KYLIX_CHECK_MSG(node_layer == topo_->num_layers(),
+                    "node layer " << node_layer << " set: a node keeps its "
+                                  << "layer-0 and bottom sets only; read "
+                                     "RankPlan::in_sizes / out_sizes");
+    return set;
+  }
+
+  /// Round `layer`'s letter shells, addressed, with empty pooled keys.
+  void ready_letters(std::uint16_t layer) {
+    const std::vector<rank_t>& group = slot_->layers[layer - 1].group;
+    std::vector<Letter<V>>& letters = scratch_->letters[layer - 1];
+    letters.resize(group.size());
+    for (std::size_t q = 0; q < group.size(); ++q) {
+      letters[q].src = rank_;
+      letters[q].dst = group[q];
+      for (auto* keys : {&letters[q].packet.in_keys,
+                         &letters[q].packet.out_keys}) {
+        pool_refill(scratch_->key_pool, *keys);
+        keys->clear();
+      }
+    }
+  }
+
+  /// Unite one side (in or out) of round `layer`'s parked pieces, each
+  /// piece's map written once, in place, into `maps`; returns the union's
+  /// size. At the last layer the union is the bottom set. Above it, piece
+  /// q is cut at the next layer's subranges of this rank's range (its part
+  /// j is [cut[j], cut[j+1])), subrange j merges into letter j of the next
+  /// round at base position split[j], and the bases are that layer's split.
+  /// unite() has checked that every piece lies inside the range, so the
+  /// last part ends where the piece does.
+  std::size_t unite_side(std::uint16_t layer, bool in_side,
+                         std::vector<PosMap>& maps) {
+    NodeScratch<V>& s = *scratch_;
+    const auto& pieces = in_side ? s.in_pieces : s.out_pieces;
+    const auto d = static_cast<std::uint32_t>(pieces.size());
+    maps.resize(d);
+    for (std::uint32_t q = 0; q < d; ++q) maps[q].resize(pieces[q].size());
+    if (layer == topo_->num_layers()) {
+      s.key_spans.assign(pieces.begin(), pieces.end());
+      s.map_spans.assign(maps.begin(), maps.end());
+      std::vector<key_t> keys;
+      pool_refill(s.key_pool, keys);
+      tree_merge_into(s.key_spans, keys, s.map_spans, 0, s.merge);
+      KeySet& set = in_side ? in_bottom_ : out_bottom_;
+      set = KeySet::from_sorted_keys(std::move(keys));
+      return set.size();
+    }
+    const std::uint32_t dn = topo_->degree(layer + 1);
+    const KeyRange range = topo_->key_range(layer, rank_);
+    s.cuts.resize(std::size_t{d} * (dn + 1));
+    for (std::uint32_t q = 0; q < d; ++q) {
+      std::size_t* cut = &s.cuts[std::size_t{q} * (dn + 1)];
+      const auto begin = pieces[q].begin();
+      cut[0] = 0;
+      for (std::uint32_t j = 1; j < dn; ++j) {
+        cut[j] = static_cast<std::size_t>(
+            std::lower_bound(begin + cut[j - 1], pieces[q].end(),
+                             range.subrange(j, dn).lo) -
+            begin);
+      }
+      cut[dn] = pieces[q].size();
+    }
+    PlanLayer& next = slot_->layers[layer];
+    std::vector<std::size_t>& split = in_side ? next.in_split : next.out_split;
+    split.assign(dn + 1, 0);
+    for (std::uint32_t j = 0; j < dn; ++j) {
+      s.key_spans.clear();
+      s.map_spans.clear();
+      for (std::uint32_t q = 0; q < d; ++q) {
+        const std::size_t* cut = &s.cuts[std::size_t{q} * (dn + 1)];
+        const std::size_t n = cut[j + 1] - cut[j];
+        s.key_spans.push_back(
+            std::span<const key_t>(pieces[q]).subspan(cut[j], n));
+        s.map_spans.push_back(std::span<pos_t>(maps[q]).subspan(cut[j], n));
+      }
+      Packet<V>& packet = s.letters[layer][j].packet;
+      std::vector<key_t>& keys = in_side ? packet.in_keys : packet.out_keys;
+      tree_merge_into(s.key_spans, keys, s.map_spans,
+                      static_cast<pos_t>(split[j]), s.merge);
+      KeySet::check_strictly_increasing(keys);
+      split[j + 1] = split[j] + keys.size();
+    }
+    return split[dn];
   }
 
   const Topology* topo_;
@@ -309,8 +418,10 @@ class KylixNode {
   NodeScratch<V>* scratch_;
   ReplayScratch<V>* lane_ = nullptr;  ///< combined mode: the value buffers
 
-  std::vector<KeySet> in_sets_;   ///< node layers 1..l (0 is slot_->in0)
-  std::vector<KeySet> out_sets_;  ///< node layers 0..l
+  KeySet out0_;       ///< node layer 0 (in0 lives in the slot)
+  KeySet in_bottom_;  ///< node layer l >= 1
+  KeySet out_bottom_;
+  std::uint16_t parked_ = 0;  ///< the round whose pieces wait for unite()
   NodeWork work_;
 };
 

@@ -36,6 +36,11 @@ KeySet KeySet::from_keys(std::vector<key_t> keys) {
 }
 
 KeySet KeySet::from_sorted_keys(std::vector<key_t> keys) {
+  check_strictly_increasing(keys);
+  return KeySet(std::move(keys));
+}
+
+void KeySet::check_strictly_increasing(std::span<const key_t> keys) {
   // Checked in every build: an unsorted or repeating set would make
   // split_points and every later union silently wrong.
   const auto bad = std::adjacent_find(keys.begin(), keys.end(),
@@ -46,7 +51,6 @@ KeySet KeySet::from_sorted_keys(std::vector<key_t> keys) {
                       << (bad - keys.begin() + 1) << " "
                       << (bad[1] == bad[0] ? "repeats" : "is below")
                       << " the one before it");
-  return KeySet(std::move(keys));
 }
 
 std::vector<index_t> KeySet::to_indices() const {

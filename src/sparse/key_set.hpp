@@ -56,10 +56,13 @@ class KeySet {
   /// Adopt keys that may be unsorted / contain duplicates.
   static KeySet from_keys(std::vector<key_t> keys);
 
-  /// Adopt keys that must already be strictly increasing. One linear scan
-  /// checks it in every build; a violation throws check_error naming the
-  /// first offending position.
+  /// Adopt keys that must already be strictly increasing, as
+  /// check_strictly_increasing checks.
   static KeySet from_sorted_keys(std::vector<key_t> keys);
+
+  /// One linear scan, in every build: throws check_error naming the first
+  /// position where `keys` is not strictly increasing.
+  static void check_strictly_increasing(std::span<const key_t> keys);
 
   [[nodiscard]] std::size_t size() const { return keys_.size(); }
   [[nodiscard]] bool empty() const { return keys_.empty(); }

@@ -11,15 +11,16 @@ namespace kylix {
 namespace {
 
 /// Copy src[lo, hi) to out[o, ...) and fill the matching map entries with
-/// consecutive union positions, in one compare-free loop — "everything left
-/// comes from one side". A fused loop rather than a memmove call: the
-/// gallop path takes runs of a few keys, where the call costs more than
-/// the copy. Returns the next output position.
+/// consecutive union positions plus `base`, in one compare-free loop —
+/// "everything left comes from one side". A fused loop rather than a
+/// memmove call: the gallop path takes runs of a few keys, where the call
+/// costs more than the copy. Returns the next output position.
 std::size_t bulk_take(std::span<const key_t> src, std::size_t lo,
-                      std::size_t hi, key_t* out, std::size_t o, PosMap& map) {
+                      std::size_t hi, key_t* out, std::size_t o,
+                      std::span<pos_t> map, pos_t base) {
   for (std::size_t p = lo; p < hi; ++p) {
     out[o] = src[p];
-    map[p] = static_cast<pos_t>(o++);
+    map[p] = base + static_cast<pos_t>(o++);
   }
   return o;
 }
@@ -44,20 +45,21 @@ std::size_t gallop(std::span<const key_t> a, std::size_t from, key_t key) {
 /// union size.
 std::size_t gallop_union(std::span<const key_t> lng,
                          std::span<const key_t> shrt, key_t* out,
-                         PosMap& map_long, PosMap& map_short) {
+                         std::span<pos_t> map_long, std::span<pos_t> map_short,
+                         pos_t base) {
   std::size_t i = 0;
   std::size_t o = 0;
   for (std::size_t j = 0; j < shrt.size(); ++j) {
     const std::size_t idx = gallop(lng, i, shrt[j]);
-    o = bulk_take(lng, i, idx, out, o, map_long);
+    o = bulk_take(lng, i, idx, out, o, map_long, base);
     i = idx;
     if (i < lng.size() && lng[i] == shrt[j]) {
-      map_long[i++] = static_cast<pos_t>(o);
+      map_long[i++] = base + static_cast<pos_t>(o);
     }
     out[o] = shrt[j];
-    map_short[j] = static_cast<pos_t>(o++);
+    map_short[j] = base + static_cast<pos_t>(o++);
   }
-  return bulk_take(lng, i, lng.size(), out, o, map_long);
+  return bulk_take(lng, i, lng.size(), out, o, map_long, base);
 }
 
 /// Balanced-size union, branch-free: each step emits the smaller head and
@@ -67,7 +69,8 @@ std::size_t gallop_union(std::span<const key_t> lng,
 /// taken, and the last write is that key's union position.
 std::size_t interleave_union(std::span<const key_t> a,
                              std::span<const key_t> b, key_t* out,
-                             PosMap& map_a, PosMap& map_b) {
+                             std::span<pos_t> map_a, std::span<pos_t> map_b,
+                             pos_t base) {
   const key_t* pa = a.data();
   const key_t* pb = b.data();
   pos_t* ma = map_a.data();
@@ -81,21 +84,23 @@ std::size_t interleave_union(std::span<const key_t> a,
     const key_t x = pa[i];
     const key_t y = pb[j];
     out[o] = x < y ? x : y;
-    ma[i] = static_cast<pos_t>(o);
-    mb[j] = static_cast<pos_t>(o);
+    ma[i] = base + static_cast<pos_t>(o);
+    mb[j] = base + static_cast<pos_t>(o);
     i += static_cast<std::size_t>(x <= y);
     j += static_cast<std::size_t>(y <= x);
     ++o;
   }
   // One side is exhausted: the other tail transfers in one copy loop.
-  o = bulk_take(a, i, na, out, o, map_a);
-  return bulk_take(b, j, nb, out, o, map_b);
+  o = bulk_take(a, i, na, out, o, map_a, base);
+  return bulk_take(b, j, nb, out, o, map_b, base);
 }
 
 }  // namespace
 
 void merge_union_into(std::span<const key_t> a, std::span<const key_t> b,
-                      std::vector<key_t>& keys, PosMap& map_a, PosMap& map_b) {
+                      std::vector<key_t>& keys, std::span<pos_t> map_a,
+                      std::span<pos_t> map_b, pos_t base) {
+  KYLIX_DCHECK(map_a.size() == a.size() && map_b.size() == b.size());
   // Presized outputs: every path writes through raw pointers and the union
   // is trimmed to its size at the end. A buffer too small for the input
   // total is reallocated to exactly that total, copying nothing; a warm one
@@ -106,18 +111,24 @@ void merge_union_into(std::span<const key_t> a, std::span<const key_t> b,
     keys.reserve(total);
   }
   keys.resize(total);
-  map_a.resize(a.size());
-  map_b.resize(b.size());
 
   std::size_t size = 0;
   if (a.size() >= kGallopRatio * b.size()) {
-    size = gallop_union(a, b, keys.data(), map_a, map_b);
+    size = gallop_union(a, b, keys.data(), map_a, map_b, base);
   } else if (b.size() >= kGallopRatio * a.size()) {
-    size = gallop_union(b, a, keys.data(), map_b, map_a);
+    size = gallop_union(b, a, keys.data(), map_b, map_a, base);
   } else {
-    size = interleave_union(a, b, keys.data(), map_a, map_b);
+    size = interleave_union(a, b, keys.data(), map_a, map_b, base);
   }
   keys.resize(size);
+}
+
+void merge_union_into(std::span<const key_t> a, std::span<const key_t> b,
+                      std::vector<key_t>& keys, PosMap& map_a, PosMap& map_b) {
+  map_a.resize(a.size());
+  map_b.resize(b.size());
+  merge_union_into(a, b, keys, std::span<pos_t>(map_a),
+                   std::span<pos_t>(map_b), 0);
 }
 
 UnionResult merge_union(std::span<const key_t> a, std::span<const key_t> b) {
@@ -129,24 +140,31 @@ UnionResult merge_union(std::span<const key_t> a, std::span<const key_t> b) {
 
 namespace {
 
-void identity_map(PosMap& map, std::size_t n) {
-  map.resize(n);
-  for (std::size_t p = 0; p < n; ++p) map[p] = static_cast<pos_t>(p);
+void identity_map(std::span<pos_t> map, pos_t base) {
+  for (std::size_t p = 0; p < map.size(); ++p) {
+    map[p] = base + static_cast<pos_t>(p);
+  }
 }
 
 }  // namespace
 
 void tree_merge_into(std::span<const std::span<const key_t>> inputs,
-                     UnionResult& out, MergeScratch& scratch) {
+                     std::vector<key_t>& keys,
+                     std::span<const std::span<pos_t>> maps, pos_t base,
+                     MergeScratch& scratch) {
   const std::size_t k = inputs.size();
-  out.maps.resize(k);
+  KYLIX_DCHECK(maps.size() == k);
   if (k == 0) {
-    out.keys.clear();
+    keys.clear();
     return;
   }
   if (k == 1) {
-    out.keys.assign(inputs[0].begin(), inputs[0].end());
-    identity_map(out.maps[0], inputs[0].size());
+    keys.assign(inputs[0].begin(), inputs[0].end());
+    identity_map(maps[0], base);
+    return;
+  }
+  if (k == 2) {
+    merge_union_into(inputs[0], inputs[1], keys, maps[0], maps[1], base);
     return;
   }
 
@@ -158,17 +176,19 @@ void tree_merge_into(std::span<const std::span<const key_t>> inputs,
   const std::size_t nruns0 = (k + 1) / 2;
   if (runs0.size() < nruns0) runs0.resize(nruns0);
   for (std::size_t j = 0; j < k / 2; ++j) {
-    merge_union_into(inputs[2 * j], inputs[2 * j + 1], runs0[j],
-                     out.maps[2 * j], out.maps[2 * j + 1]);
+    merge_union_into(inputs[2 * j], inputs[2 * j + 1], runs0[j], maps[2 * j],
+                     maps[2 * j + 1], 0);
   }
   if (k % 2 == 1) {
     runs0[nruns0 - 1].assign(inputs[k - 1].begin(), inputs[k - 1].end());
-    identity_map(out.maps[k - 1], inputs[k - 1].size());
+    identity_map(maps[k - 1], 0);
   }
 
   // Upper levels: ping-pong runs between the two arenas, composing every
   // affected leaf map with its side's 2-way map. Run j at the level with
   // `leaf_span` leaves per run covers leaves [j·leaf_span, (j+1)·leaf_span).
+  // The top level (two runs left) merges into `keys`, and its two-way maps
+  // carry `base`, so the last composition writes the final positions.
   std::size_t count = nruns0;
   std::size_t level = 0;
   while (count > 1) {
@@ -176,18 +196,21 @@ void tree_merge_into(std::span<const std::span<const key_t>> inputs,
     auto& nxt = scratch.runs[(level + 1) & 1];
     const std::size_t nnext = (count + 1) / 2;
     if (nxt.size() < nnext) nxt.resize(nnext);
+    const bool top = count == 2;
     const std::size_t leaf_span = std::size_t{1} << (level + 1);
     for (std::size_t j = 0; j < count / 2; ++j) {
-      merge_union_into(cur[2 * j], cur[2 * j + 1], nxt[j], scratch.map_a,
-                       scratch.map_b);
+      scratch.map_a.resize(cur[2 * j].size());
+      scratch.map_b.resize(cur[2 * j + 1].size());
+      merge_union_into(cur[2 * j], cur[2 * j + 1], top ? keys : nxt[j],
+                       scratch.map_a, scratch.map_b, top ? base : 0);
       const std::size_t a_lo = 2 * j * leaf_span;
       const std::size_t a_hi = std::min(a_lo + leaf_span, k);
       const std::size_t b_hi = std::min(a_hi + leaf_span, k);
       for (std::size_t leaf = a_lo; leaf < a_hi; ++leaf) {
-        for (pos_t& p : out.maps[leaf]) p = scratch.map_a[p];
+        for (pos_t& p : maps[leaf]) p = scratch.map_a[p];
       }
       for (std::size_t leaf = a_hi; leaf < b_hi; ++leaf) {
-        for (pos_t& p : out.maps[leaf]) p = scratch.map_b[p];
+        for (pos_t& p : maps[leaf]) p = scratch.map_b[p];
       }
     }
     // An odd trailing run passes through unchanged (its leaf maps already
@@ -196,7 +219,17 @@ void tree_merge_into(std::span<const std::span<const key_t>> inputs,
     count = nnext;
     ++level;
   }
-  std::swap(out.keys, scratch.runs[level & 1][0]);
+}
+
+void tree_merge_into(std::span<const std::span<const key_t>> inputs,
+                     UnionResult& out, MergeScratch& scratch) {
+  out.maps.resize(inputs.size());
+  scratch.maps.clear();
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    out.maps[i].resize(inputs[i].size());
+    scratch.maps.emplace_back(out.maps[i]);
+  }
+  tree_merge_into(inputs, out.keys, scratch.maps, 0, scratch);
 }
 
 UnionResult tree_merge(std::span<const std::span<const key_t>> inputs) {

@@ -46,6 +46,7 @@ struct MergeScratch {
   std::vector<std::vector<key_t>> runs[2];  ///< ping-pong key runs per level
   PosMap map_a;                             ///< 2-way merge temporaries
   PosMap map_b;
+  std::vector<std::span<pos_t>> maps;       ///< UnionResult form's map views
 };
 
 /// merge_union_into gallops (exponential search plus a bulk copy) when one
@@ -54,10 +55,17 @@ struct MergeScratch {
 inline constexpr std::size_t kGallopRatio = 8;
 
 /// Union of two strictly-sorted sequences into caller-owned buffers:
-/// `keys` receives the union, `map_a`/`map_b` the positional maps of `a`/`b`
-/// within it. Buffers are overwritten (capacity reused). Linear time, with
-/// no data-dependent branch per element on balanced sizes; galloping when
-/// one side is at least kGallopRatio times the other.
+/// `keys` receives the union (overwritten, capacity reused), and
+/// map_a[p] / map_b[p] — spans exactly as long as `a` / `b` — the position
+/// of a[p] / b[p] in it plus `base`, so a union that is one part of a
+/// larger one writes its maps in place. Linear time, with no data-dependent
+/// branch per element on balanced sizes; galloping when one side is at
+/// least kGallopRatio times the other.
+void merge_union_into(std::span<const key_t> a, std::span<const key_t> b,
+                      std::vector<key_t>& keys, std::span<pos_t> map_a,
+                      std::span<pos_t> map_b, pos_t base);
+
+/// The same with base 0, sizing the maps to their inputs.
 void merge_union_into(std::span<const key_t> a, std::span<const key_t> b,
                       std::vector<key_t>& keys, PosMap& map_a, PosMap& map_b);
 
@@ -68,7 +76,17 @@ UnionResult merge_union(std::span<const key_t> a, std::span<const key_t> b);
 /// iteratively ping-ponging between two reusable run arenas; per-leaf maps
 /// are composed level by level. Total cost O(N log k) for N total input
 /// elements. Accepts k == 0 (empty result) and k == 1 (identity map), and
-/// arbitrarily many empty inputs. `out` is overwritten, reusing its buffers.
+/// arbitrarily many empty inputs. `keys` receives the union (overwritten,
+/// capacity reused) and maps[i], exactly as long as inputs[i], the union
+/// positions of its keys plus `base`: the top level's two-way maps carry
+/// the base into the last composition, so every map is written in place.
+void tree_merge_into(std::span<const std::span<const key_t>> inputs,
+                     std::vector<key_t>& keys,
+                     std::span<const std::span<pos_t>> maps, pos_t base,
+                     MergeScratch& scratch);
+
+/// The same with base 0 into a UnionResult, whose maps are sized to their
+/// inputs. `out` is overwritten, reusing its buffers.
 void tree_merge_into(std::span<const std::span<const key_t>> inputs,
                      UnionResult& out, MergeScratch& scratch);
 

@@ -313,8 +313,9 @@ TEST(Allreduce, PerLayerSetsShrinkOnOverlappingData) {
   double total_l1 = 0;
   double total_l2 = 0;
   for (rank_t r = 0; r < m; ++r) {
-    total_l1 += static_cast<double>(allreduce.node(r).out_set(1).size());
-    total_l2 += static_cast<double>(allreduce.node(r).out_set(2).size());
+    const RankPlan& rp = allreduce.plan()->rank_plan(r);
+    total_l1 += static_cast<double>(rp.out_sizes[1]);
+    total_l2 += static_cast<double>(rp.out_sizes[2]);
   }
   EXPECT_LT(total_l2, total_l1);
 }

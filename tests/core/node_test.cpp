@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "comm/parallel.hpp"
 #include "core/allreduce.hpp"
@@ -31,19 +34,116 @@ struct Configured {
   }
 };
 
+/// The engine interface configure uses, forwarded to a one-thread
+/// ParallelBspEngine, with round()'s produce callback wrapped to record
+/// every key a rank sends in a config round (as kylix_bench's TimedEngine
+/// wraps it to time the callback).
+class SendLog {
+ public:
+  struct Sent {
+    std::uint16_t layer;
+    rank_t src;
+    rank_t dst;
+    std::vector<key_t> keys;  ///< in keys, then out keys
+  };
+
+  explicit SendLog(rank_t m) : inner_(m, 1) {}
+
+  [[nodiscard]] rank_t num_ranks() const { return inner_.num_ranks(); }
+  [[nodiscard]] bool is_dead(rank_t r) const { return inner_.is_dead(r); }
+  void charge_compute(Phase phase, std::uint16_t layer, rank_t rank,
+                      double seconds) {
+    inner_.charge_compute(phase, layer, rank, seconds);
+  }
+  void charge_intra(Phase phase, rank_t rank, double seconds) {
+    inner_.charge_intra(phase, rank, seconds);
+  }
+  template <typename Fn>
+  void intra_round(Phase phase, rank_t tasks, Fn&& fn) {
+    inner_.intra_round(phase, tasks, std::forward<Fn>(fn));
+  }
+  template <typename ProduceFn, typename ExpectedFn, typename ConsumeFn>
+  void round(Phase phase, std::uint16_t layer, ProduceFn&& produce,
+             ExpectedFn&& expected, ConsumeFn&& consume) {
+    inner_.round(
+        phase, layer,
+        [&](rank_t r) -> decltype(produce(r)) {
+          decltype(produce(r)) letters = produce(r);
+          for (const Letter<float>& letter : letters) {
+            if (phase != Phase::kConfig) continue;
+            Sent sent{layer, letter.src, letter.dst, letter.packet.in_keys};
+            sent.keys.insert(sent.keys.end(), letter.packet.out_keys.begin(),
+                             letter.packet.out_keys.end());
+            sent_.push_back(std::move(sent));
+          }
+          return letters;
+        },
+        std::forward<ExpectedFn>(expected), std::forward<ConsumeFn>(consume));
+  }
+
+  [[nodiscard]] const std::vector<Sent>& sent() const { return sent_; }
+
+ private:
+  ParallelBspEngine<float> inner_;  ///< one thread: produce runs inline
+  std::vector<Sent> sent_;
+};
+
 TEST(KylixNode, LayerSetsStayInsideTheNodesKeyRange) {
-  Configured c({4, 2});
-  for (rank_t r = 0; r < c.topo.num_machines(); ++r) {
-    for (std::uint16_t layer = 0; layer <= c.topo.num_layers(); ++layer) {
-      const KeyRange range = c.topo.key_range(layer, r);
-      for (key_t k : c.allreduce.node(r).out_set(layer)) {
-        EXPECT_TRUE(range.contains(k))
-            << "rank " << r << " layer " << layer;
+  // Config round i carries the senders' node-layer i-1 sets, cut by the
+  // receivers' node-layer i ranges; the node keeps layers 0 and l.
+  const Topology topo({4, 2});
+  const auto w = random_workload<float>(topo.num_machines(), 150, 0.3, 0.4,
+                                        321);
+  SendLog engine(topo.num_machines());
+  SparseAllreduce<float, OpSum, SendLog> allreduce(&engine, topo);
+  allreduce.configure(w.in_sets, w.out_sets);
+  std::vector<std::size_t> keys_per_round(topo.num_layers() + 1, 0);
+  for (const SendLog::Sent& sent : engine.sent()) {
+    const KeyRange from = topo.key_range(sent.layer - 1, sent.src);
+    const KeyRange to = topo.key_range(sent.layer, sent.dst);
+    for (const key_t k : sent.keys) {
+      EXPECT_TRUE(from.contains(k))
+          << "rank " << sent.src << " layer " << sent.layer - 1;
+      EXPECT_TRUE(to.contains(k))
+          << "rank " << sent.dst << " layer " << sent.layer;
+    }
+    keys_per_round[sent.layer] += sent.keys.size();
+  }
+  for (std::uint16_t layer = 1; layer <= topo.num_layers(); ++layer) {
+    EXPECT_GT(keys_per_round[layer], 0u) << "round " << layer;
+  }
+  for (rank_t r = 0; r < topo.num_machines(); ++r) {
+    for (const std::uint16_t layer : {std::uint16_t{0}, topo.num_layers()}) {
+      const KeyRange range = topo.key_range(layer, r);
+      for (key_t k : allreduce.node(r).out_set(layer)) {
+        EXPECT_TRUE(range.contains(k)) << "rank " << r << " layer " << layer;
       }
-      for (key_t k : c.allreduce.node(r).in_set(layer)) {
+      for (key_t k : allreduce.node(r).in_set(layer)) {
         EXPECT_TRUE(range.contains(k));
       }
     }
+  }
+}
+
+TEST(KylixNode, IntermediateLayerSetsPointToThePlanSizes) {
+  Configured c({4, 2, 2});
+  const std::uint16_t l = c.topo.num_layers();
+  for (const rank_t r : {rank_t{0}, rank_t{7}}) {
+    for (std::uint16_t layer = 1; layer < l; ++layer) {
+      for (const bool in : {true, false}) {
+        try {
+          const KylixNode<float>& node = c.allreduce.node(r);
+          (void)(in ? node.in_set(layer) : node.out_set(layer));
+          ADD_FAILURE() << "node layer " << layer << " set was readable";
+        } catch (const check_error& e) {
+          EXPECT_NE(std::string(e.what()).find("RankPlan::in_sizes"),
+                    std::string::npos)
+              << e.what();
+        }
+      }
+    }
+    EXPECT_NO_THROW((void)c.allreduce.node(r).in_set(0));
+    EXPECT_NO_THROW((void)c.allreduce.node(r).out_set(l));
   }
 }
 
@@ -100,7 +200,7 @@ TEST(KylixNode, TotalLayerElementsNeverGrowOnOverlappingData) {
   for (std::uint16_t layer = 0; layer <= l; ++layer) {
     std::size_t total = 0;
     for (rank_t r = 0; r < c.topo.num_machines(); ++r) {
-      total += c.allreduce.node(r).out_set(layer).size();
+      total += c.allreduce.plan()->rank_plan(r).out_sizes[layer];
     }
     EXPECT_LE(total, previous) << "layer " << layer;
     previous = total;

@@ -12,18 +12,21 @@
 //     shared c ways.
 //
 // Every number is on the modeled cluster clock (bench::scaled_network and
-// the default ComputeModel), so the runs are deterministic. Each TEST builds
-// one bench preset (twitter-like 2^18 or yahoo-like 2^21, m = 64) once,
-// prints its three rows as EXPERIMENTS' markdown and compares them with the
-// rows EXPERIMENTS quotes, at its rounding. It then checks each claim's
-// bound and that every variant's results are bit-identical to its
-// baseline's.
+// the default ComputeModel), so the runs are deterministic, and the same at
+// every engine thread count: engines run on every hardware thread. Each
+// TEST builds one bench preset (twitter-like 2^18 or yahoo-like 2^21,
+// m = 64) and compiles its plan once; the streaming sweep and the async
+// streams replay that plan. It prints the three rows as EXPERIMENTS'
+// markdown and compares them with the rows EXPERIMENTS quotes, at its
+// rounding, then checks each claim's bound and that every variant's
+// results are bit-identical to its baseline's.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstdarg>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -31,6 +34,8 @@
 
 namespace kylix {
 namespace {
+
+using Plan = std::shared_ptr<const CollectivePlan>;
 
 [[gnu::format(printf, 1, 2)]] std::string format(const char* fmt, ...) {
   char buffer[256];
@@ -64,9 +69,10 @@ constexpr std::uint32_t kStreamStride = 16;
 /// knee's neighborhood and keeps the best pipelined speedup — splitting
 /// finer multiplies the unhideable per-chunk stack overhead, splitting
 /// coarser starves the pipeline, so the sweep is U-shaped with an interior
-/// optimum.
-StreamingRow run_streaming(const bench::Dataset& data,
-                           const Topology& topology) {
+/// optimum. Every point adopts the preset's compiled plan (config rounds
+/// are not part of the pipelined time).
+StreamingRow run_streaming(const bench::Dataset& data, const Plan& plan) {
+  const Topology& topology = plan->topology();
   const NetworkModel net = bench::scaled_network();
   std::vector<std::vector<real_t>> interleaved(data.out_values.size());
   for (std::size_t r = 0; r < data.out_values.size(); ++r) {
@@ -80,13 +86,13 @@ StreamingRow run_streaming(const bench::Dataset& data,
   }
   const auto reduce_once = [&](std::uint64_t chunk_bytes,
                                TimingAccumulator& timing, StreamStats& stats) {
-    ParallelBspEngine<real_t> engine(topology.num_machines(), 1, nullptr,
+    ParallelBspEngine<real_t> engine(topology.num_machines(), 0, nullptr,
                                      nullptr, &timing);
     SparseAllreduce<real_t, OpSum, ParallelBspEngine<real_t>> allreduce(
         &engine, topology);
     allreduce.set_streaming(chunk_bytes != 0);
     allreduce.set_chunk_bytes(chunk_bytes);
-    allreduce.configure(data.in_sets, data.out_sets);
+    allreduce.configure(plan);
     auto results = allreduce.reduce_strided(interleaved, kStreamStride);
     stats = allreduce.stream_stats();
     return results;
@@ -138,14 +144,9 @@ constexpr std::uint32_t kAsyncStreams = 16;  ///< reduces pushed through it
 /// busy with other streams' letters during those gaps. The window-1
 /// results double as the per-stream bit-identity check, and per-stream
 /// completion latencies feed the histogram quantiles for p50/p99.
-AsyncRow run_async(const bench::Dataset& data, const Topology& topology) {
+AsyncRow run_async(const bench::Dataset& data, const Plan& plan) {
   const NetworkModel net = bench::scaled_network();
   const ComputeModel compute{};
-  const rank_t m = topology.num_machines();
-  ParallelBspEngine<real_t> compile_engine(m, 1);
-  SparseAllreduce<real_t, OpSum, ParallelBspEngine<real_t>> compiler(
-      &compile_engine, topology);
-  const auto plan = compiler.compile(data.in_sets, data.out_sets);
 
   // Stream i shifts every value by i so streams are distinguishable.
   std::vector<std::vector<std::vector<real_t>>> inputs(kAsyncStreams);
@@ -231,7 +232,7 @@ HierarchyRow run_hierarchy(const bench::Dataset& data, const Topology& flat) {
   const ComputeModel compute;
   const auto modeled = [&](const Topology& topo, const NetworkModel& model,
                            TimingAccumulator& timing) {
-    ParallelBspEngine<real_t> engine(bench::kMachines, 1, nullptr, nullptr,
+    ParallelBspEngine<real_t> engine(bench::kMachines, 0, nullptr, nullptr,
                                      &timing);
     SparseAllreduce<real_t, OpSum, ParallelBspEngine<real_t>> allreduce(
         &engine, topo, &compute);
@@ -280,10 +281,15 @@ void check_preset(const char* which, const Rows& expected) {
   const std::string label = data.name + " (" + join(degrees, "×") + ")";
   constexpr double kMs = 1e3;
 
-  const StreamingRow s = run_streaming(data, topology);
+  ParallelBspEngine<real_t> compile_engine(topology.num_machines(), 0);
+  SparseAllreduce<real_t, OpSum, ParallelBspEngine<real_t>> compiler(
+      &compile_engine, topology);
+  const Plan plan = compiler.compile(data.in_sets, data.out_sets);
+
+  const StreamingRow s = run_streaming(data, plan);
   const double stream_speedup = s.streamed_s > 0 ? s.letter_s / s.streamed_s
                                                  : 0;
-  const AsyncRow a = run_async(data, topology);
+  const AsyncRow a = run_async(data, plan);
   const double async_speedup = a.async_s > 0 ? a.serialized_s / a.async_s : 0;
   const HierarchyRow h = run_hierarchy(data, topology);
   const double hier_speedup = h.hier_s > 0 ? h.flat_s / h.hier_s : 0;

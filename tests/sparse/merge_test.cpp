@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
 
 #include "common/rng.hpp"
 
@@ -241,6 +242,81 @@ TEST(MergeUnionInto, EdgeShapes) {
   expect_pairwise_matches_oracle(extremes, {});
   expect_pairwise_matches_oracle({}, extremes);
   expect_pairwise_matches_oracle({}, {});
+}
+
+/// The base-offset forms against the base-0 union: the same keys, and
+/// every map entry shifted by `base`, written in place into views of one
+/// larger buffer whose other entries stay untouched.
+void expect_offset_union(const std::vector<std::vector<key_t>>& inputs,
+                         pos_t base) {
+  SCOPED_TRACE(std::to_string(inputs.size()) + " ways, base " +
+               std::to_string(base));
+  const UnionResult plain = tree_merge(inputs);
+  constexpr pos_t kUntouched = 0xdeadbeef;
+  std::size_t total = 0;
+  for (const auto& in : inputs) total += in.size();
+  PosMap buffer(total + 2, kUntouched);  // one guard entry each side
+  std::vector<std::span<const key_t>> spans(inputs.begin(), inputs.end());
+  std::vector<std::span<pos_t>> maps;
+  std::size_t at = 1;
+  for (const auto& in : inputs) {
+    maps.push_back(std::span<pos_t>(buffer).subspan(at, in.size()));
+    at += in.size();
+  }
+  std::vector<key_t> keys = {99, 98, 97};  // stale content
+  MergeScratch scratch;
+  tree_merge_into(spans, keys, maps, base, scratch);
+  EXPECT_EQ(keys, plain.keys);
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    for (std::size_t p = 0; p < inputs[i].size(); ++p) {
+      EXPECT_EQ(maps[i][p], plain.maps[i][p] + base)
+          << "input " << i << " position " << p;
+    }
+  }
+  EXPECT_EQ(buffer.front(), kUntouched);
+  EXPECT_EQ(buffer.back(), kUntouched);
+  if (inputs.size() == 2) {
+    std::vector<key_t> pair_keys(5, 77);
+    PosMap map_a(inputs[0].size(), kUntouched);
+    PosMap map_b(inputs[1].size(), kUntouched);
+    merge_union_into(inputs[0], inputs[1], pair_keys, std::span<pos_t>(map_a),
+                     std::span<pos_t>(map_b), base);
+    EXPECT_EQ(pair_keys, plain.keys);
+    for (std::size_t p = 0; p < map_a.size(); ++p) {
+      EXPECT_EQ(map_a[p], plain.maps[0][p] + base);
+    }
+    for (std::size_t p = 0; p < map_b.size(); ++p) {
+      EXPECT_EQ(map_b[p], plain.maps[1][p] + base);
+    }
+  }
+}
+
+TEST(MergeUnionInto, BaseOffsetShiftsBalancedGallopingAndEmptyUnions) {
+  Rng rng(417);
+  const auto a = random_sorted_unique(rng, 300, 2000);
+  const auto b = random_sorted_unique(rng, 280, 2000);
+  expect_offset_union({a, b}, 1000);  // balanced: the branch-free loop
+  const auto big = random_sorted_unique(rng, 64 * kGallopRatio, 1u << 20);
+  const auto small = random_sorted_unique(rng, 64, 1u << 20);
+  expect_offset_union({big, small}, 123456);  // galloping, both ways
+  expect_offset_union({small, big}, 7);
+  expect_offset_union({a, {}}, 5);  // empty sides
+  expect_offset_union({{}, a}, 5);
+  expect_offset_union({{}, {}}, 5);
+  expect_offset_union({a, b}, 0);
+}
+
+TEST(TreeMergeScratch, BaseOffsetShiftsEveryWayCount) {
+  Rng rng(418);
+  for (const std::size_t ways : {1u, 3u, 4u, 8u}) {
+    std::vector<std::vector<key_t>> inputs;
+    for (std::size_t i = 0; i < ways; ++i) {
+      inputs.push_back(random_sorted_unique(rng, 20 + rng.below(200), 900));
+    }
+    expect_offset_union(inputs, static_cast<pos_t>(31 * ways));
+    inputs[ways / 2].clear();  // an empty piece among them
+    expect_offset_union(inputs, static_cast<pos_t>(1 + ways));
+  }
 }
 
 class HashUnionTest : public ::testing::TestWithParam<std::size_t> {};
